@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import secrets
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from . import bench as bench_mod
 from . import dkg as dkg_mod
 from . import signing as signing_mod
 from .errors import ConfigError, ProtocolAbort
-from .groups import get_backend
+from .groups import get_backend, hash_bytes
 from .rng import SeededRng
 from .sharing import SharePacket
 from .simnet import load_scenario, run_simulation
@@ -127,7 +128,12 @@ def _cmd_sign(args) -> int:
     if missing:
         raise ConfigError(f"no share files given for coalition members {missing}")
 
-    rng = SeededRng(args.seed)
+    message = args.message.encode("utf-8")
+    # fresh OS randomness unless a seed is given; a seed may be reused across
+    # messages, so the nonces also hash in the message: two messages signed
+    # with one nonce pair would leak the key
+    rng = SeededRng(secrets.token_bytes(32) if args.seed is None else args.seed)
+    message_tag = hash_bytes("sign-nonce", [message])[:32].hex()
     keys = {
         i: signing_mod.KeyShare(
             backend=backend, id=i, t=t, n=n,
@@ -136,10 +142,8 @@ def _cmd_sign(args) -> int:
         for i in coalition
     }
     signers = {i: signing_mod.Signer(keys[i]) for i in coalition}
-    lists = {i: signers[i].round1(rng.fork(f"nonce/{i}")) for i in coalition}
-    package = signing_mod.SigningPackage.build(
-        args.message.encode("utf-8"), {i: lists[i].pairs[0] for i in coalition}
-    )
+    lists = {i: signers[i].round1(rng.fork(f"nonce/{i}/{message_tag}")) for i in coalition}
+    package = signing_mod.SigningPackage.build(message, {i: lists[i].pairs[0] for i in coalition})
     try:
         partials = {i: signers[i].round2_partial(package) for i in coalition}
         sig = signing_mod.aggregate(package, partials, pk_shares, group_pk)
@@ -270,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--share", action="append", default=[], help="share file (repeatable)")
     p.add_argument("--coalition", required=True, help="comma-separated participant ids")
     p.add_argument("--message", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="derive nonces from this seed and the message (default: OS randomness)")
     p.add_argument("--out", help="file to write the signature hex to")
     p.set_defaults(func=_cmd_sign)
 

@@ -126,11 +126,7 @@ class GroupElement:
 
     def mul(self, k) -> "GroupElement":
         """Scalar multiplication k*P (k a Scalar or int)."""
-        if isinstance(k, Scalar):
-            if k.q != self.backend.order:
-                raise ValueError("scalar from a different field")
-            k = k.value
-        return GroupElement(self.backend, self.backend._mul(k % self.backend.order, self.rep))
+        return GroupElement(self.backend, self.backend._mul(self.backend._reduce(k), self.rep))
 
     __rmul__ = mul
 
@@ -218,6 +214,25 @@ class GroupBackend:
             acc = acc + e
         return acc
 
+    def multi_mul(self, scalars: Sequence, elements: Sequence[GroupElement]) -> GroupElement:
+        """Sum of k_i*P_i (each k_i a Scalar or int); the identity when empty."""
+        if len(scalars) != len(elements):
+            raise ValueError("multi_mul needs one scalar per element")
+        terms = []
+        for k, e in zip(scalars, elements):
+            if not isinstance(e, GroupElement) or e.backend is not self:
+                raise ValueError("elements from different groups")
+            terms.append((self._reduce(k), e.rep))
+        return GroupElement(self, self._multi_mul(terms))
+
+    def _reduce(self, k) -> int:
+        """A Scalar of this field or an int, as an int in [0, q)."""
+        if isinstance(k, Scalar):
+            if k.q != self.order:
+                raise ValueError("scalar from a different field")
+            return k.value
+        return k % self.order
+
     def decode_element(self, data: bytes) -> GroupElement:
         return GroupElement(self, self._decode(data))
 
@@ -239,6 +254,13 @@ class GroupBackend:
 
     def _mul(self, k: int, a):
         raise NotImplementedError
+
+    def _multi_mul(self, terms):
+        """Sum of k*a over (k, a) terms; the generic loop, one _mul per term."""
+        acc = self._identity_rep()
+        for k, a in terms:
+            acc = self._add(acc, self._mul(k, a))
+        return acc
 
     def _eq(self, a, b) -> bool:
         raise NotImplementedError
@@ -323,8 +345,11 @@ _SQRT_M1 = pow(2, (_P - 1) // 4, _P)
 _BASE_X = 15112221349535400772501151409588531511454012693041857206046113283949847762202
 _BASE_Y = 46316835694926478169428394003475163141307993866256225615783033603165251855960
 
+_D2 = 2 * _D % _P
+
 _WINDOW = 4
 _WINDOW_COUNT = 64  # ceil(253 / 4)
+_WNAF_WIDTH = 5  # odd digits up to +-15: a table of 8 points per term
 
 
 def _ed_add(p1, p2):
@@ -332,7 +357,7 @@ def _ed_add(p1, p2):
     x2, y2, z2, t2 = p2
     a = (y1 - x1) * (y2 - x2) % _P
     b = (y1 + x1) * (y2 + x2) % _P
-    c = t1 * t2 % _P * (2 * _D) % _P
+    c = t1 * t2 % _P * _D2 % _P
     d = z1 * z2 * 2 % _P
     e = b - a
     f = d - c
@@ -356,13 +381,91 @@ def _ed_double(p):
 _ED_IDENTITY = (0, 1, 1, 0)
 
 
-def _ed_mul(k: int, p):
-    """Fixed-window scalar multiplication for an arbitrary point."""
-    if k == 0:
+def _wnaf(k: int) -> list[tuple[int, int]]:
+    """Width-5 NAF of k > 0 as (bit position, odd digit in [-15, 15]) pairs."""
+    digits = []
+    pos = 0
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        d = k & 31
+        if d > 16:
+            d -= 32
+        digits.append((pos, d))
+        # k - d is a multiple of 32: the next four digits are zero
+        k = (k - d) >> _WNAF_WIDTH
+        pos += _WNAF_WIDTH
+    return digits
+
+
+def _ed_cached_multiples(p, top: int) -> dict:
+    """{+-j: j*P} for odd j <= top, cached as (Y+X, Y-X, 2Z, 2*D*T)."""
+    table = {}
+    q = p
+    two_p = None
+    for j in range(1, top + 1, 2):
+        if j > 1:
+            if two_p is None:
+                two_p = _ed_double(p)
+            q = _ed_add(q, two_p)
+        x, y, z, t = q
+        ypx, ymx, z2, t2d = (y + x) % _P, (y - x) % _P, 2 * z % _P, t * _D2 % _P
+        table[j] = (ypx, ymx, z2, t2d)
+        table[-j] = (ymx, ypx, z2, _P - t2d)  # -(X, Y, Z, T) = (-X, Y, Z, -T)
+    return table
+
+
+def _ed_straus(terms) -> tuple:
+    """Sum of k*P over (k, P) terms, k >= 0: interleaved width-5 wNAF.
+
+    Every term shares one doubling chain (Straus, as Moller's "Algorithms
+    for multi-exponentiation" interleaves wNAF digits), so a sum of m
+    253-bit terms costs about 253 doublings and 43*m additions.  T is
+    formed only before an addition: the loop carries E and H of the last
+    step, whose product is T, and doublings never use it.
+    """
+    adds: dict[int, list] = {}
+    for k, p in terms:
+        if not k:
+            continue
+        digits = _wnaf(k)
+        table = _ed_cached_multiples(p, max(abs(d) for _, d in digits))
+        for pos, d in digits:
+            adds.setdefault(pos, []).append(table[d])
+    if not adds:
         return _ED_IDENTITY
-    if k < 1 << 16:
+    P = _P
+    x, y, z, e, h = 0, 1, 1, 0, 1  # the identity, with T = e*h = 0
+    positions = sorted(adds, reverse=True)
+    for i, pos in enumerate(positions):
+        for ypx, ymx, z2, t2d in adds[pos]:
+            a = (y - x) * ymx % P
+            b = (y + x) * ypx % P
+            c = e * h % P * t2d % P
+            d = z * z2 % P
+            e = b - a
+            f = d - c
+            g = d + c
+            h = b + a
+            x, y, z = e * f % P, g * h % P, f * g % P
+        for _ in range(pos - (positions[i + 1] if i + 1 < len(positions) else 0)):
+            a = x * x % P
+            b = y * y % P
+            c = 2 * z * z % P
+            h = a + b
+            e = (h - (x + y) * (x + y)) % P
+            g = a - b
+            f = c + g
+            x, y, z = e * f % P, g * h % P, f * g % P
+    return (x, y, z, e * h % P)
+
+
+def _ed_mul(k: int, p):
+    """k*P for an arbitrary point P."""
+    if 0 < k < 1 << 16:
         # small exponents (share-index powers): plain double-and-add beats
-        # paying for the window table
+        # paying for the wNAF table
         acc = None
         while k:
             if k & 1:
@@ -371,36 +474,17 @@ def _ed_mul(k: int, p):
             if k:
                 p = _ed_double(p)
         return acc
-    table = [_ED_IDENTITY, p]
-    for _ in range(14):
-        table.append(_ed_add(table[-1], p))
-    acc = None
-    P = _P
-    for shift in range(((k.bit_length() + 3) // 4) * 4 - 4, -1, -4):
-        if acc is not None:
-            x, y, z, _ = acc
-            for _ in range(4):
-                a = x * x % P
-                b = y * y % P
-                c = 2 * z * z % P
-                h = a + b
-                e = (h - (x + y) * (x + y)) % P
-                g = a - b
-                f = c + g
-                x, y, z = e * f % P, g * h % P, f * g % P
-            acc = (x, y, z, e * h % P)
-        nibble = (k >> shift) & 0xF
-        if nibble:
-            acc = table[nibble] if acc is None else _ed_add(acc, table[nibble])
-    return acc if acc is not None else _ED_IDENTITY
+    return _ed_straus(((k, p),))
 
 
 class Ed25519Group(GroupBackend):
     """Prime-order subgroup of Ed25519 (order 2^252 + 27742...493).
 
     Base-point multiplications for G and H use precomputed window tables;
-    points are kept in extended twisted-Edwards coordinates.  Not hardened
-    against timing side channels.
+    every other point goes through the interleaved wNAF kernel, alone or in
+    a multi-scalar sum.  Points are kept in extended twisted-Edwards
+    coordinates.  Not hardened against timing side channels: the wNAF
+    digits and table lookups depend on the scalar.
     """
 
     name = "ed25519"
@@ -476,12 +560,31 @@ class Ed25519Group(GroupBackend):
         x, y, z, t = a
         return ((-x) % _P, y, z, (-t) % _P)
 
-    def _mul(self, k, a):
+    def _fixed_base(self, a):
+        """G or H when a is one of them (they have window tables), else None."""
         if a is self._gen or a == self._gen:
-            return self._mul_base(k, self._gen)
+            return self._gen
         if a is self._second_gen or a == self._second_gen:
-            return self._mul_base(k, self._second_gen)
-        return _ed_mul(k, a)
+            return self._second_gen
+        return None
+
+    def _mul(self, k, a):
+        base = self._fixed_base(a)
+        return _ed_mul(k, a) if base is None else self._mul_base(k, base)
+
+    def _multi_mul(self, terms):
+        # G and H terms use their window tables; the rest share one chain
+        fixed, variable = [], []
+        for k, a in terms:
+            base = self._fixed_base(a)
+            if base is None:
+                variable.append((k, a))
+            else:
+                fixed.append(self._mul_base(k, base))
+        acc = _ed_straus(variable)
+        for point in fixed:
+            acc = _ed_add(acc, point)
+        return acc
 
     def _eq(self, a, b):
         x1, y1, z1, _ = a

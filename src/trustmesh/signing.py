@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import NonceReuseError, ProtocolAbort
 from .groups import GroupBackend, GroupElement, Scalar, hash_bytes, hash_to_scalar, id_bytes
@@ -171,16 +171,42 @@ def binding_values(backend: GroupBackend, package: SigningPackage) -> dict[int, 
     }
 
 
+class _BoundShares(Mapping):
+    """Each signer's bound share R_i = A_i + beta_i*B_i, formed on lookup."""
+
+    def __init__(self, package: SigningPackage, betas: Mapping[int, Scalar]):
+        self._package = package
+        self._betas = betas
+
+    def __getitem__(self, member: int) -> GroupElement:
+        a, b = self._package.pair(member)
+        return a + self._betas[member] * b
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._package.coalition)
+
+    def __len__(self) -> int:
+        return len(self._package.coalition)
+
+
 def bound_commitments(
-    backend: GroupBackend, package: SigningPackage
-) -> tuple[GroupElement, dict[int, GroupElement]]:
-    """Group commitment R and each signer's bound share R_i = A_i + beta_i*B_i."""
-    betas = binding_values(backend, package)
-    per_signer = {}
-    for member, a, b in package.commitments:
-        per_signer[member] = a + betas[member] * b
-    R = backend.element_sum(per_signer[m] for m in package.coalition)
-    return R, per_signer
+    backend: GroupBackend,
+    package: SigningPackage,
+    betas: Optional[Mapping[int, Scalar]] = None,
+) -> tuple[GroupElement, Mapping[int, GroupElement]]:
+    """Group commitment R and each signer's bound share R_i = A_i + beta_i*B_i.
+
+    R = sum(A_i) + sum(beta_i*B_i) costs one multi-scalar mul; the shares
+    R_i, which the signing roles never need, are only formed when looked up.
+    Pass ``betas`` when the caller already holds the binding values.
+    """
+    if betas is None:
+        betas = binding_values(backend, package)
+    commitments = package.commitments
+    R = backend.element_sum(a for _, a, _ in commitments) + backend.multi_mul(
+        [betas[member] for member, _, _ in commitments], [b for _, _, b in commitments]
+    )
+    return R, _BoundShares(package, betas)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +256,7 @@ class Signer:
         backend = key.backend
         betas = binding_values(backend, package)
         lam = lagrange_coefficient(key.id, package.coalition, backend.scalar(0))
-        R, _ = bound_commitments(backend, package)
+        R, _ = bound_commitments(backend, package, betas)
         c = challenge_scalar(backend, R, key.group_pk, package.message)
         z = nonce.a + nonce.b * betas[key.id] + lam * key.sk_share * c
         nonce.scrub()
@@ -247,6 +273,8 @@ class PartialVerifier:
 
     A partial z_i is valid iff z_i*G = R_i + (c * lambda_i) * pk_i; the right
     side is frozen per signer so each check costs one base multiplication.
+    Each target A_i + (beta_i*B_i + c*lambda_i*pk_i) costs one two-term
+    multi-scalar mul.
     """
 
     def __init__(
@@ -260,14 +288,17 @@ class PartialVerifier:
         self.package = package
         self.group_pk = group_pk
         self.context_hash = package.context_hash()
-        R, per_signer = bound_commitments(backend, package)
+        betas = binding_values(backend, package)
+        R, _ = bound_commitments(backend, package, betas)
         self.R = R
         self.challenge = challenge_scalar(backend, R, group_pk, package.message)
         zero = backend.scalar(0)
         self._targets = {}
-        for member in package.coalition:
+        for member, a, b in package.commitments:
             lam = lagrange_coefficient(member, package.coalition, zero)
-            self._targets[member] = per_signer[member] + (self.challenge * lam) * pk_shares[member]
+            self._targets[member] = a + backend.multi_mul(
+                [betas[member], self.challenge * lam], [b, pk_shares[member]]
+            )
 
     def verify(self, member: int, z: Scalar) -> bool:
         target = self._targets.get(member)

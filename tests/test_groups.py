@@ -7,7 +7,7 @@ touches the library's own group code.
 
 import pytest
 
-from trustmesh.groups import Scalar, get_backend, hash_bytes, hash_to_scalar
+from trustmesh.groups import GroupElement, Scalar, get_backend, hash_bytes, hash_to_scalar
 from trustmesh.rng import SeededRng
 
 TOY_P = 23
@@ -63,6 +63,24 @@ class TestToyOracle:
             if not (0 < v < TOY_P) or pow(v, TOY_Q, TOY_P) != 1:
                 with pytest.raises(ValueError):
                     toy.decode_element(bytes([v]))
+
+    def test_multi_mul_matches_modexp_exhaustive(self, toy):
+        elements = [toy.decode_element(bytes([x])) for x in SUBGROUP]
+        for x, ex in zip(SUBGROUP, elements):
+            for y, ey in zip(SUBGROUP, elements):
+                for a in range(TOY_Q):
+                    for b in range(TOY_Q):
+                        want = pow(x, a, TOY_P) * pow(y, b, TOY_P) % TOY_P
+                        assert toy.multi_mul([a, toy.scalar(b)], [ex, ey]).rep == want
+
+    def test_multi_mul_rejects_mismatched_inputs(self, toy, ed25519):
+        g = toy.generator()
+        with pytest.raises(ValueError):
+            toy.multi_mul([1, 2], [g])
+        with pytest.raises(ValueError):
+            toy.multi_mul([1], [ed25519.generator()])
+        with pytest.raises(ValueError):
+            toy.multi_mul([ed25519.scalar(1)], [g])
 
 
 class TestScalarField:
@@ -158,6 +176,121 @@ class TestEd25519:
         ident = ed25519.identity()
         assert g + ident == g
         assert (ed25519.scalar(0) * g).is_identity()
+
+
+def reference_mul(k: int, point: GroupElement) -> GroupElement:
+    """k*P by plain double-and-add over point additions: no wNAF, no tables."""
+    acc = point.backend.identity()
+    while k:
+        if k & 1:
+            acc = acc + point
+        point = point + point
+        k >>= 1
+    return acc
+
+
+class TestEd25519Kernel:
+    """Variable-base and multi-scalar muls against the double-and-add reference."""
+
+    ORDER = 2**252 + 27742317777372353535851937790883648493
+    EDGE_SCALARS = (0, 1, 15, 16, 17, 31, 32, 33, 2**16 - 1, 2**16, 2**252, ORDER - 1)
+
+    @pytest.fixture(scope="class")
+    def points(self, ed25519):
+        rng = SeededRng("kernel-points")
+        g = ed25519.generator()
+        return [ed25519.random_scalar(rng) * g + ed25519.second_generator() for _ in range(3)]
+
+    def scalars(self, ed25519):
+        rng = SeededRng("kernel-scalars")
+        return list(self.EDGE_SCALARS) + [ed25519.random_scalar(rng).value for _ in range(4)]
+
+    def test_mul_matches_reference(self, ed25519, points):
+        for k in self.scalars(ed25519):
+            assert points[0].mul(k) == reference_mul(k, points[0])
+
+    def test_multi_mul_matches_reference(self, ed25519, points):
+        ks = self.scalars(ed25519)
+        for i, k in enumerate(ks):
+            others = (ks[(i + 5) % len(ks)], ks[(i + 11) % len(ks)])
+            want = reference_mul(k, points[0]) + reference_mul(others[0], points[1])
+            want = want + reference_mul(others[1], points[2])
+            assert ed25519.multi_mul([k, *others], points) == want
+
+    def test_empty_sum_is_identity(self, ed25519):
+        assert ed25519.multi_mul([], []).is_identity()
+
+    def test_repeated_points_and_identity(self, ed25519, points):
+        p = points[0]
+        a, b = self.scalars(ed25519)[-2:]
+        assert ed25519.multi_mul([a, b], [p, p]) == reference_mul((a + b) % self.ORDER, p)
+        assert ed25519.multi_mul([a, -a], [p, p]).is_identity()
+        ident = ed25519.identity()
+        assert ed25519.multi_mul([a, b], [ident, p]) == reference_mul(b, p)
+        assert ed25519.multi_mul([a], [ident]).is_identity()
+        assert ident.mul(a).is_identity()
+
+    def test_generators_mixed_with_other_points(self, ed25519, points):
+        g, h = ed25519.generator(), ed25519.second_generator()
+        ks = self.scalars(ed25519)[-4:]
+        elements = [g, points[0], h, points[1]]
+        want = ed25519.identity()
+        for k, e in zip(ks, elements):
+            want = want + reference_mul(k, e)
+        assert ed25519.multi_mul(ks, elements) == want
+        assert ed25519.multi_mul(ks[:2], [g, g]) == reference_mul(sum(ks[:2]), g)
+
+
+class TestEd25519Torsion:
+    """decode_element keeps every point with a small-order component out."""
+
+    @pytest.fixture(scope="class")
+    def torsion(self, ed25519):
+        """The 8-torsion points T_j = j*T_1, j = 0..7, T_1 of order 8."""
+        q = ed25519.order
+        for y in range(2, 200):
+            try:
+                x = GroupElement(ed25519, ed25519._decode_point(y.to_bytes(32, "little")))
+            except ValueError:
+                continue
+            t1 = reference_mul(q, x)
+            if not reference_mul(4, t1).is_identity():
+                break
+        points = [reference_mul(j, t1) for j in range(8)]
+        assert points[0].is_identity() and reference_mul(8, t1).is_identity()
+        assert len({p.encode() for p in points}) == 8
+        return points
+
+    def test_rejects_subgroup_point_plus_torsion(self, ed25519, torsion):
+        rng = SeededRng("torsion")
+        p = ed25519.random_scalar(rng) * ed25519.generator()
+        for t in torsion[1:]:
+            with pytest.raises(ValueError, match="subgroup"):
+                ed25519.decode_element((p + t).encode())
+
+    def test_rejects_every_small_order_encoding(self, ed25519, torsion):
+        field_p = 2**255 - 19
+        encodings = set()
+        for t in torsion:
+            enc = int.from_bytes(t.encode(), "little")
+            encodings |= {enc, enc ^ (1 << 255)}
+        # non-canonical y = p and y = p + 1 (the order-4 points and the identity)
+        for y in (field_p, field_p + 1):
+            encodings |= {y, y | (1 << 255)}
+        # the identity is the one small-order point inside the subgroup
+        encodings.remove(int.from_bytes(torsion[0].encode(), "little"))
+        assert len(encodings) == 13
+        for enc in encodings:
+            with pytest.raises(ValueError):
+                ed25519.decode_element(enc.to_bytes(32, "little"))
+
+    def test_accepts_clean_subgroup_points(self, ed25519):
+        rng = SeededRng("clean")
+        g = ed25519.generator()
+        clean = [g, ed25519.second_generator(), ed25519.identity()]
+        clean += [ed25519.random_scalar(rng) * g for _ in range(5)]
+        for p in clean:
+            assert ed25519.decode_element(p.encode()) == p
 
 
 class TestProtocolHashes:

@@ -6,6 +6,7 @@ import pytest
 
 from trustmesh.dkg import run_dkg
 from trustmesh.errors import NonceReuseError, ProtocolAbort
+from trustmesh.polynomials import lagrange_coefficient
 from trustmesh.rng import SeededRng
 from trustmesh.signing import (
     KeyShare,
@@ -244,6 +245,55 @@ class TestAggregate:
             _, _, sig = run_session(toy, keys, signers, coalition, b"any coalition",
                                     seed=100 + trial)
             assert verify(keys[coalition[0]].group_pk, b"any coalition", sig)
+
+
+class TestEd25519SessionEquivalence:
+    """The multi-scalar group commitment and targets match the term-by-term forms."""
+
+    @pytest.fixture(scope="class")
+    def keys(self, ed25519):
+        return make_signers(ed25519, 3, 5, seed=31)[0]
+
+    def test_commitment_and_targets_match_bound_shares(self, ed25519, keys, monkeypatch):
+        import trustmesh.signing as signing_mod
+
+        seen_R = []
+        challenge = signing_mod.challenge_scalar
+
+        def recording_challenge(backend, R, pk, message):
+            seen_R.append(R)
+            return challenge(backend, R, pk, message)
+
+        monkeypatch.setattr(signing_mod, "challenge_scalar", recording_challenge)
+        zero = ed25519.scalar(0)
+        for seed, coalition in enumerate([(1, 2, 3), (2, 4, 5), (1, 3, 5)]):
+            signers = {i: Signer(keys[i]) for i in coalition}
+            seen_R.clear()
+            package, partials, sig = run_session(ed25519, keys, signers, coalition, b"eq", seed)
+            verifier = PartialVerifier(package, keys[1].pk_shares, keys[1].group_pk)
+            R, per_signer = bound_commitments(ed25519, package)
+            summed = ed25519.element_sum(per_signer[m] for m in coalition)
+            # three signers, the aggregator's verifier and the one built here
+            assert len(seen_R) == 5
+            assert all(r == summed for r in seen_R) and R == summed and sig.R == summed
+            c = verifier.challenge
+            for m in coalition:
+                lam = lagrange_coefficient(m, coalition, zero)
+                assert verifier._targets[m] == per_signer[m] + (c * lam) * keys[m].pk_shares[m]
+                assert verifier.verify(m, partials[m])
+
+    def test_corrupted_partial_aborts_naming_exactly_the_culprit(self, ed25519, keys):
+        coalition = (1, 3, 4)
+        for culprit in coalition:
+            signers = {i: Signer(keys[i]) for i in coalition}
+            rng = SeededRng(culprit)
+            lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
+            package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in coalition})
+            partials = {i: signers[i].round2_partial(package) for i in coalition}
+            partials[culprit] = partials[culprit] + 1
+            with pytest.raises(ProtocolAbort) as exc:
+                aggregate(package, partials, keys[1].pk_shares, keys[1].group_pk)
+            assert exc.value.faulty_ids == (culprit,)
 
 
 class TestBinding:
