@@ -17,6 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .groups import GroupBackend, GroupElement, Scalar
 from .polynomials import Polynomial, interpolate_at, interpolate_polynomial
+from .sharing import CommitmentVector, SharePacket, pedersen_verify
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,15 +108,9 @@ class CommitmentMatrix:
     def backend(self) -> GroupBackend:
         return self.entries[0][0].backend
 
-    def share_commitment(self, m: int) -> GroupElement:
-        """Committed value of the main share f(m, 0): sum of (m^l) * entries[0][l]."""
-        q = self.backend.order
-        acc = self.entries[0][0]
-        power = 1
-        for entry in self.entries[0][1:]:
-            power = power * m % q
-            acc = acc + power * entry
-        return acc
+    def share_vector(self) -> CommitmentVector:
+        """Row 0 commits to the main shares: f(m, 0) is its evaluation at m."""
+        return CommitmentVector(self.entries[0])
 
     def point_commitment(self, x: int, y: int) -> GroupElement:
         """Committed value of f(x, y): sum over (x^l * y^j) * entries[j][l]."""
@@ -194,9 +189,7 @@ def avss_verify_share(
     commitment: CommitmentMatrix, m: int, sigma: Scalar, sigma_prime: Scalar
 ) -> bool:
     """Check a claimed main share (sigma, sigma') = (f(m,0), f'(m,0)) against C."""
-    backend = commitment.backend
-    lhs = sigma * backend.generator() + sigma_prime * backend.second_generator()
-    return lhs == commitment.share_commitment(m)
+    return pedersen_verify(SharePacket(m, sigma, sigma_prime), commitment.share_vector())
 
 
 def avss_point_valid(
@@ -253,20 +246,57 @@ def exchange_message_valid(commitment: CommitmentMatrix, msg: PointExchange) -> 
 
 @dataclass
 class NodeRecovery:
-    """Per-node outcome of the exchange round."""
+    """One node's side of a dealing: the dealer's deal, or one rebuilt from points."""
 
     node: int
+    commitment: CommitmentMatrix
+    t: int
     complete: bool = False
     a: Optional[Polynomial] = None
     a_prime: Optional[Polynomial] = None
     b: Optional[Polynomial] = None
     b_prime: Optional[Polynomial] = None
     flagged: set[int] = field(default_factory=set)
+    points: dict[int, PointExchange] = field(default_factory=dict)
 
     def share(self) -> Scalar:
         if not self.complete:
             raise ValueError(f"node {self.node} has not completed its share yet")
         return self.a.evaluate(0)
+
+    def as_deal(self) -> AvssDeal:
+        return AvssDeal(self.node, self.commitment, self.a, self.a_prime, self.b, self.b_prime)
+
+    def accept_deal(self, deal: AvssDeal) -> bool:
+        """Install the dealer's polynomials; False if their share fails the check."""
+        if not avss_verify_share(self.commitment, self.node, deal.share(), deal.share_blinding()):
+            return False
+        self.a, self.a_prime, self.b, self.b_prime = deal.a, deal.a_prime, deal.b, deal.b_prime
+        self.complete = True
+        return True
+
+    def receive(self, msg: PointExchange) -> bool:
+        """Take one overlap point; True when it completes the node.
+
+        An invalid point flags its sender, also after completion; a repeated
+        sender is dropped; the first t valid senders' points are interpolated
+        into the row and column polynomials.
+        """
+        if not exchange_message_valid(self.commitment, msg):
+            self.flagged.add(msg.sender)
+            return False
+        if self.complete or msg.sender in self.points:
+            return False
+        self.points[msg.sender] = msg
+        if len(self.points) < self.t:
+            return False
+        pts = self.points.values()
+        self.a = interpolate_polynomial([(m.sender, m.row_value) for m in pts])
+        self.a_prime = interpolate_polynomial([(m.sender, m.row_blind) for m in pts])
+        self.b = interpolate_polynomial([(m.sender, m.col_value) for m in pts])
+        self.b_prime = interpolate_polynomial([(m.sender, m.col_blind) for m in pts])
+        self.complete = True
+        return True
 
 
 def avss_exchange_and_interpolate(
@@ -278,48 +308,20 @@ def avss_exchange_and_interpolate(
 ) -> dict[int, NodeRecovery]:
     """One full overlap-point exchange among nodes 1..n.
 
-    ``deals`` holds whatever the dealer managed to deliver; nodes without a
-    deal reconstruct from t commitment-consistent points.  ``tamper`` lets
-    tests corrupt the messages of specific senders in flight.  Nodes with
-    fewer than t valid points stay incomplete (no failure: the exchange can
-    be rerun once more deals or points arrive).
+    ``deals`` holds whatever the dealer managed to deliver; every node that
+    accepts its deal sends its overlap points, and nodes without a deal
+    reconstruct from t commitment-consistent points.  ``tamper`` lets tests
+    corrupt the messages of specific senders in flight.  Nodes with fewer
+    than t valid points stay incomplete (no failure: the exchange can be
+    rerun once more deals or points arrive).
     """
     tamper = tamper or {}
-    results = {j: NodeRecovery(node=j) for j in range(1, n + 1)}
-
-    # nodes holding a deal already have their polynomials
-    for j, deal in deals.items():
-        results[j].complete = True
-        results[j].a = deal.a
-        results[j].a_prime = deal.a_prime
-        results[j].b = deal.b
-        results[j].b_prime = deal.b_prime
-
-    inboxes: dict[int, list[PointExchange]] = {j: [] for j in range(1, n + 1)}
-    for sender, deal in deals.items():
-        mutate = tamper.get(sender)
+    results = {j: NodeRecovery(j, commitment, t) for j in range(1, n + 1)}
+    senders = [deal for j, deal in deals.items() if results[j].accept_deal(deal)]
+    for deal in senders:
+        mutate = tamper.get(deal.recipient)
         for msg in exchange_messages(deal, range(1, n + 1)):
-            inboxes[msg.recipient].append(mutate(msg) if mutate else msg)
-
-    for j, inbox in inboxes.items():
-        recovery = results[j]
-        row_points, row_blind_points = [], []
-        col_points, col_blind_points = [], []
-        for msg in inbox:
-            if not exchange_message_valid(commitment, msg):
-                recovery.flagged.add(msg.sender)
-                continue
-            row_points.append((msg.sender, msg.row_value))
-            row_blind_points.append((msg.sender, msg.row_blind))
-            col_points.append((msg.sender, msg.col_value))
-            col_blind_points.append((msg.sender, msg.col_blind))
-        if recovery.complete or len(row_points) < t:
-            continue
-        recovery.a = interpolate_polynomial(row_points[:t])
-        recovery.a_prime = interpolate_polynomial(row_blind_points[:t])
-        recovery.b = interpolate_polynomial(col_points[:t])
-        recovery.b_prime = interpolate_polynomial(col_blind_points[:t])
-        recovery.complete = True
+            results[msg.recipient].receive(mutate(msg) if mutate else msg)
     return results
 
 

@@ -35,41 +35,27 @@ class BenchRow:
 
 
 def _dkg_timed(backend, t, n, rng):
-    crs = dkg_mod.make_crs("bench")
-    participants = [dkg_mod.Participant(i, t, n, crs, backend) for i in range(1, n + 1)]
-
     start = time.perf_counter()
-    broadcasts = {p.id: dkg_mod.dkg_round1(p, rng.fork(f"r1/{p.id}")) for p in participants}
-    for p in participants:
-        dkg_mod.dkg_accept_round1(p, broadcasts)
+    participants = dkg_mod.run_round1(backend, t, n, rng, dkg_mod.make_crs("bench"))
     round1 = time.perf_counter() - start
 
     start = time.perf_counter()
-    outbound = {p.id: dict(dkg_mod.dkg_round2_send(p)) for p in participants}
-    for p in participants:
-        inbound = {s: msgs[p.id] for s, msgs in outbound.items() if s != p.id}
-        dkg_mod.dkg_round2_finalize(p, inbound)
+    dkg_mod.run_round2(participants)
     round2 = time.perf_counter() - start
 
     return round1, round2, participants
 
 
 def _sign_timed(participants, coalition, rng):
-    keys = {p.id: signing_mod.KeyShare.from_participant(p) for p in participants}
-    any_key = keys[coalition[0]]
+    keys = {p.id: signing_mod.KeyShare.from_participant(p) for p in participants if p.id in coalition}
+    message = b"benchmark message"
 
     start = time.perf_counter()
-    signers = {i: signing_mod.Signer(keys[i]) for i in coalition}
-    lists = {i: signers[i].round1(rng.fork(f"nonce/{i}")) for i in coalition}
-    package = signing_mod.SigningPackage.build(
-        b"benchmark message", {i: lists[i].pairs[0] for i in coalition}
-    )
-    partials = {i: signers[i].round2_partial(package) for i in coalition}
-    sig = signing_mod.aggregate(partials=partials, package=package,
-                                pk_shares=any_key.pk_shares, group_pk=any_key.group_pk)
+    sig = signing_mod.run_session(keys, message, rng)
     elapsed = time.perf_counter() - start
 
-    if not signing_mod.verify(any_key.group_pk, b"benchmark message", sig):
+    any_key = keys[coalition[0]]
+    if not signing_mod.verify(any_key.group_pk, message, sig):
         raise AssertionError("benchmark produced an invalid signature")
     return elapsed
 

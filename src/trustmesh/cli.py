@@ -23,7 +23,7 @@ from . import bench as bench_mod
 from . import dkg as dkg_mod
 from . import signing as signing_mod
 from .errors import ConfigError, ProtocolAbort
-from .groups import get_backend, hash_bytes
+from .groups import get_backend
 from .rng import SeededRng
 from .sharing import SharePacket
 from .simnet import load_scenario, run_simulation
@@ -53,12 +53,17 @@ def _int_list(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _rng(seed) -> SeededRng:
+    """The given seed's stream, or one seeded from OS randomness without a seed."""
+    return SeededRng(secrets.token_bytes(32) if seed is None else seed)
+
+
 def _cmd_dkg(args) -> int:
     backend = get_backend(args.backend)
-    rng = SeededRng(args.seed)
-    crs = dkg_mod.make_crs("cli", epoch=args.seed)
+    epoch = secrets.randbits(64) if args.seed is None else args.seed
+    crs = dkg_mod.make_crs("cli", epoch=epoch)
     try:
-        participants = dkg_mod.run_dkg(backend, args.t, args.n, rng, crs)
+        participants = dkg_mod.run_dkg(backend, args.t, args.n, _rng(args.seed), crs)
     except ProtocolAbort as abort:
         print(f"key generation aborted: {abort} (faulty: {list(abort.faulty_ids)})", file=sys.stderr)
         return EXIT_ABORT
@@ -128,12 +133,6 @@ def _cmd_sign(args) -> int:
     if missing:
         raise ConfigError(f"no share files given for coalition members {missing}")
 
-    message = args.message.encode("utf-8")
-    # fresh OS randomness unless a seed is given; a seed may be reused across
-    # messages, so the nonces also hash in the message: two messages signed
-    # with one nonce pair would leak the key
-    rng = SeededRng(secrets.token_bytes(32) if args.seed is None else args.seed)
-    message_tag = hash_bytes("sign-nonce", [message])[:32].hex()
     keys = {
         i: signing_mod.KeyShare(
             backend=backend, id=i, t=t, n=n,
@@ -141,12 +140,8 @@ def _cmd_sign(args) -> int:
         )
         for i in coalition
     }
-    signers = {i: signing_mod.Signer(keys[i]) for i in coalition}
-    lists = {i: signers[i].round1(rng.fork(f"nonce/{i}/{message_tag}")) for i in coalition}
-    package = signing_mod.SigningPackage.build(message, {i: lists[i].pairs[0] for i in coalition})
     try:
-        partials = {i: signers[i].round2_partial(package) for i in coalition}
-        sig = signing_mod.aggregate(package, partials, pk_shares, group_pk)
+        sig = signing_mod.run_session(keys, args.message.encode("utf-8"), _rng(args.seed))
     except ProtocolAbort as abort:
         print(f"signing aborted: {abort} (faulty: {list(abort.faulty_ids)})", file=sys.stderr)
         return EXIT_ABORT
@@ -265,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="signing threshold (coalition size)")
     p.add_argument("--n", type=int, required=True, help="number of participants")
     p.add_argument("--backend", choices=["toy", "ed25519"], default="ed25519")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="derive key material and CRS from this seed (default: OS randomness)")
     p.add_argument("--out", help="directory for group.json and share files")
     p.set_defaults(func=_cmd_dkg)
 

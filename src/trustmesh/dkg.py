@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 from .errors import ProtocolAbort
 from .groups import GroupBackend, GroupElement, Scalar, hash_bytes, hash_to_scalar, id_bytes
 from .polynomials import Polynomial, lagrange_coefficient, random_polynomial
-from .sharing import CommitmentVector
+from .sharing import CommitmentVector, SharePacket, commit_polynomial, feldman_verify
 
 
 def make_crs(domain_id: str, epoch: int = 0) -> bytes:
@@ -137,8 +137,7 @@ def dkg_round1(state: Participant, rng) -> Round1Broadcast:
     state._require_phase(Phase.INIT, "run round 1")
     secret = state.backend.random_scalar(rng)
     state.own_polynomial = random_polynomial(secret, state.t - 1, rng)
-    g = state.backend.generator()
-    commitment = CommitmentVector(tuple(c * g for c in state.own_polynomial.coefficients))
+    commitment = commit_polynomial(state.backend, state.own_polynomial)
     proof = pok_prove(state.backend, state.id, state.crs, secret, rng)
     broadcast = Round1Broadcast(state.id, commitment, proof)
     state.received_broadcasts[state.id] = broadcast
@@ -149,7 +148,7 @@ def dkg_round1(state: Participant, rng) -> Round1Broadcast:
 
 
 def dkg_verify_round1(
-    broadcasts: Mapping[int, Round1Broadcast], crs: bytes, backend: GroupBackend, t: Optional[int] = None
+    broadcasts: Mapping[int, Round1Broadcast], crs: bytes, backend: GroupBackend, t: int
 ) -> list[int]:
     """Verify every broadcast's proof; return the (possibly empty) faulty set."""
     faulty = []
@@ -157,7 +156,7 @@ def dkg_verify_round1(
         if bc.sender != sender:
             faulty.append(sender)
             continue
-        if t is not None and len(bc.commitment) != t:
+        if len(bc.commitment) != t:
             faulty.append(sender)
             continue
         if not pok_verify(backend, sender, crs, bc.commitment.entries[0], bc.proof):
@@ -189,25 +188,14 @@ def dkg_round2_send(state: Participant) -> list[tuple[int, Scalar]]:
     ]
 
 
-def _share_matches_commitment(
-    backend: GroupBackend, recipient: int, share: Scalar, commitment: CommitmentVector
-) -> bool:
-    return share * backend.generator() == commitment.share_commitment(recipient)
-
-
-def dkg_round2_finalize(
-    state: Participant,
-    shares: Mapping[int, Scalar],
-    broadcasts: Optional[Mapping[int, Round1Broadcast]] = None,
-):
+def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
     """Verify all received shares, then derive key material.
 
     Returns (sk_share, pk_share, group_pk).  Received share values are
     dropped from the state once the signing share is derived.
     """
     state._require_phase(Phase.ROUND1_DONE, "finalize round 2")
-    if broadcasts is None:
-        broadcasts = state.received_broadcasts
+    broadcasts = state.received_broadcasts
     if len(broadcasts) != state.n:
         raise ValueError("round-1 broadcasts must be accepted before finalizing")
 
@@ -220,7 +208,7 @@ def dkg_round2_finalize(
     backend = state.backend
     faulty = sorted(
         sender for sender, value in all_shares.items()
-        if not _share_matches_commitment(backend, state.id, value, broadcasts[sender].commitment)
+        if not feldman_verify(SharePacket(state.id, value), broadcasts[sender].commitment)
     )
     if faulty:
         state._abort(f"share verification failed for {faulty}", faulty)
@@ -277,22 +265,24 @@ def combine_signing_shares(participants, coalition, at: int = 0) -> Scalar:
     return total
 
 
-def run_dkg(backend: GroupBackend, t: int, n: int, rng, crs: Optional[bytes] = None) -> list[Participant]:
-    """Convenience in-process honest run; returns all finalized participants."""
-    if crs is None:
-        crs = make_crs("default")
+def run_round1(backend: GroupBackend, t: int, n: int, rng, crs: bytes) -> list[Participant]:
+    """Round 1 across an in-process network: every node deals, then checks every proof."""
     participants = [Participant(i, t, n, crs, backend) for i in range(1, n + 1)]
-    broadcasts = {}
-    for p in participants:
-        broadcasts[p.id] = dkg_round1(p, rng.fork(f"dkg/{p.id}"))
+    broadcasts = {p.id: dkg_round1(p, rng.fork(f"dkg/{p.id}")) for p in participants}
     for p in participants:
         dkg_accept_round1(p, broadcasts)
-    outbound = {p.id: dkg_round2_send(p) for p in participants}
+    return participants
+
+
+def run_round2(participants: list[Participant]) -> None:
+    """Round 2 across an in-process network: every node sends, checks and finalizes shares."""
+    outbound = {p.id: dict(dkg_round2_send(p)) for p in participants}
     for p in participants:
-        inbound = {
-            sender: dict(messages)[p.id]
-            for sender, messages in outbound.items()
-            if sender != p.id
-        }
-        dkg_round2_finalize(p, inbound)
+        dkg_round2_finalize(p, {s: shares[p.id] for s, shares in outbound.items() if s != p.id})
+
+
+def run_dkg(backend: GroupBackend, t: int, n: int, rng, crs: Optional[bytes] = None) -> list[Participant]:
+    """Convenience in-process honest run; returns all finalized participants."""
+    participants = run_round1(backend, t, n, rng, make_crs("default") if crs is None else crs)
+    run_round2(participants)
     return participants

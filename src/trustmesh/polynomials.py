@@ -37,9 +37,6 @@ class Polynomial:
     def q(self) -> int:
         return self.coefficients[0].q
 
-    def constant_term(self) -> Scalar:
-        return self.coefficients[0]
-
     def evaluate(self, x) -> Scalar:
         """Horner evaluation at x (Scalar or int)."""
         if isinstance(x, Scalar):

@@ -326,3 +326,19 @@ def aggregate(
     backend = group_pk.backend
     z = backend.scalar(sum(partials[m].value for m in package.coalition))
     return Signature(verifier.R, z)
+
+
+def run_session(keys: Mapping[int, KeyShare], message: bytes, rng) -> Signature:
+    """One in-process signing session by the coalition holding ``keys`` (id -> share).
+
+    Each member's nonces come from ``rng`` forked by member id and by a hash of
+    the message, so a seed reused for two messages never reuses a nonce pair
+    (which would leak the key).
+    """
+    message_tag = hash_bytes("sign-nonce", [message])[:32].hex()
+    signers = {i: Signer(key) for i, key in keys.items()}
+    lists = {i: s.round1(rng.fork(f"nonce/{i}/{message_tag}")) for i, s in signers.items()}
+    package = SigningPackage.build(message, {i: nl.pairs[0] for i, nl in lists.items()})
+    partials = {i: s.round2_partial(package) for i, s in signers.items()}
+    key = next(iter(keys.values()))
+    return aggregate(package, partials, key.pk_shares, key.group_pk)

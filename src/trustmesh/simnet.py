@@ -713,12 +713,8 @@ class AvssEngine(_DomainEngine):
     def __init__(self, sim, spec):
         super().__init__(sim, spec)
         self.dealer = self.members[0]
-        self.commitment = None
-        self.deals: dict[int, avss_mod.AvssDeal] = {}       # by local id
+        self.nodes: dict[int, avss_mod.NodeRecovery] = {}    # by local id, once dealt
         self.exchanged: set[int] = set()
-        self.points: dict[int, dict[str, list]] = {}
-        self.recovered: dict[int, object] = {}               # local id -> Scalar
-        self.flagged: dict[int, set[int]] = {}
 
     def start(self) -> None:
         self.phase = "dealing"
@@ -727,9 +723,9 @@ class AvssEngine(_DomainEngine):
             return
         rng = self.sim.proto_rng(self.spec.domain_id, self.dealer)
         secret = self.backend.scalar(self.spec.secret)
-        self.commitment, deals = avss_mod.avss_deal(
-            secret, self.spec.threshold, len(self.members), rng, self.backend
-        )
+        t = self.spec.threshold
+        commitment, deals = avss_mod.avss_deal(secret, t, len(self.members), rng, self.backend)
+        self.nodes = {local: avss_mod.NodeRecovery(local, commitment, t) for local in self.globl}
         targets = self.spec.deliver_to or self.members
         for deal in deals:
             recipient = self.globl[deal.recipient]
@@ -739,27 +735,22 @@ class AvssEngine(_DomainEngine):
                       deal, self.backend.encode_scalar(deal.share()))
 
     def on_message(self, node: int, msg: Message, tick: int) -> None:
-        local = self.local[node]
+        recovery = self.nodes[self.local[node]]
         if msg.kind == "avss-deal":
-            deal = msg.payload
-            if not avss_mod.avss_verify_share(
-                deal.commitment, local, deal.share(), deal.share_blinding()
-            ):
+            if not recovery.accept_deal(msg.payload):
                 self.verdicts.append(f"node {node} rejected its deal")
                 return
-            self.deals[local] = deal
-            self.recovered[local] = deal.share()
             self._maybe_finish(tick)
-        elif msg.kind == "avss-point":
-            self._accept_point(node, msg.payload, tick)
+        elif msg.kind == "avss-point" and recovery.receive(msg.payload):
+            self._maybe_finish(tick)
 
     def on_tick(self, node: int, tick: int) -> None:
         local = self.local[node]
-        if local in self.deals and local not in self.exchanged:
+        recovery = self.nodes.get(local)
+        if recovery is not None and recovery.complete and local not in self.exchanged:
             self.exchanged.add(local)
-            deal = self.deals[local]
             corrupt = self.behavior(node) == "corrupt_shares"
-            for pmsg in avss_mod.exchange_messages(deal, list(self.globl)):
+            for pmsg in avss_mod.exchange_messages(recovery.as_deal(), list(self.globl)):
                 if corrupt:
                     pmsg = avss_mod.PointExchange(
                         pmsg.sender, pmsg.recipient,
@@ -770,45 +761,16 @@ class AvssEngine(_DomainEngine):
                 self.send(tick, node, recipient, "avss-point", pmsg,
                           self.backend.encode_scalar(pmsg.row_value))
 
-    def _accept_point(self, node: int, pmsg, tick: int) -> None:
-        local = self.local[node]
-        if local in self.deals or self.commitment is None:
-            if self.commitment is not None and not avss_mod.exchange_message_valid(self.commitment, pmsg):
-                self.flagged.setdefault(local, set()).add(pmsg.sender)
-            return
-        if not avss_mod.exchange_message_valid(self.commitment, pmsg):
-            self.flagged.setdefault(local, set()).add(pmsg.sender)
-            return
-        bucket = self.points.setdefault(local, {"row": [], "rowb": [], "col": [], "colb": []})
-        if any(s == pmsg.sender for s, _ in bucket["row"]):
-            return
-        bucket["row"].append((pmsg.sender, pmsg.row_value))
-        bucket["rowb"].append((pmsg.sender, pmsg.row_blind))
-        bucket["col"].append((pmsg.sender, pmsg.col_value))
-        bucket["colb"].append((pmsg.sender, pmsg.col_blind))
-        t = self.spec.threshold
-        if len(bucket["row"]) >= t:
-            from .polynomials import interpolate_polynomial
-
-            a = interpolate_polynomial(bucket["row"][:t])
-            a_prime = interpolate_polynomial(bucket["rowb"][:t])
-            b = interpolate_polynomial(bucket["col"][:t])
-            b_prime = interpolate_polynomial(bucket["colb"][:t])
-            self.deals[local] = avss_mod.AvssDeal(
-                recipient=local, commitment=self.commitment,
-                a=a, a_prime=a_prime, b=b, b_prime=b_prime,
-            )
-            self.recovered[local] = a.evaluate(0)
-            self._maybe_finish(tick)
+    def _completed(self) -> list[int]:
+        return [local for local, recovery in self.nodes.items() if recovery.complete]
 
     def _maybe_finish(self, tick: int) -> None:
         live_locals = {self.local[m] for m in self.live_members(tick)}
-        if set(self.recovered) < live_locals:
+        if set(self._completed()) < live_locals:
             return
         self.mark("done", tick)
-        t = self.spec.threshold
-        sample = sorted(self.recovered)[:t]
-        secret = avss_mod.avss_recover_secret([(i, self.recovered[i]) for i in sample])
+        sample = self._completed()[:self.spec.threshold]
+        secret = avss_mod.avss_recover_secret([(i, self.nodes[i].share()) for i in sample])
         planted = self.backend.scalar(self.spec.secret)
         if secret == planted:
             self.verdicts.append("all nodes completed; recovered secret matches")
@@ -823,9 +785,10 @@ class AvssEngine(_DomainEngine):
             "members": list(self.members),
             "threshold": self.spec.threshold,
             "dealer": self.dealer,
-            "completed_members": self.globals_of(self.recovered),
+            "completed_members": self.globals_of(self._completed()),
             "flagged": {
-                str(self.globl[i]): self.globals_of(s) for i, s in sorted(self.flagged.items())
+                str(self.globl[i]): self.globals_of(r.flagged)
+                for i, r in sorted(self.nodes.items()) if r.flagged
             },
             "verdicts": self.verdicts,
             "marks": {k: v for k, v in sorted(self.marks.items())},

@@ -5,6 +5,7 @@ import pytest
 from trustmesh.avss import (
     AvssDeal,
     BivariatePolynomial,
+    NodeRecovery,
     PointExchange,
     avss_deal,
     avss_exchange_and_interpolate,
@@ -16,6 +17,7 @@ from trustmesh.avss import (
     exchange_messages,
     random_bivariate,
 )
+from trustmesh.polynomials import Polynomial
 from trustmesh.rng import SeededRng
 
 TOY_P, TOY_Q, TOY_G, TOY_H = 23, 11, 2, 3
@@ -251,3 +253,67 @@ class TestRecovery:
     def test_duplicate_ids_rejected(self, toy):
         with pytest.raises(ValueError):
             avss_recover_secret([(1, toy.scalar(1)), (1, toy.scalar(2))])
+
+
+class TestNodeRecovery:
+    """One node's intake, fed one message at a time (toy backend)."""
+
+    T, N = 3, 5
+
+    @pytest.fixture
+    def dealt(self, toy, rng):
+        commitment, deals = avss_deal(toy.scalar(5), self.T, self.N, rng, toy)
+        return commitment, {d.recipient: d for d in deals}
+
+    @staticmethod
+    def point(deals, sender, recipient):
+        return exchange_messages(deals[sender], [recipient])[0]
+
+    @staticmethod
+    def forged(msg):
+        return PointExchange(msg.sender, msg.recipient, msg.row_value + 1,
+                             msg.row_blind, msg.col_value, msg.col_blind)
+
+    def test_duplicate_sender_is_ignored(self, dealt):
+        commitment, deals = dealt
+        node = NodeRecovery(5, commitment, self.T)
+        steps = [node.receive(self.point(deals, s, 5)) for s in (1, 1, 2, 2)]
+        assert steps == [False] * 4 and not node.complete
+        assert node.receive(self.point(deals, 3, 5))
+        assert node.complete and list(node.points) == [1, 2, 3]
+
+    def test_invalid_point_flags_sender_even_after_completion(self, dealt):
+        commitment, deals = dealt
+        node = NodeRecovery(5, commitment, self.T)
+        assert not node.receive(self.forged(self.point(deals, 4, 5)))
+        assert node.flagged == {4}
+        for s in (1, 2, 3):
+            node.receive(self.point(deals, s, 5))
+        assert node.complete
+        assert not node.receive(self.forged(self.point(deals, 2, 5)))
+        assert node.flagged == {2, 4}
+        assert node.share() == deals[5].share()
+
+    def test_rejected_deal_still_completes_from_points(self, dealt):
+        commitment, deals = dealt
+        honest = deals[4]
+        a = Polynomial((honest.a.coefficients[0] + 1,) + honest.a.coefficients[1:])
+        bad = AvssDeal(4, commitment, a, honest.a_prime, honest.b, honest.b_prime)
+        node = NodeRecovery(4, commitment, self.T)
+        assert not node.accept_deal(bad)
+        assert not node.complete
+        assert [node.receive(self.point(deals, s, 4)) for s in (1, 2, 5)] == [False, False, True]
+        assert node.share() == honest.share()
+        assert node.accept_deal(honest)
+
+    def test_first_t_distinct_valid_senders_rebuild_the_deal(self, dealt):
+        commitment, deals = dealt
+        node = NodeRecovery(5, commitment, self.T)
+        node.receive(self.forged(self.point(deals, 1, 5)))
+        for s in (2, 2, 3, 4):
+            node.receive(self.point(deals, s, 5))
+        assert list(node.points) == [2, 3, 4]
+        dealt_to_5 = deals[5]
+        for name in ("a", "a_prime", "b", "b_prime"):
+            assert getattr(node, name).coefficients == getattr(dealt_to_5, name).coefficients
+        assert node.as_deal() == dealt_to_5

@@ -55,6 +55,16 @@ class TestDkgCommand:
         assert run_cli("dkg", "--t", 5, "--n", 4, "--backend", "toy") == 4
         assert run_cli("dkg", "--t", 2, "--n", 4, "--backend", "nope") == 4
 
+    def test_unseeded_runs_draw_fresh_keys(self, tmp_path):
+        # the toy group has 11 elements, too few to tell keys apart
+        keys = []
+        for k in range(2):
+            out = tmp_path / str(k)
+            assert run_cli("dkg", "--t", 2, "--n", 3, "--backend", "ed25519", "--out", out) == 0
+            keys.append(json.loads((out / "group.json").read_text()))
+        assert keys[0]["group_pk"] != keys[1]["group_pk"]
+        assert keys[0]["crs"] != keys[1]["crs"]
+
 
 class TestSignVerifyCommands:
     def test_sign_and_verify_round_trip(self, keydir, tmp_path):

@@ -18,6 +18,7 @@ from trustmesh.signing import (
     binding_values,
     bound_commitments,
     challenge_scalar,
+    run_session as signing_session,
     sign_with_nonce,
     single_party_sign,
     verify,
@@ -368,3 +369,24 @@ class TestSignatureSerialization:
     def test_bad_length_rejected(self, backend):
         with pytest.raises(ValueError):
             Signature.from_bytes(b"\x01", backend)
+
+
+class TestRunSession:
+    def test_signs_and_binds_nonces_to_the_message(self, ed25519, monkeypatch):
+        keys, _ = make_signers(ed25519, t=2, n=3, seed=8)
+        coalition = {i: keys[i] for i in (1, 3)}
+        published = []
+        round1 = Signer.round1
+
+        def recording_round1(signer, rng, count=1):
+            nonces = round1(signer, rng, count)
+            published.extend(a.encode() + b.encode() for a, b in nonces.pairs)
+            return nonces
+
+        monkeypatch.setattr(Signer, "round1", recording_round1)
+        sigs = [signing_session(coalition, m, SeededRng(2)) for m in (b"one", b"two", b"one")]
+        assert verify(keys[1].group_pk, b"one", sigs[0])
+        assert verify(keys[1].group_pk, b"two", sigs[1])
+        assert sigs[0] == sigs[2]
+        # one seed, two messages: four distinct nonce pairs, the repeat reuses its own
+        assert len(set(published[:4])) == 4 and published[4:] == published[:2]

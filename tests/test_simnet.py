@@ -1,5 +1,6 @@
 """Simulator scenarios: determinism, trust overlays, adversaries, timeouts."""
 
+import hashlib
 import json
 
 import pytest
@@ -53,6 +54,31 @@ class TestDeterminism:
         report = run_simulation(config)
         assert "timings" not in json.loads(report.canonical_json())
         assert "timings" in json.loads(report.to_json())
+
+
+# sha256 of canonical_json() and the trace hash of each bundled scenario.  A
+# change to either makes archived replays stale, so it must be deliberate.
+GOLDEN = {
+    "three-domains": (
+        "f310eff48250778842f6e03791f3f7abdf1d02cabcc42386960ebf33258d16db",
+        "11db87a42687eb8cb81c2cc6ec8c44ec4d0572cfa7bbe6da9c2e5b14cde16c25",
+    ),
+    "corrupt-dealer": (
+        "65c230dbef0ac05f9eadb25a1bbf3b14d272de33cb6f3f68a2ac256ee363ad0f",
+        "2df995805f7d3a295957c877221f219af266f7072dd04a7139884eb24ec4d693",
+    ),
+    "avss-dealer-crash": (
+        "3cac2c572eb97bc7fd7719b61a777e9f427c84ff4989cbb25bf3fab54d4c486f",
+        "2e0b450391c6ce57b075b28d1a906526f220c7920776b3f5a4cde511a79971e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_scenario_golden(name):
+    report = run_simulation(load_scenario(name))
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert (digest, report.trace_hash) == GOLDEN[name]
 
 
 class TestTrustOverlays:
