@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: 0..2^64-1, the range of the 8-byte CRS epoch that dkg derives from it."""
+    if not text.isdecimal() or int(text) >= dkg_mod.EPOCH_LIMIT:
+        raise argparse.ArgumentTypeError(f"expected an integer in 0..2^64-1, got {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="signing threshold (coalition size)")
     p.add_argument("--n", type=int, required=True, help="number of participants")
     p.add_argument("--backend", choices=["toy", "ed25519"], default="ed25519")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="derive key material and CRS from this seed (default: OS randomness)")
     p.add_argument("--out", help="directory for group.json and share files")
     p.set_defaults(func=_cmd_dkg)
@@ -270,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--share", action="append", default=[], help="share file (repeatable)")
     p.add_argument("--coalition", required=True, help="comma-separated participant ids")
     p.add_argument("--message", required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="derive nonces from this seed and the message (default: OS randomness)")
     p.add_argument("--out", help="file to write the signature hex to")
     p.set_defaults(func=_cmd_sign)
@@ -286,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="4,8,16,32,64")
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--backend", choices=["toy", "ed25519"], default="ed25519")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--csv", help="CSV output path")
     p.set_defaults(func=_cmd_bench)
 
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--backend", choices=["toy", "ed25519"], default="ed25519")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_avss_demo)
 
     return parser

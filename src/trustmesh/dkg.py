@@ -8,6 +8,10 @@ against the broadcast commitments, and derives the signing share as the sum
 of all received shares.  The group public key is the sum of the constant-term
 commitments, so no party ever holds the group secret.
 
+A node runs the rounds either through the in-process driver (run_round1,
+run_round2) or message by message through the per-node intake
+(dkg_receive_broadcast, dkg_receive_share), which the simulator uses.
+
 Here the threshold t is the signing coalition size: each dealt polynomial has
 degree t-1 and commitment vectors carry t entries.  Any verification failure
 aborts the run naming the misbehaving dealer; there is no complaint round.
@@ -24,6 +28,9 @@ from .errors import ProtocolAbort
 from .groups import GroupBackend, GroupElement, Scalar, hash_bytes, hash_to_scalar, id_bytes
 from .polynomials import Polynomial, lagrange_coefficient, random_polynomial
 from .sharing import CommitmentVector, SharePacket, commit_polynomial, feldman_verify
+
+
+EPOCH_LIMIT = 1 << 64   # CRS epochs are encoded in 8 bytes
 
 
 def make_crs(domain_id: str, epoch: int = 0) -> bytes:
@@ -236,6 +243,44 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
     state._record(2, b"".join(backend.encode_scalar(all_shares[s]) for s in sorted(all_shares)))
     state._record(3, state.group_pk.encode())
     return sk, state.pk_share, state.group_pk
+
+
+# Per-node intake: a node that has dealt takes its peers' messages one at a
+# time, in any order.  The first message from each peer counts; messages for a
+# node that finished or aborted are dropped.  The node finalizes once round 1
+# is accepted and every share is in, whichever comes last, and raises
+# ProtocolAbort as dkg_accept_round1 and dkg_round2_finalize do.
+
+
+def _first_from_peer(state: Participant, sender: int, received: Mapping) -> bool:
+    if state.phase is Phase.INIT:
+        raise ValueError("cannot receive before dealing round 1")
+    return state.phase is Phase.ROUND1_DONE and sender != state.id and sender not in received
+
+
+def _finalize_when_complete(state: Participant) -> None:
+    if len(state.received_broadcasts) == state.n and len(state.pending_shares) == state.n - 1:
+        dkg_round2_finalize(state, state.pending_shares)
+
+
+def dkg_receive_broadcast(state: Participant, sender: int, broadcast: Round1Broadcast) -> list:
+    """Take one round-1 broadcast; the last one returns the round-2 shares to send."""
+    if not _first_from_peer(state, sender, state.received_broadcasts):
+        return []
+    state.received_broadcasts[sender] = broadcast
+    if len(state.received_broadcasts) < state.n:
+        return []
+    dkg_accept_round1(state, state.received_broadcasts)
+    shares = dkg_round2_send(state)
+    _finalize_when_complete(state)
+    return shares
+
+
+def dkg_receive_share(state: Participant, sender: int, value: Scalar) -> None:
+    """Take one round-2 share into ``pending_shares``."""
+    if _first_from_peer(state, sender, state.pending_shares):
+        state.pending_shares[sender] = value
+        _finalize_when_complete(state)
 
 
 def transcript_jsonl(participants) -> str:

@@ -73,9 +73,9 @@ class GossipNode:
     def n(self) -> int:
         return len(self.peers) + 1
 
-    def seed_own_partial(self, z: Scalar, verify: bool = True) -> bool:
-        """Install this node's own partial; optionally self-check it first."""
-        if verify and not self.verifier.verify(self.node_id, z):
+    def seed_own_partial(self, z: Scalar) -> bool:
+        """Self-check this node's own partial, then install it."""
+        if not self.verifier.verify(self.node_id, z):
             return False
         self.transcript.contributions[self.node_id] = z
         return True

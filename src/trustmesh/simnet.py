@@ -143,6 +143,8 @@ class SimConfig:
     exfiltrate_domains: tuple[str, ...] = ()
 
     def validate(self) -> None:
+        if not 0 <= self.seed < dkg_mod.EPOCH_LIMIT:
+            raise ConfigError("seed: must be in 0..2^64-1 (it is the 8-byte CRS epoch)")
         if self.nodes < 1:
             raise ConfigError("nodes: must be >= 1")
         if not self.domains:
@@ -251,14 +253,11 @@ def load_scenario(ref: str) -> SimConfig:
 
 @dataclass(frozen=True)
 class Message:
-    seq: int
     domain: str
     src: int
     dst: int
     kind: str
     payload: object
-    send_tick: int
-    deliver_at: int
 
 
 class SimReport:
@@ -312,8 +311,12 @@ class _DomainEngine:
     def live_members(self, tick: int) -> list[int]:
         return [m for m in self.members if self.sim.is_live(m, tick)]
 
-    def behavior(self, node: int) -> Optional[str]:
-        return self.sim.behavior(node)
+    def every_live_in(self, done, tick: int) -> bool:
+        """Whether every member still live at `tick` is among `done` (global ids)."""
+        return set(self.live_members(tick)) <= set(done)
+
+    def rng(self, stream: str, node: int):
+        return self.sim.rng(f"{stream}/{self.spec.domain_id}/{node}")
 
     def send(self, tick, src, dst, kind, payload, payload_bytes) -> None:
         self.sim.send(tick, self.spec.domain_id, src, dst, kind, payload, payload_bytes)
@@ -338,34 +341,53 @@ class _DomainEngine:
             self.finish(failed=True)
 
     def report(self) -> dict:
-        raise NotImplementedError
+        return {
+            "protocol": self.spec.protocol,
+            "members": list(self.members),
+            "threshold": self.spec.threshold,
+            "verdicts": self.verdicts,
+            "marks": {k: v for k, v in sorted(self.marks.items())},
+            "ok": self.completed and not self.failed,
+        }
 
 
 class DkgSignEngine(_DomainEngine):
-    """Key generation, a two-round signing session, then gossip aggregation."""
+    """Key generation, a two-round signing session, then gossip aggregation.
+
+    Protocol state lives in each node's ``dkg.Participant`` and
+    ``gossip.GossipNode``; the engine routes messages between them and applies
+    the adversaries' share mutations.
+    """
 
     def __init__(self, sim, spec):
         super().__init__(sim, spec)
-        n = len(self.members)
         self.crs = dkg_mod.make_crs(spec.domain_id, epoch=sim.config.seed)
-        self.participants = {}
+        self.participants: dict[int, dkg_mod.Participant] = {}
         self.shadows = {}      # equivocators' second dealing
-        self.bcast_buf = {m: {} for m in self.members}
-        self.share_buf = {m: {} for m in self.members}
         self.nonce_buf = {m: {} for m in self.members}
         self.signers = {}
         self.gnodes: dict[int, gossip_mod.GossipNode] = {}
-        self.group_pks = {}
-        self.aborted: dict[int, str] = {}
-        self.dkg_done: set[int] = set()
         self.sign_start: Optional[int] = None
         coalition = spec.coalition or self.members[: spec.threshold]
         self.coalition = tuple(sorted(coalition))
         self.required = sim.config.gossip.contributions_required or len(self.coalition)
-        self.finalized: dict[int, bytes] = {}
-        self.flagged: dict[int, list[int]] = {}
 
-    # -- round 1 ------------------------------------------------------------
+    def _in_phase(self, phase: dkg_mod.Phase) -> dict[int, dkg_mod.Participant]:
+        return {node: p for node, p in sorted(self.participants.items()) if p.phase is phase}
+
+    def _group_keys(self) -> set[bytes]:
+        return {p.group_pk.encode() for p in self._in_phase(dkg_mod.Phase.ROUND2_DONE).values()}
+
+    def _signed(self) -> dict[int, gossip_mod.GossipNode]:
+        return {node: g for node, g in sorted(self.gnodes.items()) if g.finalized is not None}
+
+    def _signatures(self) -> set[bytes]:
+        return {g.finalized.to_bytes(self.backend) for g in self._signed().values()}
+
+    def _flagged(self) -> dict[int, list[int]]:
+        return {node: self.globals_of(g.flagged) for node, g in sorted(self.gnodes.items()) if g.flagged}
+
+    # -- key generation -------------------------------------------------------
 
     def start(self) -> None:
         self.phase = "dkg_round1"
@@ -374,11 +396,11 @@ class DkgSignEngine(_DomainEngine):
         for node in self.live_members(0):
             local = self.local[node]
             p = dkg_mod.Participant(local, self.spec.threshold, n, self.crs, self.backend)
-            rng = self.sim.proto_rng(self.spec.domain_id, node)
+            rng = self.rng("proto", node)
             bc = dkg_mod.dkg_round1(p, rng)
             self.participants[node] = p
             variant = None
-            if self.behavior(node) == "equivocate":
+            if self.sim.behavior(node) == "equivocate":
                 shadow = dkg_mod.Participant(local, self.spec.threshold, n, self.crs, self.backend)
                 variant = dkg_mod.dkg_round1(shadow, rng.fork("equivocate"))
                 self.shadows[node] = shadow
@@ -388,56 +410,41 @@ class DkgSignEngine(_DomainEngine):
                 payload = variant if (variant is not None and peer > node) else bc
                 self.send(0, node, peer, "dkg-round1", payload, payload.to_bytes(self.backend))
 
-    def _try_round2(self, node: int, tick: int) -> None:
-        p = self.participants.get(node)
-        if p is None or node in self.aborted or node in self.dkg_done:
-            return
-        if len(self.bcast_buf[node]) < len(self.members) - 1:
-            return
-        try:
-            dkg_mod.dkg_accept_round1(p, self.bcast_buf[node])
-        except ProtocolAbort as abort:
-            self._record_abort(node, abort)
-            return
+    def _send_shares(self, node: int, shares, tick: int) -> None:
         self.mark("round1_verified", tick)
-        behavior = self.behavior(node)
+        behavior = self.sim.behavior(node)
         shadow = self.shadows.get(node)
-        for local_peer, value in dkg_mod.dkg_round2_send(p):
+        sender = self.local[node]
+        for local_peer, value in shares:
             peer = self.globl[local_peer]
             if behavior == "corrupt_shares":
                 value = value + 1
             elif shadow is not None and peer > node:
                 value = shadow.own_polynomial.evaluate(local_peer)
-            payload = (p.id, value)
             self.send(tick, node, peer, "dkg-round2",
-                      payload, id_bytes(p.id) + self.backend.encode_scalar(value))
+                      (sender, value), id_bytes(sender) + self.backend.encode_scalar(value))
 
-    def _try_finalize(self, node: int, tick: int) -> None:
-        p = self.participants.get(node)
-        if p is None or node in self.aborted or node in self.dkg_done:
-            return
-        if len(self.share_buf[node]) < len(self.members) - 1:
-            return
+    def _dkg_receive(self, node: int, msg: Message, tick: int) -> None:
+        p = self.participants[node]
         try:
-            dkg_mod.dkg_round2_finalize(p, self.share_buf[node])
+            if msg.kind == "dkg-round1":
+                shares = dkg_mod.dkg_receive_broadcast(p, self.local[msg.src], msg.payload)
+                if shares:
+                    self._send_shares(node, shares, tick)
+            else:
+                dkg_mod.dkg_receive_share(p, *msg.payload)
         except ProtocolAbort as abort:
-            self._record_abort(node, abort)
+            culprits = self.globals_of(abort.faulty_ids)
+            self.verdicts.append(f"node {node} aborted key generation blaming {culprits}")
+            self.finish(failed=True)
             return
-        self.group_pks[node] = p.group_pk
-        self.dkg_done.add(node)
-        if self.dkg_done >= set(self.live_members(tick)):
+        done = self._in_phase(dkg_mod.Phase.ROUND2_DONE)
+        if p.phase is dkg_mod.Phase.ROUND2_DONE and self.every_live_in(done, tick):
             self._dkg_complete(tick)
-
-    def _record_abort(self, node: int, abort: ProtocolAbort) -> None:
-        culprits = self.globals_of(abort.faulty_ids)
-        self.aborted[node] = str(abort)
-        self.verdicts.append(f"node {node} aborted key generation blaming {culprits}")
-        self.finish(failed=True)
 
     def _dkg_complete(self, tick: int) -> None:
         self.mark("dkg_done", tick)
-        encodings = {pk.encode() for pk in self.group_pks.values()}
-        if len(encodings) != 1:
+        if len(self._group_keys()) != 1:
             self.verdicts.append("group key disagreement: equivocation detected")
             self.finish(failed=True)
             return
@@ -458,7 +465,7 @@ class DkgSignEngine(_DomainEngine):
             p = self.participants[node]
             signer = signing_mod.Signer(signing_mod.KeyShare.from_participant(p))
             self.signers[node] = signer
-            nl = signer.round1(self.sim.proto_rng(self.spec.domain_id, node).fork("nonce"))
+            nl = signer.round1(self.rng("proto", node).fork("nonce"))
             self.nonce_buf[node][node] = nl
             for peer in self.members:
                 if peer != node:
@@ -472,7 +479,7 @@ class DkgSignEngine(_DomainEngine):
                 self.verdicts.append("gossip did not terminate before the deadline")
                 self.finish(failed=True)
                 return
-            grng = self.sim.gossip_rng(self.spec.domain_id, node)
+            grng = self.rng("gossip", node)
             for peer_local, transcript in gossip_mod.gossip_round(gnode, grng):
                 peer = self.globl[peer_local]
                 self.send(tick, node, peer, "gossip", transcript,
@@ -487,13 +494,13 @@ class DkgSignEngine(_DomainEngine):
                 self._observe(node, broadcast, tick)
 
     def _try_build_session(self, node: int, tick: int) -> None:
-        if node in self.gnodes or node in self.aborted or node not in self.dkg_done:
+        p = self.participants[node]
+        if node in self.gnodes or p.phase is not dkg_mod.Phase.ROUND2_DONE:
             return
         buf = self.nonce_buf[node]
         if set(buf) < set(self.coalition):
             return
         self.mark("gossip_start", tick)
-        p = self.participants[node]
         package = signing_mod.SigningPackage.build(
             self.sim.config.message,
             {self.local[m]: buf[m].pairs[0] for m in self.coalition},
@@ -508,12 +515,8 @@ class DkgSignEngine(_DomainEngine):
             broadcast_prob_num=self.sim.config.gossip.broadcast_prob_num,
         )
         if node in self.coalition:
-            signer = self.signers[node]
-            z = signer.round2_partial(package)
-            forged = self.behavior(node) == "corrupt_shares"
-            if forged:
-                z = z + 1
-            if not gnode.seed_own_partial(z, verify=not forged):
+            z = self.signers[node].round2_partial(package)
+            if not gnode.seed_own_partial(z):
                 self.verdicts.append(f"node {node} computed an invalid own partial")
         self.gnodes[node] = gnode
 
@@ -523,42 +526,29 @@ class DkgSignEngine(_DomainEngine):
             return
         p = self.participants[node]
         gossip_mod.observe_broadcast(gnode, transcript, p.peer_pk_shares, p.group_pk)
-        if gnode.finalized is not None:
-            self.finalized[node] = gnode.finalized.to_bytes(self.backend)
-            if not self.completed and set(self.finalized) >= set(self.live_members(tick)):
-                self.mark("all_finalized", tick)
-                self._conclude(tick)
+        if not self.completed and self.every_live_in(self._signed(), tick):
+            self.mark("all_finalized", tick)
+            self._conclude(tick)
 
     def _conclude(self, tick: int) -> None:
         self.phase = "done"
-        signatures = set(self.finalized.values())
+        signatures = self._signatures()
         ok = len(signatures) == 1
         if ok:
-            any_node = next(iter(self.finalized))
-            sig = signing_mod.Signature.from_bytes(
-                self.finalized[any_node], self.backend
-            )
-            ok = signing_mod.verify(self.group_pks[any_node], self.sim.config.message, sig)
+            sig = signing_mod.Signature.from_bytes(signatures.pop(), self.backend)
+            group_pk = self.participants[next(iter(self._signed()))].group_pk
+            ok = signing_mod.verify(group_pk, self.sim.config.message, sig)
         self.verdicts.append(
             "signature agreement and verification succeeded" if ok
             else "signature agreement or verification failed"
         )
-        for node, gnode in sorted(self.gnodes.items()):
-            if gnode.flagged:
-                self.flagged[node] = self.globals_of(gnode.flagged)
-                self.verdicts.append(f"node {node} flagged {self.flagged[node]} during gossip")
+        for node, flagged in self._flagged().items():
+            self.verdicts.append(f"node {node} flagged {flagged} during gossip")
         self.finish(failed=not ok)
 
     def on_message(self, node: int, msg: Message, tick: int) -> None:
-        if self.completed and msg.kind != "gossip-broadcast":
-            return
-        if msg.kind == "dkg-round1":
-            self.bcast_buf[node][self.local[msg.src]] = msg.payload
-            self._try_round2(node, tick)
-        elif msg.kind == "dkg-round2":
-            sender_local, value = msg.payload
-            self.share_buf[node][sender_local] = value
-            self._try_finalize(node, tick)
+        if msg.kind in ("dkg-round1", "dkg-round2"):
+            self._dkg_receive(node, msg, tick)
         elif msg.kind == "nonce-list":
             self.nonce_buf[node][msg.src] = msg.payload
             self._try_build_session(node, tick)
@@ -573,49 +563,34 @@ class DkgSignEngine(_DomainEngine):
         if self.completed:
             return
         for node in self.live_members(tick):
-            if node in self.aborted:
-                continue
-            if node not in self.dkg_done:
-                waiting_r1 = self.globals_of(
-                    set(range(1, len(self.members) + 1))
-                    - set(self.bcast_buf[node]) - {self.local[node]}
-                )
-                waiting_r2 = self.globals_of(
-                    set(range(1, len(self.members) + 1))
-                    - set(self.share_buf[node]) - {self.local[node]}
-                )
-                missing = waiting_r1 or waiting_r2
+            p = self.participants[node]
+            if p.phase is dkg_mod.Phase.ROUND1_DONE:
+                peers = set(range(1, len(self.members) + 1)) - {p.id}
+                missing = (self.globals_of(peers - set(p.received_broadcasts))
+                           or self.globals_of(peers - set(p.pending_shares)))
                 self.verdicts.append(f"node {node} timed out waiting for {missing}")
-        self.verdicts.append(f"timeout at tick {tick}")
-        self.finish(failed=True)
+        super().on_timeout(tick)
 
     def report(self) -> dict:
-        pk = None
-        encodings = {pk_.encode() for pk_ in self.group_pks.values()}
-        if len(encodings) == 1:
-            pk = encodings.pop().hex()
-        sig_hex = None
-        sigs = set(self.finalized.values())
-        if len(sigs) == 1:
-            sig_hex = sigs.pop().hex()
+        keys = self._group_keys()
+        pk = keys.pop().hex() if len(keys) == 1 else None
+        sigs = self._signatures()
         rounds = None
         if "first_broadcast" in self.marks and "gossip_start" in self.marks:
             rounds = self.marks["first_broadcast"] - self.marks["gossip_start"] + 1
         out = {
-            "protocol": "dkg_sign",
-            "members": list(self.members),
-            "threshold": self.spec.threshold,
+            **super().report(),
             "coalition": list(self.coalition),
             "group_pk": pk,
-            "group_pk_agreement": len(encodings) == 0 and pk is not None,
-            "signature": sig_hex,
-            "completed_members": sorted(self.finalized),
-            "aborted": {str(k): v for k, v in sorted(self.aborted.items())},
-            "flagged": {str(k): v for k, v in sorted(self.flagged.items())},
-            "verdicts": self.verdicts,
+            "group_pk_agreement": pk is not None,
+            "signature": sigs.pop().hex() if len(sigs) == 1 else None,
+            "completed_members": list(self._signed()),
+            "aborted": {
+                str(node): p.abort_reason
+                for node, p in self._in_phase(dkg_mod.Phase.ABORTED).items()
+            },
+            "flagged": {str(node): flagged for node, flagged in self._flagged().items()},
             "gossip_rounds": rounds,
-            "marks": {k: v for k, v in sorted(self.marks.items())},
-            "ok": self.completed and not self.failed,
         }
         if self.spec.domain_id in self.sim.config.exfiltrate_domains:
             out["exfiltrated_sk_shares"] = {
@@ -635,26 +610,24 @@ class PedersenVssEngine(_DomainEngine):
         self.share_results: dict[int, bool] = {}
         self.complaint_verdicts: dict[int, str] = {}
         self.expected_adjudicators: set[int] = set()
-        self.complaints_sent = 0
 
     def start(self) -> None:
         self.phase = "dealing"
         self.mark("deal_start", 0)
-        if not self.sim.is_live(self.dealer, 0) or self.behavior(self.dealer) == "silent":
+        if not self.sim.is_live(self.dealer, 0) or self.sim.behavior(self.dealer) == "silent":
             return
-        rng = self.sim.proto_rng(self.spec.domain_id, self.dealer)
+        rng = self.rng("proto", self.dealer)
         secret = self.backend.scalar(self.spec.secret)
         commitments, shares = sharing_mod.pedersen_split(
             secret, self.spec.threshold, len(self.members), rng, self.backend
         )
-        corrupt = self.behavior(self.dealer) == "corrupt_shares"
+        corrupt = self.sim.behavior(self.dealer) == "corrupt_shares"
         for share in shares:
             recipient = self.globl[share.id]
             if corrupt and recipient != self.dealer:
                 share = sharing_mod.SharePacket(share.id, share.value + 1, share.blinding)
-            payload = (commitments, share)
             self.send(0, self.dealer, recipient, "vss-share",
-                      payload, share.to_bytes(self.backend))
+                      (commitments, share), share.to_bytes(self.backend))
         self.share_results[self.local[self.dealer]] = True
 
     def on_message(self, node: int, msg: Message, tick: int) -> None:
@@ -664,7 +637,6 @@ class PedersenVssEngine(_DomainEngine):
             self.share_results[share.id] = ok
             if not ok:
                 complaint = sharing_mod.Complaint(share.id, share, commitments)
-                self.complaints_sent += 1
                 for peer in self.members:
                     if peer != node:
                         self.send(tick, node, peer, "vss-complaint",
@@ -679,14 +651,12 @@ class PedersenVssEngine(_DomainEngine):
             self._maybe_finish(tick)
 
     def _maybe_finish(self, tick: int) -> None:
-        live = set(self.live_members(tick))
-        if set(self.globl[i] for i in self.share_results) < live:
+        if not self.every_live_in((self.globl[i] for i in self.share_results), tick):
             return
         if self.expected_adjudicators and set(self.complaint_verdicts) < self.expected_adjudicators:
             return
         self.mark("done", tick)
-        all_ok = all(self.share_results.values())
-        if all_ok:
+        if all(self.share_results.values()):
             self.verdicts.append("all shares verified")
         else:
             unique = sorted(set(self.complaint_verdicts.values()))
@@ -695,15 +665,10 @@ class PedersenVssEngine(_DomainEngine):
 
     def report(self) -> dict:
         return {
-            "protocol": "pedersen_vss",
-            "members": list(self.members),
-            "threshold": self.spec.threshold,
+            **super().report(),
             "dealer": self.dealer,
             "share_results": {str(self.globl[i]): ok for i, ok in sorted(self.share_results.items())},
             "complaint_verdicts": {str(n): v for n, v in sorted(self.complaint_verdicts.items())},
-            "verdicts": self.verdicts,
-            "marks": {k: v for k, v in sorted(self.marks.items())},
-            "ok": self.completed and not self.failed,
         }
 
 
@@ -721,7 +686,7 @@ class AvssEngine(_DomainEngine):
         self.mark("deal_start", 0)
         if not self.sim.is_live(self.dealer, 0):
             return
-        rng = self.sim.proto_rng(self.spec.domain_id, self.dealer)
+        rng = self.rng("proto", self.dealer)
         secret = self.backend.scalar(self.spec.secret)
         t = self.spec.threshold
         commitment, deals = avss_mod.avss_deal(secret, t, len(self.members), rng, self.backend)
@@ -749,7 +714,7 @@ class AvssEngine(_DomainEngine):
         recovery = self.nodes.get(local)
         if recovery is not None and recovery.complete and local not in self.exchanged:
             self.exchanged.add(local)
-            corrupt = self.behavior(node) == "corrupt_shares"
+            corrupt = self.sim.behavior(node) == "corrupt_shares"
             for pmsg in avss_mod.exchange_messages(recovery.as_deal(), list(self.globl)):
                 if corrupt:
                     pmsg = avss_mod.PointExchange(
@@ -765,14 +730,12 @@ class AvssEngine(_DomainEngine):
         return [local for local, recovery in self.nodes.items() if recovery.complete]
 
     def _maybe_finish(self, tick: int) -> None:
-        live_locals = {self.local[m] for m in self.live_members(tick)}
-        if set(self._completed()) < live_locals:
+        if not self.every_live_in(self.globals_of(self._completed()), tick):
             return
         self.mark("done", tick)
         sample = self._completed()[:self.spec.threshold]
         secret = avss_mod.avss_recover_secret([(i, self.nodes[i].share()) for i in sample])
-        planted = self.backend.scalar(self.spec.secret)
-        if secret == planted:
+        if secret == self.backend.scalar(self.spec.secret):
             self.verdicts.append("all nodes completed; recovered secret matches")
             self.finish(failed=False)
         else:
@@ -781,18 +744,13 @@ class AvssEngine(_DomainEngine):
 
     def report(self) -> dict:
         return {
-            "protocol": "avss",
-            "members": list(self.members),
-            "threshold": self.spec.threshold,
+            **super().report(),
             "dealer": self.dealer,
             "completed_members": self.globals_of(self._completed()),
             "flagged": {
                 str(self.globl[i]): self.globals_of(r.flagged)
                 for i, r in sorted(self.nodes.items()) if r.flagged
             },
-            "verdicts": self.verdicts,
-            "marks": {k: v for k, v in sorted(self.marks.items())},
-            "ok": self.completed and not self.failed,
         }
 
 
@@ -814,9 +772,7 @@ class Simulator:
         self.config = config
         self.backend = get_backend(config.backend)
         self.root_rng = SeededRng(config.seed)
-        self.delay_rng = self.root_rng.fork("delay")
-        self._proto_rngs: dict[tuple, SeededRng] = {}
-        self._gossip_rngs: dict[tuple, SeededRng] = {}
+        self._rngs: dict[str, SeededRng] = {}
         self.queue: list = []
         self.seq = 0
         self.trace: list[str] = []
@@ -835,34 +791,25 @@ class Simulator:
 
     def is_live(self, node: int, tick: int) -> bool:
         adv = self.adversaries.get(node)
-        if adv and adv.behavior == "crash" and tick >= adv.at_tick:
-            return False
-        return True
+        return not (adv and adv.behavior == "crash" and tick >= adv.at_tick)
 
-    def proto_rng(self, domain: str, node: int) -> SeededRng:
-        key = (domain, node, "proto")
-        if key not in self._proto_rngs:
-            self._proto_rngs[key] = self.root_rng.fork(f"proto/{domain}/{node}")
-        return self._proto_rngs[key]
-
-    def gossip_rng(self, domain: str, node: int) -> SeededRng:
-        key = (domain, node, "gossip")
-        if key not in self._gossip_rngs:
-            self._gossip_rngs[key] = self.root_rng.fork(f"gossip/{domain}/{node}")
-        return self._gossip_rngs[key]
+    def rng(self, label: str) -> SeededRng:
+        """The root stream's child under `label`; one stream per label for the whole run."""
+        if label not in self._rngs:
+            self._rngs[label] = self.root_rng.fork(label)
+        return self._rngs[label]
 
     # -- messaging -------------------------------------------------------------
 
     def send(self, tick, domain, src, dst, kind, payload, payload_bytes) -> None:
         if not self.is_live(src, tick) or self.behavior(src) == "silent":
             return
-        delay = self.config.delay.draw(self.delay_rng)
+        delay = self.config.delay.draw(self.rng("delay"))
         deliver_at = tick + delay
         digest = hashlib.sha256(payload_bytes).hexdigest()[:16]
         self.trace.append(f"{tick}>{deliver_at}|{domain}|{src}>{dst}|{kind}|{digest}")
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        msg = Message(self.seq, domain, src, dst, kind, payload, tick, deliver_at)
-        heapq.heappush(self.queue, (deliver_at, self.seq, msg))
+        heapq.heappush(self.queue, (deliver_at, self.seq, Message(domain, src, dst, kind, payload)))
         self.seq += 1
 
     # -- main loop ---------------------------------------------------------------
@@ -876,9 +823,8 @@ class Simulator:
             while self.queue and self.queue[0][0] == tick:
                 _, _, msg = heapq.heappop(self.queue)
                 engine = self.engines[msg.domain]
-                if engine.completed and msg.kind not in ("gossip-broadcast",):
-                    continue
-                if not self.is_live(msg.dst, tick):
+                dropped = engine.completed and msg.kind != "gossip-broadcast"
+                if dropped or not self.is_live(msg.dst, tick):
                     continue
                 self._timed(msg.domain, engine.on_message, msg.dst, msg, tick)
             for domain_id in sorted(self.engines):

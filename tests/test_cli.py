@@ -250,6 +250,34 @@ class TestAvssDemoCommand:
         assert "Verified share: true" in capsys.readouterr().out
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("args", [
+        ("dkg", "--t", 2, "--n", 3, "--backend", "toy", "--seed", -1),
+        ("dkg", "--t", 2, "--n", 3, "--backend", "toy", "--seed", 2**64),
+        ("bench", "--n-list", "4", "--repetitions", 1, "--backend", "toy", "--seed", -1),
+        ("avss-demo", "--backend", "toy", "--seed", -1),
+    ])
+    def test_out_of_range_seed_is_config_error(self, args):
+        assert run_cli(*args) == 4
+
+    def test_negative_sign_seed_is_config_error(self, keydir):
+        assert run_cli("sign", "--group", keydir / "group.json", "--share", keydir / "share_1.bin",
+                       "--share", keydir / "share_2.bin", "--coalition", "1,2",
+                       "--message", "m", "--seed", -1) == 4
+
+    def test_largest_dkg_seed_runs(self):
+        assert run_cli("dkg", "--t", 2, "--n", 3, "--backend", "toy", "--seed", 2**64 - 1) == 0
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_scenario_seed_is_config_error(self, tmp_path, seed):
+        scenario = tmp_path / "seed.json"
+        scenario.write_text(json.dumps({
+            "seed": seed, "nodes": 3, "backend": "toy",
+            "domains": [{"id": "only", "members": [1, 2, 3], "threshold": 2}],
+        }))
+        assert run_cli("simulate", "--scenario", scenario) == 4
+
+
 class TestLargeRun:
     def test_dkg_completes_for_255_participants(self, tmp_path):
         # the largest supported network size; exercises the slow path

@@ -10,6 +10,8 @@ from trustmesh.dkg import (
     ProofOfKnowledge,
     combine_signing_shares,
     dkg_accept_round1,
+    dkg_receive_broadcast,
+    dkg_receive_share,
     dkg_round1,
     dkg_round2_finalize,
     dkg_round2_send,
@@ -18,6 +20,7 @@ from trustmesh.dkg import (
     pok_prove,
     pok_verify,
     run_dkg,
+    run_round2,
     transcript_jsonl,
 )
 from trustmesh.errors import ProtocolAbort
@@ -227,6 +230,83 @@ class TestRound2:
         with pytest.raises(ProtocolAbort) as exc:
             dkg_round2_finalize(receiver, inbound)
         assert exc.value.faulty_ids == (4,)
+
+
+def broadcasts_to(p, bcs, skip=()):
+    """Feed p every peer broadcast not in skip; the round-2 shares it returns."""
+    shares = []
+    for sender in sorted(bcs):
+        if sender != p.id and sender not in skip:
+            shares = dkg_receive_broadcast(p, sender, bcs[sender]) or shares
+    return dict(shares)
+
+
+class TestIntake:
+    """The per-node intake: one message at a time, in any arrival order."""
+
+    def _dealt(self, backend, t=2, n=4, seed=0):
+        rng = SeededRng(seed)
+        parts = fresh(backend, t, n)
+        bcs = {p.id: dkg_round1(p, rng.fork(str(p.id))) for p in parts}
+        return parts, bcs
+
+    def test_shares_before_the_last_broadcast(self, backend):
+        # node 1 gets every share before node 4's broadcast; that broadcast
+        # then accepts round 1 and finalizes in one step
+        parts, bcs = self._dealt(backend)
+        node1 = parts[0]
+        outbound = {p.id: broadcasts_to(p, bcs) for p in parts[1:]}
+        assert broadcasts_to(node1, bcs, skip={4}) == {}
+        for sender, shares in outbound.items():
+            dkg_receive_share(node1, sender, shares[1])
+        assert node1.phase is Phase.ROUND1_DONE
+        outbound[1] = dict(dkg_receive_broadcast(node1, 4, bcs[4]))
+        assert node1.phase is Phase.ROUND2_DONE
+        for p in parts[1:]:
+            for sender, shares in outbound.items():
+                if sender != p.id:
+                    dkg_receive_share(p, sender, shares[p.id])
+        # the same dealings run through the in-process round steps
+        reference, ref_bcs = self._dealt(backend)
+        for p in reference:
+            dkg_accept_round1(p, ref_bcs)
+        run_round2(reference)
+        for p, ref in zip(parts, reference):
+            assert p.phase is Phase.ROUND2_DONE
+            assert p.pending_shares == {}
+            assert (p.sk_share, p.group_pk) == (ref.sk_share, ref.group_pk)
+
+    def test_repeats_and_own_id_are_ignored(self, backend):
+        parts, bcs = self._dealt(backend)
+        node1 = parts[0]
+        assert dkg_receive_broadcast(node1, 2, bcs[2]) == []
+        assert dkg_receive_broadcast(node1, 2, bcs[3]) == []
+        assert dkg_receive_broadcast(node1, 1, bcs[3]) == []
+        assert node1.received_broadcasts[2] is bcs[2]
+        assert node1.received_broadcasts[1] is bcs[1]
+        dkg_receive_share(node1, 1, backend.scalar(3))
+        assert node1.pending_shares == {}
+
+    def test_bad_share_aborts_and_later_messages_are_dropped(self, backend):
+        parts, bcs = self._dealt(backend)
+        outbound = {p.id: broadcasts_to(p, bcs) for p in parts}
+        node1 = parts[0]
+        dkg_receive_share(node1, 2, outbound[2][1])
+        dkg_receive_share(node1, 3, outbound[3][1] + 1)
+        with pytest.raises(ProtocolAbort) as exc:
+            dkg_receive_share(node1, 4, outbound[4][1])
+        assert exc.value.faulty_ids == (3,)
+        assert node1.phase is Phase.ABORTED
+        dkg_receive_share(node1, 4, outbound[4][1])
+        assert dkg_receive_broadcast(node1, 4, bcs[4]) == []
+
+    def test_receiving_before_dealing_is_rejected(self, backend):
+        parts, bcs = self._dealt(backend)
+        fresh_node = fresh(backend)[0]
+        with pytest.raises(ValueError):
+            dkg_receive_broadcast(fresh_node, 2, bcs[2])
+        with pytest.raises(ValueError):
+            dkg_receive_share(fresh_node, 2, backend.scalar(1))
 
 
 class TestStateMachine:

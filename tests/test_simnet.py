@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -71,12 +72,19 @@ GOLDEN = {
         "3cac2c572eb97bc7fd7719b61a777e9f427c84ff4989cbb25bf3fab54d4c486f",
         "2e0b450391c6ce57b075b28d1a906526f220c7920776b3f5a4cde511a79971e9",
     ),
+    # the benchmark's 14-node ed25519 scenario at its own seed 0: pins the
+    # simulator on the curve, not only on the toy group
+    "sim-mesh": (
+        "5456fdd883c245a457e8cfb9f61a1bfd208ee1ca05c80ef6ef738fa4b5f2d6ac",
+        "07b1cce41650b1f385ad6ad264a51b568518e3efd4c44d6df1ace1e095dcb00b",
+    ),
 }
+SCENARIO_FILES = {"sim-mesh": Path(__file__).resolve().parents[1] / "perfbench" / "sim_mesh.json"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_scenario_golden(name):
-    report = run_simulation(load_scenario(name))
+    report = run_simulation(load_scenario(str(SCENARIO_FILES.get(name, name))))
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert (digest, report.trace_hash) == GOLDEN[name]
 
@@ -212,6 +220,50 @@ class TestAdversaries:
         assert any("2" in str(flags) for flags in dom["flagged"].values()) or dom["flagged"] == {}
 
 
+class TestMessageOrder:
+    def test_last_share_before_last_broadcast_completes(self):
+        # node 1 receives every round-2 share before its last round-1
+        # broadcast; the intake must finalize once that broadcast arrives
+        config = SimConfig(
+            seed=1776, nodes=3, domains=(dkg_domain(members=(1, 2, 3), t=2),),
+            delay=DelaySpec(model="uniform", lo=1, hi=3),
+        )
+        report = run_simulation(config)
+        dom = report.domain("d")
+        assert dom["ok"]
+        assert dom["group_pk_agreement"]
+        assert dom["completed_members"] == [1, 2, 3]
+        toy = get_backend("toy")
+        pk = toy.decode_element(bytes.fromhex(dom["group_pk"]))
+        sig = Signature.from_bytes(bytes.fromhex(dom["signature"]), toy)
+        assert verify(pk, bytes.fromhex(report.core["message"]), sig)
+
+    def test_pedersen_waits_for_live_nodes_after_a_completed_node_crashes(self):
+        # node 3 verifies its share, then crashes before nodes 2 and 4 hear
+        # from the dealer; the domain must still wait for them
+        config = SimConfig(
+            seed=12, nodes=4,
+            domains=(DomainSpec("v", (1, 2, 3, 4), 1, protocol="pedersen_vss"),),
+            adversaries=(AdversarySpec(3, "crash", at_tick=2),),
+            delay=DelaySpec(model="uniform", lo=1, hi=3),
+        )
+        dom = run_simulation(config).domain("v")
+        assert dom["ok"]
+        assert dom["share_results"] == {"1": True, "2": True, "3": True, "4": True}
+
+    def test_avss_waits_for_live_nodes_after_a_completed_node_crashes(self):
+        config = SimConfig(
+            seed=1, nodes=5,
+            domains=(DomainSpec(
+                "a", (1, 2, 3, 4, 5), 2, protocol="avss", deliver_to=(1, 2, 3),
+            ),),
+            adversaries=(AdversarySpec(2, "crash", at_tick=2),),
+        )
+        dom = run_simulation(config).domain("a")
+        assert dom["ok"]
+        assert dom["completed_members"] == [1, 2, 3, 4, 5]
+
+
 class TestAvssScenarios:
     def test_dealer_crash_after_t_deliveries_completes_everywhere(self):
         report = run_simulation(load_scenario("avss-dealer-crash"))
@@ -297,6 +349,17 @@ class TestConfigValidation:
     def test_from_dict_reports_missing_keys(self):
         with pytest.raises(ConfigError, match="seed"):
             SimConfig.from_dict({"nodes": 3, "domains": []})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_crs_epoch_range(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            SimConfig.from_dict({
+                "seed": seed, "nodes": 3,
+                "domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2}],
+            })
+
+    def test_largest_seed_accepted(self):
+        SimConfig(seed=2**64 - 1, nodes=3, domains=(dkg_domain(members=(1, 2, 3), t=2),)).validate()
 
     def test_delay_draw_respects_bounds(self):
         spec = DelaySpec(model="uniform", lo=2, hi=5)
