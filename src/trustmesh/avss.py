@@ -8,6 +8,10 @@ polynomials f(x, i), f'(x, i).  Nodes that never hear from the dealer can
 rebuild their polynomials from the overlap points their peers send, checking
 every point against the commitment matrix, so t honest deliveries are enough
 for the whole network to complete.
+
+The bivariate layer is Pedersen VSS once per row: each commitment-matrix row
+commits to one univariate polynomial pair, and an overlap point f(x, y) is a
+Pedersen share, at id y, of the row polynomial f(x, .).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .groups import GroupBackend, GroupElement, Scalar
 from .polynomials import Polynomial, interpolate_at, interpolate_polynomial
-from .sharing import CommitmentVector, SharePacket, pedersen_verify
+from .sharing import CommitmentVector, SharePacket, commit_polynomial_pair, pedersen_verify
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,50 +35,16 @@ class BivariatePolynomial:
         if side == 0 or any(len(row) != side for row in self.coeffs):
             raise ValueError("coefficient matrix must be square and non-empty")
 
-    @property
-    def side(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def q(self) -> int:
-        return self.coeffs[0][0].q
-
     def evaluate(self, x: int, y: int) -> Scalar:
-        q = self.q
-        total = 0
-        ypow = 1
-        for row in self.coeffs:
-            xpow = 1
-            for c in row:
-                total = (total + c.value * xpow % q * ypow) % q
-                xpow = xpow * x % q
-            ypow = ypow * y % q
-        return Scalar(total, q)
+        return self.row_polynomial(x).evaluate(y)
 
     def row_polynomial(self, i: int) -> Polynomial:
         """f(i, y) as a polynomial in y."""
-        q = self.q
-        coeffs = []
-        for row in self.coeffs:
-            acc, xpow = 0, 1
-            for c in row:
-                acc = (acc + c.value * xpow) % q
-                xpow = xpow * i % q
-            coeffs.append(Scalar(acc, q))
-        return Polynomial(tuple(coeffs))
+        return Polynomial(tuple(Polynomial(row).evaluate(i) for row in self.coeffs))
 
     def column_polynomial(self, i: int) -> Polynomial:
         """f(x, i) as a polynomial in x."""
-        q = self.q
-        side = self.side
-        coeffs = []
-        for l in range(side):
-            acc, ypow = 0, 1
-            for j in range(side):
-                acc = (acc + self.coeffs[j][l].value * ypow) % q
-                ypow = ypow * i % q
-            coeffs.append(Scalar(acc, q))
-        return Polynomial(tuple(coeffs))
+        return Polynomial(tuple(Polynomial(col).evaluate(i) for col in zip(*self.coeffs)))
 
 
 def random_bivariate(secret: Scalar, t: int, rng) -> BivariatePolynomial:
@@ -104,27 +74,15 @@ class CommitmentMatrix:
     def side(self) -> int:
         return len(self.entries)
 
-    @property
-    def backend(self) -> GroupBackend:
-        return self.entries[0][0].backend
-
     def share_vector(self) -> CommitmentVector:
         """Row 0 commits to the main shares: f(m, 0) is its evaluation at m."""
         return CommitmentVector(self.entries[0])
 
-    def point_commitment(self, x: int, y: int) -> GroupElement:
-        """Committed value of f(x, y): sum over (x^l * y^j) * entries[j][l]."""
-        q = self.backend.order
-        acc = self.backend.identity()
-        ypow = 1
-        for row in self.entries:
-            xpow = 1
-            for entry in row:
-                k = xpow * ypow % q
-                acc = acc + k * entry
-                xpow = xpow * x % q
-            ypow = ypow * y % q
-        return acc
+    def row_commitment(self, x: int) -> CommitmentVector:
+        """Commitments to the coefficients of f(x, y) as a polynomial in y."""
+        return CommitmentVector(tuple(
+            CommitmentVector(row).share_commitment(x) for row in self.entries
+        ))
 
     def to_bytes(self) -> bytes:
         return b"".join(e.encode() for row in self.entries for e in row)
@@ -133,12 +91,8 @@ class CommitmentMatrix:
 def commitment_matrix(
     backend: GroupBackend, f: BivariatePolynomial, f_prime: BivariatePolynomial
 ) -> CommitmentMatrix:
-    if f.side != f_prime.side:
-        raise ValueError("polynomial and companion must have the same dimensions")
-    g = backend.generator()
-    h = backend.second_generator()
     return CommitmentMatrix(tuple(
-        tuple(a * g + b * h for a, b in zip(row, prow))
+        commit_polynomial_pair(backend, Polynomial(row), Polynomial(prow)).entries
         for row, prow in zip(f.coeffs, f_prime.coeffs)
     ))
 
@@ -196,9 +150,7 @@ def avss_point_valid(
     commitment: CommitmentMatrix, x: int, y: int, value: Scalar, blinding: Scalar
 ) -> bool:
     """Check a claimed overlap point (f(x,y), f'(x,y)) against C."""
-    backend = commitment.backend
-    lhs = value * backend.generator() + blinding * backend.second_generator()
-    return lhs == commitment.point_commitment(x, y)
+    return pedersen_verify(SharePacket(y, value, blinding), commitment.row_commitment(x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,8 +281,5 @@ def avss_recover_secret(shares: Sequence[tuple[int, Scalar]]) -> Scalar:
     """Interpolate main shares (i, f(i, 0)) at 0 to recover f(0, 0)."""
     if not shares:
         raise ValueError("no shares given")
-    ids = [i for i, _ in shares]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate share ids")
     q = shares[0][1].q
     return interpolate_at(list(shares), Scalar(0, q))

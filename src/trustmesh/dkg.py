@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 
 from .errors import ProtocolAbort
 from .groups import GroupBackend, GroupElement, Scalar, hash_bytes, hash_to_scalar, id_bytes
-from .polynomials import Polynomial, lagrange_coefficient, random_polynomial
+from .polynomials import Polynomial, interpolate_at, random_polynomial
 from .sharing import CommitmentVector, SharePacket, commit_polynomial, feldman_verify
 
 
@@ -223,17 +223,15 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
     sk = backend.scalar(sum(v.value for v in all_shares.values()))
     state.sk_share = sk
     state.pk_share = sk * backend.generator()
-    state.group_pk = backend.element_sum(
-        broadcasts[sender].commitment.entries[0] for sender in sorted(broadcasts)
-    )
 
-    # everyone can compute every peer's verification share from the broadcast
-    # commitments: first sum the commitment vectors, then evaluate per peer
-    summed = [
+    # the summed commitment vector commits to the sum of all dealt
+    # polynomials: its constant term is the group key, and its evaluation at
+    # each peer id is that peer's verification share
+    summed_vector = CommitmentVector(tuple(
         backend.element_sum(broadcasts[s].commitment.entries[k] for s in sorted(broadcasts))
         for k in range(state.t)
-    ]
-    summed_vector = CommitmentVector(tuple(summed))
+    ))
+    state.group_pk = summed_vector.entries[0]
     state.peer_pk_shares = {
         peer: summed_vector.share_commitment(peer) for peer in range(1, state.n + 1)
     }
@@ -292,8 +290,8 @@ def transcript_jsonl(participants) -> str:
     return "\n".join(lines) + "\n"
 
 
-def combine_signing_shares(participants, coalition, at: int = 0) -> Scalar:
-    """Lagrange-combine coalition signing shares at the given point.
+def combine_signing_shares(participants, coalition) -> Scalar:
+    """Lagrange-combine coalition signing shares at 0.
 
     The result s* satisfies s* . G = group_pk when the coalition has at least
     t members of a completed run; used by tests and the CLI to cross-check a
@@ -301,13 +299,8 @@ def combine_signing_shares(participants, coalition, at: int = 0) -> Scalar:
     flows.
     """
     by_id = {p.id: p for p in participants}
-    backend = by_id[next(iter(coalition))].backend
-    x = backend.scalar(at)
-    total = backend.scalar(0)
-    for member in coalition:
-        lam = lagrange_coefficient(member, coalition, x)
-        total = total + lam * by_id[member].sk_share
-    return total
+    points = [(member, by_id[member].sk_share) for member in coalition]
+    return interpolate_at(points, Scalar(0, points[0][1].q))
 
 
 def run_round1(backend: GroupBackend, t: int, n: int, rng, crs: bytes) -> list[Participant]:

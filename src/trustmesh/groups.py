@@ -14,6 +14,7 @@ encoding of G onto the curve (fixed h=3 on the toy backend).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -495,7 +496,6 @@ class Ed25519Group(GroupBackend):
     def __init__(self):
         self._gen = (_BASE_X, _BASE_Y, 1, _BASE_X * _BASE_Y % _P)
         self._second_gen = self._derive_second_generator()
-        self._tables = {}
 
     # -- second generator ---------------------------------------------------
 
@@ -517,24 +517,28 @@ class Ed25519Group(GroupBackend):
 
     # -- precomputed base tables ---------------------------------------------
 
-    def _table_for(self, rep):
-        key = self._encode(rep)
-        table = self._tables.get(key)
-        if table is None:
-            table = []
-            base = rep
-            for _ in range(_WINDOW_COUNT):
-                row = [base]
-                for _ in range(14):
-                    row.append(_ed_add(row[-1], base))
-                table.append(row)
-                for _ in range(_WINDOW):
-                    base = _ed_double(base)
-            self._tables[key] = table
+    @functools.cached_property
+    def _gen_table(self):
+        return self._build_table(self._gen)
+
+    @functools.cached_property
+    def _second_table(self):
+        return self._build_table(self._second_gen)
+
+    @staticmethod
+    def _build_table(base):
+        table = []
+        for _ in range(_WINDOW_COUNT):
+            row = [base]
+            for _ in range(14):
+                row.append(_ed_add(row[-1], base))
+            table.append(row)
+            for _ in range(_WINDOW):
+                base = _ed_double(base)
         return table
 
-    def _mul_base(self, k: int, rep):
-        table = self._table_for(rep)
+    @staticmethod
+    def _mul_base(k: int, table):
         acc = _ED_IDENTITY
         for w in range(_WINDOW_COUNT):
             nibble = (k >> (w * _WINDOW)) & 0xF
@@ -560,27 +564,27 @@ class Ed25519Group(GroupBackend):
         x, y, z, t = a
         return ((-x) % _P, y, z, (-t) % _P)
 
-    def _fixed_base(self, a):
-        """G or H when a is one of them (they have window tables), else None."""
+    def _fixed_table(self, a):
+        """The window table of G or H when a is one of them, else None."""
         if a is self._gen or a == self._gen:
-            return self._gen
+            return self._gen_table
         if a is self._second_gen or a == self._second_gen:
-            return self._second_gen
+            return self._second_table
         return None
 
     def _mul(self, k, a):
-        base = self._fixed_base(a)
-        return _ed_mul(k, a) if base is None else self._mul_base(k, base)
+        table = self._fixed_table(a)
+        return _ed_mul(k, a) if table is None else self._mul_base(k, table)
 
     def _multi_mul(self, terms):
         # G and H terms use their window tables; the rest share one chain
         fixed, variable = [], []
         for k, a in terms:
-            base = self._fixed_base(a)
-            if base is None:
+            table = self._fixed_table(a)
+            if table is None:
                 variable.append((k, a))
             else:
-                fixed.append(self._mul_base(k, base))
+                fixed.append(self._mul_base(k, table))
         acc = _ed_straus(variable)
         for point in fixed:
             acc = _ed_add(acc, point)

@@ -299,7 +299,6 @@ class _DomainEngine:
         self.verdicts: list[str] = []
         self.completed = False
         self.failed = False
-        self.phase = "init"
         self.marks: dict[str, int] = {}
 
     def mark(self, name: int | str, tick: int) -> None:
@@ -390,7 +389,6 @@ class DkgSignEngine(_DomainEngine):
     # -- key generation -------------------------------------------------------
 
     def start(self) -> None:
-        self.phase = "dkg_round1"
         self.mark("dkg_start", 0)
         n = len(self.members)
         for node in self.live_members(0):
@@ -449,7 +447,6 @@ class DkgSignEngine(_DomainEngine):
             self.finish(failed=True)
             return
         self.verdicts.append("key generation complete: group keys agree")
-        self.phase = "signing"
         self.sign_start = tick + 1
 
     # -- signing + gossip -----------------------------------------------------
@@ -457,7 +454,10 @@ class DkgSignEngine(_DomainEngine):
     def on_tick(self, node: int, tick: int) -> None:
         if self.completed:
             return
-        if tick >= self.sim.config.timeout_ticks and self.sign_start is None:
+        # key generation has timeout_ticks from tick 0, nonce collection from
+        # sign_start; once a node has a session the gossip deadline takes over
+        waited = tick - (self.sign_start or 0)
+        if "gossip_start" not in self.marks and waited >= self.sim.config.timeout_ticks:
             self.on_timeout(tick)
             return
         if self.sign_start is not None and tick == self.sign_start and node in self.coalition:
@@ -474,7 +474,6 @@ class DkgSignEngine(_DomainEngine):
             return
         gnode = self.gnodes.get(node)
         if gnode is not None and not gnode.stopped:
-            self.phase = "gossip"
             if tick - self.marks.get("gossip_start", tick) >= self.sim.config.timeout_ticks:
                 self.verdicts.append("gossip did not terminate before the deadline")
                 self.finish(failed=True)
@@ -531,7 +530,6 @@ class DkgSignEngine(_DomainEngine):
             self._conclude(tick)
 
     def _conclude(self, tick: int) -> None:
-        self.phase = "done"
         signatures = self._signatures()
         ok = len(signatures) == 1
         if ok:
@@ -569,6 +567,9 @@ class DkgSignEngine(_DomainEngine):
                 missing = (self.globals_of(peers - set(p.received_broadcasts))
                            or self.globals_of(peers - set(p.pending_shares)))
                 self.verdicts.append(f"node {node} timed out waiting for {missing}")
+            elif self.sign_start is not None and node not in self.gnodes:
+                missing = [m for m in self.coalition if m not in self.nonce_buf[node]]
+                self.verdicts.append(f"node {node} timed out waiting for nonce lists from {missing}")
         super().on_timeout(tick)
 
     def report(self) -> dict:
@@ -612,7 +613,6 @@ class PedersenVssEngine(_DomainEngine):
         self.expected_adjudicators: set[int] = set()
 
     def start(self) -> None:
-        self.phase = "dealing"
         self.mark("deal_start", 0)
         if not self.sim.is_live(self.dealer, 0) or self.sim.behavior(self.dealer) == "silent":
             return
@@ -682,7 +682,6 @@ class AvssEngine(_DomainEngine):
         self.exchanged: set[int] = set()
 
     def start(self) -> None:
-        self.phase = "dealing"
         self.mark("deal_start", 0)
         if not self.sim.is_live(self.dealer, 0):
             return
@@ -817,7 +816,7 @@ class Simulator:
     def run(self) -> SimReport:
         started = time.perf_counter()
         for domain_id in sorted(self.engines):
-            self._timed(domain_id, self.engines[domain_id].start)
+            self._timed(f"{domain_id}/start", self.engines[domain_id].start)
         tick = 0
         while tick <= self.config.max_ticks:
             while self.queue and self.queue[0][0] == tick:
@@ -826,14 +825,14 @@ class Simulator:
                 dropped = engine.completed and msg.kind != "gossip-broadcast"
                 if dropped or not self.is_live(msg.dst, tick):
                     continue
-                self._timed(msg.domain, engine.on_message, msg.dst, msg, tick)
+                self._timed(f"{msg.domain}/{msg.kind}", engine.on_message, msg.dst, msg, tick)
             for domain_id in sorted(self.engines):
                 engine = self.engines[domain_id]
                 if engine.completed:
                     continue
                 for node in engine.members:
                     if self.is_live(node, tick):
-                        self._timed(domain_id, engine.on_tick, node, tick)
+                        self._timed(f"{domain_id}/tick", engine.on_tick, node, tick)
             if all(e.completed for e in self.engines.values()) and not self.queue:
                 break
             tick += 1
@@ -843,8 +842,8 @@ class Simulator:
                 engine.on_timeout(min(tick, self.config.max_ticks))
         return self._report(tick, time.perf_counter() - started)
 
-    def _timed(self, domain_id: str, fn, *args) -> None:
-        label = f"{domain_id}/{self.engines[domain_id].phase}"
+    def _timed(self, label: str, fn, *args) -> None:
+        """Run fn, booking its CPU time under label: <domain>/start, /tick or /<message kind>."""
         t0 = time.perf_counter()
         fn(*args)
         self.cpu[label] = self.cpu.get(label, 0.0) + (time.perf_counter() - t0)

@@ -223,6 +223,31 @@ class TestExchange:
                     )
                     assert accepted == (forged == tv)
 
+    def test_point_validity_matches_int_oracle_over_the_plane(self, toy):
+        # every (x, y) in 1..4 and every claimed (value, blinding) pair: the
+        # check accepts exactly when g^value * h^blinding equals the product
+        # of entry_jl^(x^l * y^j) over the commitment matrix.  With h = g^8,
+        # every entry has a nonzero discrete log, so the committed point moves
+        # with both x and y
+        f = matrix(toy, [[5, 3], [7, 2]])
+        f_prime = matrix(toy, [[1, 4], [5, 9]])
+        commitment = commitment_matrix(toy, f, f_prime)
+        entries = [
+            [pow(TOY_G, a.value, TOY_P) * pow(TOY_H, b.value, TOY_P) % TOY_P for a, b in zip(row, prow)]
+            for row, prow in zip(f.coeffs, f_prime.coeffs)
+        ]
+        for x in range(1, 5):
+            for y in range(1, 5):
+                target = 1
+                for j, row in enumerate(entries):
+                    for l, entry in enumerate(row):
+                        target = target * pow(entry, pow(x, l, TOY_Q) * pow(y, j, TOY_Q), TOY_P) % TOY_P
+                for value in range(TOY_Q):
+                    for blinding in range(TOY_Q):
+                        expected = pow(TOY_G, value, TOY_P) * pow(TOY_H, blinding, TOY_P) % TOY_P == target
+                        got = avss_point_valid(commitment, x, y, toy.scalar(value), toy.scalar(blinding))
+                        assert got == expected
+
     def test_exchange_message_contents(self, toy, rng):
         commitment, deals = avss_deal(toy.scalar(5), 2, 3, rng, toy)
         d1 = deals[0]

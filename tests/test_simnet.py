@@ -287,6 +287,39 @@ class TestAvssScenarios:
         assert dom["flagged"].get("4") == [2]
 
 
+class TestDeadlines:
+    def test_coalition_crash_before_nonce_lists_times_out_naming_it(self):
+        # node 2 finishes key generation, then crashes before signing starts:
+        # no node can build a session, so the signing deadline (timeout_ticks
+        # from sign_start) ends the run instead of max_ticks
+        config = SimConfig(
+            seed=0, nodes=4, domains=(dkg_domain(),),
+            adversaries=(AdversarySpec(2, "crash", at_tick=2),),
+        )
+        report = run_simulation(config)
+        dom = report.domain("d")
+        assert not dom["ok"]
+        assert dom["marks"]["sign_start"] == 3
+        assert report.core["final_tick"] == 53
+        assert dom["verdicts"] == [
+            "key generation complete: group keys agree",
+            "node 1 timed out waiting for nonce lists from [2]",
+            "node 3 timed out waiting for nonce lists from [2]",
+            "node 4 timed out waiting for nonce lists from [2]",
+            "timeout at tick 53",
+        ]
+
+
+class TestCpuAttribution:
+    def test_time_is_booked_by_dispatched_work(self):
+        report = run_simulation(SimConfig(seed=4, nodes=4, domains=(dkg_domain(),)))
+        labels = set(report.timings["cpu_s_by_phase"])
+        assert "d/dkg-round2" in labels
+        assert "d/init" not in labels
+        assert labels <= {"d/start", "d/tick", "d/dkg-round1", "d/dkg-round2", "d/nonce-list",
+                          "d/gossip", "d/gossip-broadcast"}
+
+
 class TestGossipLiveness:
     def test_termination_within_bound_small(self):
         hits = 0
