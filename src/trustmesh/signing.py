@@ -12,8 +12,8 @@ z*G = R + H2(R || pk || m)*pk, so verifiers never learn it was thresholded.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import NonceReuseError, ProtocolAbort
 from .groups import GroupBackend, GroupElement, Scalar, hash_bytes, hash_to_scalar, id_bytes
@@ -328,6 +328,39 @@ def aggregate(
     return Signature(verifier.R, z)
 
 
+class NonceIntake:
+    """One node's round-1 intake: the coalition's nonce lists, one at a time.
+
+    Lists may arrive in any order.  The first list from each coalition member
+    counts; repeats and lists from outside the coalition are dropped.
+    ``receive`` returns the SigningPackage, built from each member's first
+    pair, once every coalition list is in.  ``signer`` is the node's own
+    Signer when the node is a coalition member.
+    """
+
+    def __init__(self, message: bytes, coalition: Iterable[int], signer: Optional[Signer] = None):
+        self.message = message
+        self.coalition = tuple(sorted(coalition))
+        self.signer = signer
+        self.lists: dict[int, NonceCommitmentList] = {}
+        self.package: Optional[SigningPackage] = None
+
+    def receive(self, sender: int, nonces: NonceCommitmentList) -> Optional[SigningPackage]:
+        if self.package is not None or sender not in self.coalition or sender in self.lists:
+            return None
+        self.lists[sender] = nonces
+        if len(self.lists) < len(self.coalition):
+            return None
+        self.package = SigningPackage.build(
+            self.message, {m: self.lists[m].pairs[0] for m in self.coalition}
+        )
+        return self.package
+
+    def missing(self) -> list[int]:
+        """Coalition members whose nonce list has not arrived yet."""
+        return [m for m in self.coalition if m not in self.lists]
+
+
 def run_session(keys: Mapping[int, KeyShare], message: bytes, rng) -> Signature:
     """One in-process signing session by the coalition holding ``keys`` (id -> share).
 
@@ -337,8 +370,10 @@ def run_session(keys: Mapping[int, KeyShare], message: bytes, rng) -> Signature:
     """
     message_tag = hash_bytes("sign-nonce", [message])[:32].hex()
     signers = {i: Signer(key) for i, key in keys.items()}
-    lists = {i: s.round1(rng.fork(f"nonce/{i}/{message_tag}")) for i, s in signers.items()}
-    package = SigningPackage.build(message, {i: nl.pairs[0] for i, nl in lists.items()})
+    intake = NonceIntake(message, signers)
+    for i, s in signers.items():
+        intake.receive(i, s.round1(rng.fork(f"nonce/{i}/{message_tag}")))
+    package = intake.package
     partials = {i: s.round2_partial(package) for i, s in signers.items()}
     key = next(iter(keys.values()))
     return aggregate(package, partials, key.pk_shares, key.group_pk)

@@ -20,7 +20,7 @@ import hashlib
 import heapq
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -119,7 +119,6 @@ class DomainSpec:
 class GossipSpec:
     c: int = 4
     broadcast_prob_num: int = 2
-    contributions_required: Optional[int] = None
 
     def validate(self) -> None:
         if self.c < 4:
@@ -215,10 +214,6 @@ class SimConfig:
             gossip=GossipSpec(
                 c=int(gossip_d.get("c", 4)),
                 broadcast_prob_num=int(gossip_d.get("broadcast_prob_num", 2)),
-                contributions_required=(
-                    int(gossip_d["contributions_required"])
-                    if gossip_d.get("contributions_required") is not None else None
-                ),
             ),
             max_ticks=int(data.get("max_ticks", 300)),
             timeout_ticks=int(data.get("timeout_ticks", 50)),
@@ -289,6 +284,15 @@ class SimReport:
 
 
 class _DomainEngine:
+    """One domain's protocol run.
+
+    An engine says, per live node, what it still waits for in the current
+    phase (``waiting_for``); ``settle`` is the one rule that turns this into
+    completion (``phase_done``) or a timeout.
+    """
+
+    wait_start = 0      # tick the current phase's wait began
+
     def __init__(self, sim: "Simulator", spec: DomainSpec):
         self.sim = sim
         self.spec = spec
@@ -310,10 +314,6 @@ class _DomainEngine:
     def live_members(self, tick: int) -> list[int]:
         return [m for m in self.members if self.sim.is_live(m, tick)]
 
-    def every_live_in(self, done, tick: int) -> bool:
-        """Whether every member still live at `tick` is among `done` (global ids)."""
-        return set(self.live_members(tick)) <= set(done)
-
     def rng(self, stream: str, node: int):
         return self.sim.rng(f"{stream}/{self.spec.domain_id}/{node}")
 
@@ -334,10 +334,33 @@ class _DomainEngine:
     def on_tick(self, node: int, tick: int) -> None:
         pass
 
-    def on_timeout(self, tick: int) -> None:
-        if not self.completed:
-            self.verdicts.append(f"timeout at tick {tick}")
-            self.finish(failed=True)
+    def waiting_for(self, node: int) -> Optional[tuple[str, list[int]]]:
+        """(what, sender ids) this live node still waits for; None once it is done."""
+        raise NotImplementedError
+
+    def phase_done(self, tick: int) -> None:
+        raise NotImplementedError
+
+    def settle(self, tick: int, deadline: bool = False) -> None:
+        """Run phase_done once no live member waits; with ``deadline``, time out
+        ``timeout_ticks`` after ``wait_start``.  The simulator checks the deadline
+        after each tick's deliveries, so a message arriving on time still counts."""
+        if self.completed:
+            return
+        live = self.live_members(tick)
+        if live and all(self.waiting_for(node) is None for node in live):
+            self.phase_done(tick)
+        elif deadline and tick - self.wait_start >= self.sim.config.timeout_ticks:
+            self.time_out(tick)
+
+    def time_out(self, tick: int) -> None:
+        for node in self.live_members(tick):
+            waiting = self.waiting_for(node)
+            if waiting is not None:
+                what, senders = waiting
+                self.verdicts.append(f"node {node} timed out waiting for {what}{senders}")
+        self.verdicts.append(f"timeout at tick {tick}")
+        self.finish(failed=True)
 
     def report(self) -> dict:
         return {
@@ -353,9 +376,9 @@ class _DomainEngine:
 class DkgSignEngine(_DomainEngine):
     """Key generation, a two-round signing session, then gossip aggregation.
 
-    Protocol state lives in each node's ``dkg.Participant`` and
-    ``gossip.GossipNode``; the engine routes messages between them and applies
-    the adversaries' share mutations.
+    Protocol state lives in each node's ``dkg.Participant``,
+    ``signing.NonceIntake`` and ``gossip.GossipNode``; the engine routes
+    messages between them and applies the adversaries' share mutations.
     """
 
     def __init__(self, sim, spec):
@@ -363,13 +386,18 @@ class DkgSignEngine(_DomainEngine):
         self.crs = dkg_mod.make_crs(spec.domain_id, epoch=sim.config.seed)
         self.participants: dict[int, dkg_mod.Participant] = {}
         self.shadows = {}      # equivocators' second dealing
-        self.nonce_buf = {m: {} for m in self.members}
-        self.signers = {}
         self.gnodes: dict[int, gossip_mod.GossipNode] = {}
         self.sign_start: Optional[int] = None
         coalition = spec.coalition or self.members[: spec.threshold]
         self.coalition = tuple(sorted(coalition))
-        self.required = sim.config.gossip.contributions_required or len(self.coalition)
+        signers = [self.local[m] for m in self.coalition]
+        self.intakes = {m: signing_mod.NonceIntake(sim.config.message, signers) for m in self.members}
+
+    @property
+    def wait_start(self) -> int:
+        # key generation waits from tick 0, nonce collection from sign_start,
+        # gossip from the tick the first node opens its session
+        return self.marks.get("gossip_start", self.sign_start or 0)
 
     def _in_phase(self, phase: dkg_mod.Phase) -> dict[int, dkg_mod.Participant]:
         return {node: p for node, p in sorted(self.participants.items()) if p.phase is phase}
@@ -385,6 +413,29 @@ class DkgSignEngine(_DomainEngine):
 
     def _flagged(self) -> dict[int, list[int]]:
         return {node: self.globals_of(g.flagged) for node, g in sorted(self.gnodes.items()) if g.flagged}
+
+    def waiting_for(self, node: int) -> Optional[tuple[str, list[int]]]:
+        p = self.participants[node]
+        if self.sign_start is None:
+            if p.phase is dkg_mod.Phase.ROUND2_DONE:
+                return None
+            peers = set(range(1, len(self.members) + 1)) - {p.id}
+            return "", (self.globals_of(peers - set(p.received_broadcasts))
+                        or self.globals_of(peers - set(p.pending_shares)))
+        gnode = self.gnodes.get(node)
+        if gnode is None:
+            return "nonce lists from ", self.globals_of(self.intakes[node].missing())
+        if gnode.finalized is not None:
+            return None
+        held = gnode.transcript.contributions
+        return "partials from ", [m for m in self.coalition if self.local[m] not in held]
+
+    def phase_done(self, tick: int) -> None:
+        if self.sign_start is None:
+            self._dkg_complete(tick)
+        else:
+            self.mark("all_finalized", tick)
+            self._conclude(tick)
 
     # -- key generation -------------------------------------------------------
 
@@ -435,10 +486,6 @@ class DkgSignEngine(_DomainEngine):
             culprits = self.globals_of(abort.faulty_ids)
             self.verdicts.append(f"node {node} aborted key generation blaming {culprits}")
             self.finish(failed=True)
-            return
-        done = self._in_phase(dkg_mod.Phase.ROUND2_DONE)
-        if p.phase is dkg_mod.Phase.ROUND2_DONE and self.every_live_in(done, tick):
-            self._dkg_complete(tick)
 
     def _dkg_complete(self, tick: int) -> None:
         self.mark("dkg_done", tick)
@@ -452,32 +499,19 @@ class DkgSignEngine(_DomainEngine):
     # -- signing + gossip -----------------------------------------------------
 
     def on_tick(self, node: int, tick: int) -> None:
-        if self.completed:
-            return
-        # key generation has timeout_ticks from tick 0, nonce collection from
-        # sign_start; once a node has a session the gossip deadline takes over
-        waited = tick - (self.sign_start or 0)
-        if "gossip_start" not in self.marks and waited >= self.sim.config.timeout_ticks:
-            self.on_timeout(tick)
-            return
-        if self.sign_start is not None and tick == self.sign_start and node in self.coalition:
+        if tick == self.sign_start and node in self.coalition:
             self.mark("sign_start", tick)
-            p = self.participants[node]
-            signer = signing_mod.Signer(signing_mod.KeyShare.from_participant(p))
-            self.signers[node] = signer
-            nl = signer.round1(self.rng("proto", node).fork("nonce"))
-            self.nonce_buf[node][node] = nl
+            intake = self.intakes[node]
+            key = signing_mod.KeyShare.from_participant(self.participants[node])
+            intake.signer = signing_mod.Signer(key)
+            nonces = intake.signer.round1(self.rng("proto", node).fork("nonce"))
             for peer in self.members:
                 if peer != node:
-                    self.send(tick, node, peer, "nonce-list", nl, nl.to_bytes())
-            self._try_build_session(node, tick)
+                    self.send(tick, node, peer, "nonce-list", nonces, nonces.to_bytes())
+            self._take_nonces(node, node, nonces, tick)
             return
         gnode = self.gnodes.get(node)
         if gnode is not None and not gnode.stopped:
-            if tick - self.marks.get("gossip_start", tick) >= self.sim.config.timeout_ticks:
-                self.verdicts.append("gossip did not terminate before the deadline")
-                self.finish(failed=True)
-                return
             grng = self.rng("gossip", node)
             for peer_local, transcript in gossip_mod.gossip_round(gnode, grng):
                 peer = self.globl[peer_local]
@@ -490,44 +524,35 @@ class DkgSignEngine(_DomainEngine):
                 for peer in self.members:
                     if peer != node:
                         self.send(tick, node, peer, "gossip-broadcast", broadcast, payload_bytes)
-                self._observe(node, broadcast, tick)
+                self._observe(node, broadcast)
 
-    def _try_build_session(self, node: int, tick: int) -> None:
-        p = self.participants[node]
-        if node in self.gnodes or p.phase is not dkg_mod.Phase.ROUND2_DONE:
-            return
-        buf = self.nonce_buf[node]
-        if set(buf) < set(self.coalition):
+    def _take_nonces(self, node: int, sender: int, nonces, tick: int) -> None:
+        intake = self.intakes[node]
+        package = intake.receive(self.local[sender], nonces)
+        if package is None:
             return
         self.mark("gossip_start", tick)
-        package = signing_mod.SigningPackage.build(
-            self.sim.config.message,
-            {self.local[m]: buf[m].pairs[0] for m in self.coalition},
-        )
+        p = self.participants[node]
         verifier = signing_mod.PartialVerifier(package, p.peer_pk_shares, p.group_pk)
         gnode = gossip_mod.GossipNode(
             node_id=self.local[node],
             peers=tuple(self.local[m] for m in self.members if m != node),
             verifier=verifier,
-            required=self.required,
+            required=len(self.coalition),
             c=self.sim.config.gossip.c,
             broadcast_prob_num=self.sim.config.gossip.broadcast_prob_num,
         )
-        if node in self.coalition:
-            z = self.signers[node].round2_partial(package)
+        if intake.signer is not None:
+            z = intake.signer.round2_partial(package)
             if not gnode.seed_own_partial(z):
                 self.verdicts.append(f"node {node} computed an invalid own partial")
         self.gnodes[node] = gnode
 
-    def _observe(self, node: int, transcript, tick: int) -> None:
+    def _observe(self, node: int, transcript) -> None:
         gnode = self.gnodes.get(node)
-        if gnode is None:
-            return
-        p = self.participants[node]
-        gossip_mod.observe_broadcast(gnode, transcript, p.peer_pk_shares, p.group_pk)
-        if not self.completed and self.every_live_in(self._signed(), tick):
-            self.mark("all_finalized", tick)
-            self._conclude(tick)
+        if gnode is not None:
+            p = self.participants[node]
+            gossip_mod.observe_broadcast(gnode, transcript, p.peer_pk_shares, p.group_pk)
 
     def _conclude(self, tick: int) -> None:
         signatures = self._signatures()
@@ -548,29 +573,13 @@ class DkgSignEngine(_DomainEngine):
         if msg.kind in ("dkg-round1", "dkg-round2"):
             self._dkg_receive(node, msg, tick)
         elif msg.kind == "nonce-list":
-            self.nonce_buf[node][msg.src] = msg.payload
-            self._try_build_session(node, tick)
+            self._take_nonces(node, msg.src, msg.payload, tick)
         elif msg.kind == "gossip":
             gnode = self.gnodes.get(node)
             if gnode is not None:
                 gossip_mod.gossip_receive(gnode, self.local[msg.src], msg.payload)
         elif msg.kind == "gossip-broadcast":
-            self._observe(node, msg.payload, tick)
-
-    def on_timeout(self, tick: int) -> None:
-        if self.completed:
-            return
-        for node in self.live_members(tick):
-            p = self.participants[node]
-            if p.phase is dkg_mod.Phase.ROUND1_DONE:
-                peers = set(range(1, len(self.members) + 1)) - {p.id}
-                missing = (self.globals_of(peers - set(p.received_broadcasts))
-                           or self.globals_of(peers - set(p.pending_shares)))
-                self.verdicts.append(f"node {node} timed out waiting for {missing}")
-            elif self.sign_start is not None and node not in self.gnodes:
-                missing = [m for m in self.coalition if m not in self.nonce_buf[node]]
-                self.verdicts.append(f"node {node} timed out waiting for nonce lists from {missing}")
-        super().on_timeout(tick)
+            self._observe(node, msg.payload)
 
     def report(self) -> dict:
         keys = self._group_keys()
@@ -610,11 +619,18 @@ class PedersenVssEngine(_DomainEngine):
         self.dealer = self.members[0]
         self.share_results: dict[int, bool] = {}
         self.complaint_verdicts: dict[int, str] = {}
-        self.expected_adjudicators: set[int] = set()
+
+    def waiting_for(self, node: int) -> Optional[tuple[str, list[int]]]:
+        if self.local[node] not in self.share_results:
+            return "a share from ", [self.dealer]
+        complainants = self.globals_of(i for i, ok in self.share_results.items() if not ok)
+        if complainants and node not in self.complaint_verdicts:
+            return "complaints from ", complainants
+        return None
 
     def start(self) -> None:
         self.mark("deal_start", 0)
-        if not self.sim.is_live(self.dealer, 0) or self.sim.behavior(self.dealer) == "silent":
+        if not self.sim.is_live(self.dealer, 0):
             return
         rng = self.rng("proto", self.dealer)
         secret = self.backend.scalar(self.spec.secret)
@@ -641,20 +657,11 @@ class PedersenVssEngine(_DomainEngine):
                     if peer != node:
                         self.send(tick, node, peer, "vss-complaint",
                                   complaint, share.to_bytes(self.backend))
-                self.expected_adjudicators.update(self.live_members(tick))
-                verdict = sharing_mod.adjudicate_complaint(complaint)
-                self.complaint_verdicts[node] = verdict.value
-            self._maybe_finish(tick)
+                self.complaint_verdicts[node] = sharing_mod.adjudicate_complaint(complaint).value
         elif msg.kind == "vss-complaint":
-            verdict = sharing_mod.adjudicate_complaint(msg.payload)
-            self.complaint_verdicts[node] = verdict.value
-            self._maybe_finish(tick)
+            self.complaint_verdicts[node] = sharing_mod.adjudicate_complaint(msg.payload).value
 
-    def _maybe_finish(self, tick: int) -> None:
-        if not self.every_live_in((self.globl[i] for i in self.share_results), tick):
-            return
-        if self.expected_adjudicators and set(self.complaint_verdicts) < self.expected_adjudicators:
-            return
+    def phase_done(self, tick: int) -> None:
         self.mark("done", tick)
         if all(self.share_results.values()):
             self.verdicts.append("all shares verified")
@@ -698,15 +705,22 @@ class AvssEngine(_DomainEngine):
             self.send(0, self.dealer, recipient, "avss-deal",
                       deal, self.backend.encode_scalar(deal.share()))
 
+    def waiting_for(self, node: int) -> Optional[tuple[str, list[int]]]:
+        recovery = self.nodes.get(self.local[node])
+        if recovery is None:
+            return "a deal from ", [self.dealer]
+        if recovery.complete:
+            return None
+        return "points from ", [m for m in self.members
+                                if m != node and self.local[m] not in recovery.points]
+
     def on_message(self, node: int, msg: Message, tick: int) -> None:
         recovery = self.nodes[self.local[node]]
         if msg.kind == "avss-deal":
             if not recovery.accept_deal(msg.payload):
                 self.verdicts.append(f"node {node} rejected its deal")
-                return
-            self._maybe_finish(tick)
-        elif msg.kind == "avss-point" and recovery.receive(msg.payload):
-            self._maybe_finish(tick)
+        else:
+            recovery.receive(msg.payload)
 
     def on_tick(self, node: int, tick: int) -> None:
         local = self.local[node]
@@ -716,11 +730,7 @@ class AvssEngine(_DomainEngine):
             corrupt = self.sim.behavior(node) == "corrupt_shares"
             for pmsg in avss_mod.exchange_messages(recovery.as_deal(), list(self.globl)):
                 if corrupt:
-                    pmsg = avss_mod.PointExchange(
-                        pmsg.sender, pmsg.recipient,
-                        pmsg.row_value + 1, pmsg.row_blind,
-                        pmsg.col_value, pmsg.col_blind,
-                    )
+                    pmsg = replace(pmsg, row_value=pmsg.row_value + 1)
                 recipient = self.globl[pmsg.recipient]
                 self.send(tick, node, recipient, "avss-point", pmsg,
                           self.backend.encode_scalar(pmsg.row_value))
@@ -728,9 +738,7 @@ class AvssEngine(_DomainEngine):
     def _completed(self) -> list[int]:
         return [local for local, recovery in self.nodes.items() if recovery.complete]
 
-    def _maybe_finish(self, tick: int) -> None:
-        if not self.every_live_in(self.globals_of(self._completed()), tick):
-            return
+    def phase_done(self, tick: int) -> None:
         self.mark("done", tick)
         sample = self._completed()[:self.spec.threshold]
         secret = avss_mod.avss_recover_secret([(i, self.nodes[i].share()) for i in sample])
@@ -825,21 +833,25 @@ class Simulator:
                 dropped = engine.completed and msg.kind != "gossip-broadcast"
                 if dropped or not self.is_live(msg.dst, tick):
                     continue
-                self._timed(f"{msg.domain}/{msg.kind}", engine.on_message, msg.dst, msg, tick)
+                label = f"{msg.domain}/{msg.kind}"
+                self._timed(label, engine.on_message, msg.dst, msg, tick)
+                self._timed(label, engine.settle, tick)
             for domain_id in sorted(self.engines):
                 engine = self.engines[domain_id]
-                if engine.completed:
-                    continue
-                for node in engine.members:
-                    if self.is_live(node, tick):
-                        self._timed(f"{domain_id}/tick", engine.on_tick, node, tick)
+                label = f"{domain_id}/tick"
+                self._timed(label, engine.settle, tick, True)
+                for node in engine.live_members(tick):
+                    if engine.completed:
+                        break
+                    self._timed(label, engine.on_tick, node, tick)
+                    self._timed(label, engine.settle, tick)
             if all(e.completed for e in self.engines.values()) and not self.queue:
                 break
             tick += 1
         for domain_id in sorted(self.engines):
             engine = self.engines[domain_id]
             if not engine.completed:
-                engine.on_timeout(min(tick, self.config.max_ticks))
+                engine.time_out(min(tick, self.config.max_ticks))
         return self._report(tick, time.perf_counter() - started)
 
     def _timed(self, label: str, fn, *args) -> None:

@@ -10,6 +10,7 @@ from trustmesh.polynomials import lagrange_coefficient
 from trustmesh.rng import SeededRng
 from trustmesh.signing import (
     KeyShare,
+    NonceIntake,
     PartialVerifier,
     Signature,
     Signer,
@@ -390,3 +391,62 @@ class TestRunSession:
         assert sigs[0] == sigs[2]
         # one seed, two messages: four distinct nonce pairs, the repeat reuses its own
         assert len(set(published[:4])) == 4 and published[4:] == published[:2]
+
+
+class TestIntake:
+    """One node's nonce-list intake, fed one list at a time."""
+
+    def lists(self, backend, seed=16):
+        _, signers = make_signers(backend, t=3, n=5, seed=seed)
+        rng = SeededRng(seed)
+        return {i: signers[i].round1(rng.fork(str(i))) for i in signers}
+
+    def test_any_order_gives_the_built_package(self, backend):
+        lists = self.lists(backend)
+        coalition = (1, 2, 4)
+        expected = SigningPackage.build(b"intake", {i: lists[i].pairs[0] for i in coalition})
+        for order in itertools.permutations(coalition):
+            intake = NonceIntake(b"intake", coalition)
+            returned = [intake.receive(i, lists[i]) for i in order]
+            assert returned[:-1] == [None, None]
+            assert returned[-1] == expected
+            assert intake.package == expected
+
+    def test_repeats_and_outsiders_are_ignored(self, toy):
+        lists = self.lists(toy)
+        later = self.lists(toy, seed=17)
+        intake = NonceIntake(b"intake", (4, 1, 2))
+        assert intake.coalition == (1, 2, 4)
+        assert intake.receive(3, lists[3]) is None          # not in the coalition
+        assert intake.receive(1, lists[1]) is None
+        assert intake.receive(1, later[1]) is None          # repeat: the first list counts
+        assert intake.receive(5, lists[5]) is None
+        assert intake.missing() == [2, 4]
+        assert intake.receive(2, lists[2]) is None
+        package = intake.receive(4, lists[4])
+        assert package.pair(1) == lists[1].pairs[0]
+        assert package.coalition == (1, 2, 4)
+        assert intake.receive(4, later[4]) is None          # complete: nothing more counts
+        assert intake.package is package
+
+    def test_missing_shrinks_to_empty(self, toy):
+        lists = self.lists(toy)
+        intake = NonceIntake(b"intake", (1, 2, 4))
+        seen = [intake.missing()]
+        for i in (4, 1, 2):
+            intake.receive(i, lists[i])
+            seen.append(intake.missing())
+        assert seen == [[1, 2, 4], [1, 2], [2], []]
+
+    def test_run_session_signature_is_unchanged(self, backend):
+        # bytes from the signing session as it stood before it went through
+        # the intake: seeded `trustmesh sign` output must not move
+        expected = {
+            "toy": "0600",
+            "ed25519": "2ba21eb307493c2bda1551c34855ca992b539683330929ecd5230cf57de1c9fd"
+                       "b697d58e1943e8aaecc36063af5057428e5eb398d14fb43056259d196a9b5808",
+        }
+        keys, _ = make_signers(backend, t=2, n=3, seed=8)
+        sig = signing_session({i: keys[i] for i in (1, 3)}, b"intake", SeededRng(2))
+        assert sig.to_bytes(backend).hex() == expected[backend.name]
+        assert verify(keys[1].group_pk, b"intake", sig)

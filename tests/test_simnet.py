@@ -310,6 +310,94 @@ class TestDeadlines:
         ]
 
 
+class TestWaitRule:
+    """One rule for every protocol: a phase completes once no live member
+    waits, and times out timeout_ticks after its wait began, naming what each
+    waiting node lacks."""
+
+    @pytest.mark.parametrize("backend", ["toy", "ed25519"])
+    def test_avss_nodes_short_of_valid_points_time_out_naming_senders(self, backend):
+        # the dealer reaches 1-3 and node 3 corrupts its points: nodes 4-6
+        # hold two valid points where three are needed
+        config = SimConfig(
+            seed=0, nodes=6, backend=backend,
+            domains=(DomainSpec(
+                "a", (1, 2, 3, 4, 5, 6), 3, protocol="avss", deliver_to=(1, 2, 3),
+            ),),
+            adversaries=(AdversarySpec(3, "corrupt_shares"),),
+            delay=DelaySpec(model="uniform", lo=1, hi=3),
+        )
+        report = run_simulation(config)
+        dom = report.domain("a")
+        assert not dom["ok"]
+        assert report.core["final_tick"] == 50
+        assert dom["verdicts"] == [
+            "node 4 timed out waiting for points from [3, 5, 6]",
+            "node 5 timed out waiting for points from [3, 4, 6]",
+            "node 6 timed out waiting for points from [3, 4, 5]",
+            "timeout at tick 50",
+        ]
+
+    def test_pedersen_dealer_crash_times_out_naming_the_dealer(self):
+        config = SimConfig(
+            seed=0, nodes=4,
+            domains=(DomainSpec("v", (1, 2, 3, 4), 2, protocol="pedersen_vss"),),
+            adversaries=(AdversarySpec(1, "crash", at_tick=0),),
+        )
+        report = run_simulation(config)
+        assert report.core["final_tick"] == 50
+        assert report.domain("v")["verdicts"] == [
+            "node 2 timed out waiting for a share from [1]",
+            "node 3 timed out waiting for a share from [1]",
+            "node 4 timed out waiting for a share from [1]",
+            "timeout at tick 50",
+        ]
+
+    @pytest.mark.parametrize("crashed, at_tick, seed, completed", [
+        (2, 12, 1, [1, 3]),       # every other node has finalized when 2 crashes
+        (3, 5, 0, [1, 2]),        # 1 and 2 finished key generation when 3 crashes
+    ])
+    def test_a_crash_that_leaves_every_live_member_done_completes(
+        self, crashed, at_tick, seed, completed
+    ):
+        config = SimConfig(
+            seed=seed, nodes=3, domains=(dkg_domain(members=(1, 2, 3), t=2),),
+            adversaries=(AdversarySpec(crashed, "crash", at_tick=at_tick),),
+            delay=DelaySpec(model="uniform", lo=1, hi=3),
+        )
+        report = run_simulation(config)
+        dom = report.domain("d")
+        assert dom["ok"]
+        assert dom["completed_members"] == completed
+        assert dom["verdicts"] == [
+            "key generation complete: group keys agree",
+            "signature agreement and verification succeeded",
+        ]
+        toy = get_backend("toy")
+        pk = toy.decode_element(bytes.fromhex(dom["group_pk"]))
+        sig = Signature.from_bytes(bytes.fromhex(dom["signature"]), toy)
+        assert verify(pk, bytes.fromhex(report.core["message"]), sig)
+
+    def test_gossip_stall_names_the_missing_partials(self):
+        # coalition member 1 sends its nonce list, then crashes before it can
+        # contribute a partial: the gossip wait runs timeout_ticks from the
+        # tick the first session opened
+        config = SimConfig(
+            seed=0, nodes=3, domains=(dkg_domain(members=(1, 2, 3), t=2),),
+            adversaries=(AdversarySpec(1, "crash", at_tick=4),),
+        )
+        report = run_simulation(config)
+        dom = report.domain("d")
+        assert dom["marks"]["gossip_start"] == 4
+        assert report.core["final_tick"] == 54
+        assert dom["verdicts"] == [
+            "key generation complete: group keys agree",
+            "node 2 timed out waiting for partials from [1]",
+            "node 3 timed out waiting for partials from [1]",
+            "timeout at tick 54",
+        ]
+
+
 class TestCpuAttribution:
     def test_time_is_booked_by_dispatched_work(self):
         report = run_simulation(SimConfig(seed=4, nodes=4, domains=(dkg_domain(),)))
