@@ -79,7 +79,7 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.value == 0:
             raise ZeroDivisionError("no inverse for 0")
-        return Scalar(pow(self.value, self.q - 2, self.q), self.q)
+        return Scalar(pow(self.value, -1, self.q), self.q)
 
     def __truediv__(self, other):
         v = self._coerce(other)
@@ -143,7 +143,13 @@ class GroupElement:
         return self.backend._eq(self.rep, self.backend._identity_rep())
 
     def is_valid(self) -> bool:
-        """Membership check: on the curve / in the subgroup."""
+        """Whether the representation is a group element.
+
+        On toy this is membership of the order-11 subgroup.  On ed25519 it
+        checks only the curve equation: ``decode_element`` is the subgroup
+        gate for every point that arrives as bytes, and elements built by
+        group operations from decoded ones stay in the subgroup.
+        """
         return self.backend._is_valid(self.rep)
 
     def encode(self) -> bytes:
@@ -313,7 +319,7 @@ class ToyGroup(GroupBackend):
         return (a * b) % self.modulus
 
     def _neg(self, a):
-        return pow(a, self.modulus - 2, self.modulus)
+        return pow(a, -1, self.modulus)
 
     def _mul(self, k, a):
         return pow(a, k % self.order, self.modulus)
@@ -341,12 +347,17 @@ class ToyGroup(GroupBackend):
 # ---------------------------------------------------------------------------
 
 _P = 2**255 - 19
-_D = (-121665 * pow(121666, _P - 2, _P)) % _P
-_SQRT_M1 = pow(2, (_P - 1) // 4, _P)
+_D = 37095705934669439343138083508754565189542113879843219016388785533085940283555  # -121665/121666
+_SQRT_M1 = 19681161376707505956807079304988542015446066515923890162744021073123829784752  # 2^((p-1)/4)
 _BASE_X = 15112221349535400772501151409588531511454012693041857206046113283949847762202
 _BASE_Y = 46316835694926478169428394003475163141307993866256225615783033603165251855960
 
 _D2 = 2 * _D % _P
+
+# Curve25519, v^2 = u^3 + A*u^2 + u, is Ed25519 under u = (1+y)/(1-y) and
+# v = sqrt(-(A+2)) * u/x (RFC 7748, section 4.1)
+_MONT_A = 486662
+_SQRT_MINUS_A2 = 6853475219497561581579357271197624642482790079785650197046958215289687604742
 
 _WINDOW = 4
 _WINDOW_COUNT = 64  # ceil(253 / 4)
@@ -476,6 +487,77 @@ def _ed_mul(k: int, p):
                 p = _ed_double(p)
         return acc
     return _ed_straus(((k, p),))
+
+
+def _sqrt_ratio(u: int, v: int):
+    """A square root of u/v mod p (v nonzero), or None when u/v is not a square.
+
+    One exponentiation and no inversion (RFC 8032, section 5.1.3).
+    """
+    x = u * pow(v, 3, _P) % _P * pow(u * pow(v, 7, _P) % _P, (_P - 5) // 8, _P) % _P
+    vx2 = v * x * x % _P
+    if vx2 == u % _P:
+        return x
+    if vx2 == -u % _P:
+        return x * _SQRT_M1 % _P
+    return None
+
+
+def _legendre(a: int) -> int:
+    """The Legendre symbol (a/p): 1, -1, or 0 when p divides a.
+
+    A binary Jacobi loop, about a quarter of the time of Euler's a^((p-1)/2).
+    """
+    a %= _P
+    n, sign = _P, 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and (n & 7) in (3, 5):
+            sign = -sign  # (2/n) = -1 for n = 3, 5 mod 8
+        if a & n & 2:
+            sign = -sign  # reciprocity flips the sign when both are 3 mod 4
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _in_prime_subgroup(x: int, y: int) -> bool:
+    """Whether the affine Ed25519 point (x, y) lies in the order-q subgroup.
+
+    The curve group is Z_8 x Z_q, so the subgroup is 8E, and P is in it
+    exactly when a half of a half of P is in 2E; halves differ by the
+    order-2 point, which lies in 4E, so any half will do.  The test runs on
+    the Montgomery model (u = (1+y)/(1-y), A = 486662), where:
+
+    * a point with u != 0 is in 2E exactly when u is a square;
+    * a half Q of P has w = u_Q + 1/u_Q = 2*(u_P +- t), t^2 = u_P^2 + A*u_P + 1.
+      The root with w + A square belongs to a rational half (the two values
+      of w + A multiply to the non-square A^2 - 4), and for it
+      u_Q = w/2 + sqrt(u_P)*sqrt(w + A);
+    * a half R of Q is in 2E exactly when w_R + 2 = (sqrt(u_R) + 1/sqrt(u_R))^2
+      is a square.  Since 2 - A is a non-square, (w + A)*(w + 2) has the
+      same Legendre symbol for both roots w, so this step needs no choice.
+
+    Three square roots and two Legendre symbols, no scalar multiplication
+    (after Pornin, "Point-Halving and Subgroup Membership in Twisted Edwards
+    Curves", IACR ePrint 2022/1164).
+    """
+    if x == 0:
+        return y == 1  # the identity; (0, -1) has order 2
+    s = _sqrt_ratio(1 + y, 1 - y)
+    if s is None:
+        return False  # P is not in 2E
+    u = s * s % _P
+    t = _SQRT_MINUS_A2 * s % _P * pow(x, -1, _P) % _P  # v/sqrt(u)
+    h = (u + t) % _P  # w/2
+    if _legendre(2 * h + _MONT_A) != 1:
+        h = (u - t) % _P
+    u = (h + s * _sqrt_ratio(2 * h + _MONT_A, 1)) % _P  # u_Q
+    t = _sqrt_ratio(u * u + _MONT_A * u + 1, 1)
+    if t is None:
+        return False  # Q is not in 2E, so P is not in 4E
+    w = 2 * (u + t)
+    return _legendre((w + _MONT_A) * (w + 2)) == 1
 
 
 class Ed25519Group(GroupBackend):
@@ -608,7 +690,7 @@ class Ed25519Group(GroupBackend):
 
     def _encode(self, a):
         x, y, z, _ = a
-        zinv = pow(z, _P - 2, _P)
+        zinv = pow(z, -1, _P)
         xa = x * zinv % _P
         ya = y * zinv % _P
         return (ya | ((xa & 1) << 255)).to_bytes(32, "little")
@@ -623,12 +705,8 @@ class Ed25519Group(GroupBackend):
         if y >= _P:
             raise ValueError("non-canonical point encoding")
         y2 = y * y % _P
-        u = (y2 - 1) % _P
-        v = (_D * y2 + 1) % _P
-        x = u * pow(v, 3, _P) % _P * pow(u * pow(v, 7, _P) % _P, (_P - 5) // 8, _P) % _P
-        if (v * x * x - u) % _P != 0:
-            x = x * _SQRT_M1 % _P
-        if (v * x * x - u) % _P != 0:
+        x = _sqrt_ratio(y2 - 1, _D * y2 + 1)
+        if x is None:
             raise ValueError("not a point on the curve")
         if x == 0 and sign:
             raise ValueError("invalid sign bit for x=0")
@@ -640,7 +718,7 @@ class Ed25519Group(GroupBackend):
         point = self._decode_point(data)
         # reject small-order components: decoded wire points must sit in the
         # prime-order subgroup
-        if not self._eq(_ed_mul(self.order, point), _ED_IDENTITY):
+        if not _in_prime_subgroup(point[0], point[1]):
             raise ValueError("point is not in the prime-order subgroup")
         return point
 

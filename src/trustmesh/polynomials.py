@@ -62,10 +62,12 @@ def random_polynomial(secret: Scalar, degree: int, rng) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def _check_ids(ids: Sequence[int], require_nonzero: bool) -> None:
-    if len(set(ids)) != len(ids):
+def _check_ids(ids: Sequence[int], q: int, require_nonzero: bool) -> None:
+    # ids are field elements: two that agree mod q are the same point
+    residues = {i % q for i in ids}
+    if len(residues) != len(ids):
         raise ValueError("duplicate participant ids")
-    if require_nonzero and any(i == 0 for i in ids):
+    if require_nonzero and 0 in residues:
         raise ValueError("participant id 0 is reserved for the secret")
 
 
@@ -76,17 +78,17 @@ def lagrange_coefficient(index: int, coalition: Iterable[int], x: Scalar) -> Sca
     lagrange_coefficient(i, coalition, x) * f(i) over the coalition gives f(x).
     """
     ids = sorted(coalition)
-    _check_ids(ids, require_nonzero=True)
+    q = x.q
+    _check_ids(ids, q, require_nonzero=True)
     if index not in ids:
         raise ValueError(f"index {index} is not in the coalition")
-    q = x.q
     num, den = 1, 1
     for other in ids:
         if other == index:
             continue
         num = num * (x.value - other) % q
         den = den * (index - other) % q
-    return Scalar(num * pow(den, q - 2, q) % q, q)
+    return Scalar(num * pow(den, -1, q) % q, q)
 
 
 def interpolate_at(points: Sequence[tuple[int, Scalar]], x: Scalar) -> Scalar:
@@ -94,8 +96,8 @@ def interpolate_at(points: Sequence[tuple[int, Scalar]], x: Scalar) -> Scalar:
     if not points:
         raise ValueError("need at least one point")
     ids = [i for i, _ in points]
-    _check_ids(ids, require_nonzero=False)
     q = x.q
+    _check_ids(ids, q, require_nonzero=False)
     total = 0
     for i, y in points:
         num, den = 1, 1
@@ -104,7 +106,7 @@ def interpolate_at(points: Sequence[tuple[int, Scalar]], x: Scalar) -> Scalar:
                 continue
             num = num * (x.value - j) % q
             den = den * (i - j) % q
-        total = (total + y.value * num % q * pow(den, q - 2, q)) % q
+        total = (total + y.value * num % q * pow(den, -1, q)) % q
     return Scalar(total, q)
 
 
@@ -113,8 +115,8 @@ def interpolate_polynomial(points: Sequence[tuple[int, Scalar]]) -> Polynomial:
     if not points:
         raise ValueError("need at least one point")
     ids = [i for i, _ in points]
-    _check_ids(ids, require_nonzero=False)
     q = points[0][1].q
+    _check_ids(ids, q, require_nonzero=False)
     size = len(points)
     total = [0] * size
     for i, y in points:
@@ -130,7 +132,7 @@ def interpolate_polynomial(points: Sequence[tuple[int, Scalar]]) -> Polynomial:
                 shifted[k] = (shifted[k] - j * basis[k]) % q
             basis = shifted
             den = den * (i - j) % q
-        scale = y.value * pow(den, q - 2, q) % q
+        scale = y.value * pow(den, -1, q) % q
         for k in range(len(basis)):
             total[k] = (total[k] + scale * basis[k]) % q
     return Polynomial(tuple(Scalar(c, q) for c in total))

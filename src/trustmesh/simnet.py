@@ -493,6 +493,19 @@ class DkgSignEngine(_DomainEngine):
             self.verdicts.append("group key disagreement: equivocation detected")
             self.finish(failed=True)
             return
+        # two dealings with the same constant term leave the group keys equal
+        # while the verification shares differ
+        done = list(self._in_phase(dkg_mod.Phase.ROUND2_DONE).values())
+        if any(p.peer_pk_shares != done[0].peer_pk_shares for p in done[1:]):
+            first = done[0].received_broadcasts
+            dealers = self.globals_of(
+                j for j in first
+                if any(p.received_broadcasts[j].commitment != first[j].commitment for p in done[1:])
+            )
+            self.verdicts.append(
+                f"verification share disagreement: equivocation by dealers {dealers}")
+            self.finish(failed=True)
+            return
         self.verdicts.append("key generation complete: group keys agree")
         self.sign_start = tick + 1
 

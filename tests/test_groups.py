@@ -7,6 +7,7 @@ touches the library's own group code.
 
 import pytest
 
+from trustmesh import groups
 from trustmesh.groups import GroupElement, Scalar, get_backend, hash_bytes, hash_to_scalar
 from trustmesh.rng import SeededRng
 
@@ -291,6 +292,106 @@ class TestEd25519Torsion:
         clean += [ed25519.random_scalar(rng) * g for _ in range(5)]
         for p in clean:
             assert ed25519.decode_element(p.encode()) == p
+
+
+FIELD_P = 2**255 - 19
+
+
+def affine(point: GroupElement) -> tuple[int, int]:
+    x, y, z, _ = point.rep
+    zinv = pow(z, FIELD_P - 2, FIELD_P)
+    return x * zinv % FIELD_P, y * zinv % FIELD_P
+
+
+def in_subgroup_oracle(point: GroupElement) -> bool:
+    """[q]P == O by the wNAF kernel: the reference for the halving test."""
+    return point.backend._eq(groups._ed_mul(point.backend.order, point.rep), groups._ED_IDENTITY)
+
+
+class TestEd25519PointCode:
+    """The halving subgroup test, the field helpers and encode, against oracles."""
+
+    @pytest.fixture(scope="class")
+    def torsion(self, ed25519):
+        """The 8-torsion points j*T, j = 0..7, T of order 8 (from a random curve point)."""
+        rng = SeededRng("point-code-torsion")
+        while True:
+            data = rng.getrandbits(256).to_bytes(32, "little")
+            try:
+                x = GroupElement(ed25519, ed25519._decode_point(data))
+            except ValueError:
+                continue
+            t1 = reference_mul(ed25519.order, x)
+            if not reference_mul(4, t1).is_identity():
+                return [reference_mul(j, t1) for j in range(8)]
+
+    def test_membership_matches_q_times_p_on_every_coset(self, ed25519, torsion):
+        rng = SeededRng("point-code-cosets")
+        g = ed25519.generator()
+        bases = [ed25519.identity()] + [ed25519.random_scalar(rng) * g for _ in range(12)]
+        for base in bases:
+            for j, t in enumerate(torsion):
+                point = base + t
+                assert groups._in_prime_subgroup(*affine(point)) is (j == 0)
+                assert in_subgroup_oracle(point) is (j == 0)
+
+    def test_membership_matches_q_times_p_on_random_curve_points(self, ed25519):
+        rng = SeededRng("point-code-random")
+        verdicts = []
+        while len(verdicts) < 60:
+            data = rng.getrandbits(256).to_bytes(32, "little")
+            try:
+                point = GroupElement(ed25519, ed25519._decode_point(data))
+            except ValueError:
+                continue
+            verdicts.append(in_subgroup_oracle(point))
+            assert groups._in_prime_subgroup(*affine(point)) is verdicts[-1]
+        assert True in verdicts and False in verdicts
+
+    def test_encode_matches_fermat_inversion(self, ed25519, torsion):
+        def fermat_encode(point):
+            x, y, z, _ = point.rep
+            zinv = pow(z, FIELD_P - 2, FIELD_P)
+            xa, ya = x * zinv % FIELD_P, y * zinv % FIELD_P
+            return (ya | ((xa & 1) << 255)).to_bytes(32, "little")
+
+        rng = SeededRng("point-code-encode")
+        g = ed25519.generator()
+        points = [ed25519.identity(), *torsion]
+        points += [ed25519.random_scalar(rng) * g + torsion[j % 8] for j in range(20)]
+        for point in points:
+            assert ed25519._encode(point.rep) == fermat_encode(point)
+
+    def test_legendre_and_square_roots_match_euler(self):
+        rng = SeededRng("point-code-field")
+        values = [0, 1, 2, FIELD_P - 1] + [rng.randbelow(FIELD_P) for _ in range(200)]
+        for a in values:
+            euler = pow(a, (FIELD_P - 1) // 2, FIELD_P)
+            want = {0: 0, 1: 1, FIELD_P - 1: -1}[euler]
+            assert groups._legendre(a) == want
+            assert groups._legendre(a + 5 * FIELD_P) == want
+            b = 1 + rng.randbelow(FIELD_P - 1)
+            root = groups._sqrt_ratio(a, b)
+            if pow(a * b, (FIELD_P - 1) // 2, FIELD_P) == FIELD_P - 1:
+                assert root is None
+            else:
+                assert b * root * root % FIELD_P == a
+
+    def test_literal_constants_satisfy_their_equations(self, ed25519):
+        p, a = FIELD_P, groups._MONT_A
+        assert groups._P == p
+        assert groups._D * 121666 % p == -121665 % p
+        assert groups._SQRT_M1 == pow(2, (p - 1) // 4, p)
+        assert groups._SQRT_M1**2 % p == p - 1
+        assert a == 486662
+        assert groups._SQRT_MINUS_A2**2 % p == -(a + 2) % p
+        # the Montgomery map sends G to Curve25519's base point u = 9 (RFC 7748)
+        x, y = affine(ed25519.generator())
+        assert (-x * x + y * y - 1 - groups._D * x * x % p * y * y) % p == 0
+        u = (1 + y) * pow(1 - y, p - 2, p) % p
+        v = groups._SQRT_MINUS_A2 * u % p * pow(x, p - 2, p) % p
+        assert u == 9
+        assert (v * v - (u**3 + a * u * u + u)) % p == 0
 
 
 class TestProtocolHashes:

@@ -140,6 +140,19 @@ class TestInterpolateAt:
         with pytest.raises(ValueError):
             interpolate_at(pts, backend.scalar(0))
 
+    def test_ids_equal_mod_q_rejected(self, toy):
+        # 12 = 1 mod 11: the two points share an x-coordinate, so no
+        # polynomial passes through both (the Fermat inverse of 0 returned 0)
+        pts = [(1, toy.scalar(3)), (12, toy.scalar(5))]
+        with pytest.raises(ValueError, match="duplicate participant ids"):
+            interpolate_at(pts, toy.scalar(0))
+        with pytest.raises(ValueError, match="duplicate participant ids"):
+            interpolate_polynomial(pts)
+        with pytest.raises(ValueError, match="duplicate participant ids"):
+            lagrange_coefficient(1, [1, 12], toy.scalar(0))
+        with pytest.raises(ValueError, match="reserved"):
+            lagrange_coefficient(1, [1, 11], toy.scalar(0))
+
     def test_recovers_constant_from_any_subset(self, backend):
         rng = SeededRng(f"interp-{backend.name}")
         q = backend.order

@@ -195,6 +195,18 @@ class TestAdversaries:
         assert not dom["ok"]
         assert any("equivocation" in v for v in dom["verdicts"])
 
+    def test_equivocation_with_agreeing_group_keys_detected(self):
+        # on toy, node 2's two dealings share their constant term for this
+        # seed: the group keys agree and only the verification shares differ
+        config = SimConfig(
+            seed=1, nodes=5, domains=(dkg_domain(members=(1, 2, 3, 4, 5)),),
+            adversaries=(AdversarySpec(2, "equivocate"),),
+        )
+        dom = run_simulation(config).domain("d")
+        assert not dom["ok"]
+        assert dom["verdicts"] == ["verification share disagreement: equivocation by dealers [2]"]
+        assert dom["completed_members"] == []
+
     def test_crash_outside_coalition_is_tolerated(self):
         config = SimConfig(
             seed=34, nodes=4, domains=(dkg_domain(coalition=(1, 2)),),
