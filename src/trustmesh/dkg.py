@@ -12,6 +12,14 @@ A node runs the rounds either through the in-process driver (run_round1,
 run_round2) or message by message through the per-node intake
 (dkg_receive_broadcast, dkg_receive_share), which the simulator uses.
 
+Each node checks only its peers' inputs: its own proof and share come from
+its own polynomial.  On a group of order above 2^128 a node checks all its
+received shares at once, with one random-weight test (Bellare, Garay and
+Rabin, EUROCRYPT 1998), and repeats the per-dealer Feldman checks only when
+that test fails, to name the culprits.  Verification shares are stepped by
+forward differences (Knuth, TAOCP Vol. 2, 4.6.4) rather than evaluated one
+by one.
+
 Here the threshold t is the signing coalition size: each dealt polynomial has
 degree t-1 and commitment vectors carry t entries.  Any verification failure
 aborts the run naming the misbehaving dealer; there is no complaint round.
@@ -177,12 +185,11 @@ def dkg_accept_round1(state: Participant, broadcasts: Mapping[int, Round1Broadca
     missing = sorted(set(range(1, state.n + 1)) - set(broadcasts) - {state.id})
     if missing:
         state._abort(f"missing round-1 broadcasts from {missing}", missing)
-    merged = dict(broadcasts)
-    merged[state.id] = state.received_broadcasts[state.id]
-    faulty = dkg_verify_round1(merged, state.crs, state.backend, state.t)
+    peers = {sender: bc for sender, bc in broadcasts.items() if sender != state.id}
+    faulty = dkg_verify_round1(peers, state.crs, state.backend, state.t)
     if faulty:
         state._abort(f"invalid proof of knowledge from {faulty}", faulty)
-    state.received_broadcasts = merged
+    state.received_broadcasts = {**peers, state.id: state.received_broadcasts[state.id]}
 
 
 def dkg_round2_send(state: Participant) -> list[tuple[int, Scalar]]:
@@ -195,8 +202,64 @@ def dkg_round2_send(state: Participant) -> list[tuple[int, Scalar]]:
     ]
 
 
+_SHARE_BATCH_TAG = "trustmesh/dkg-share-batch"
+
+
+def share_batch_weights(
+    backend: GroupBackend, node: int, shares: Mapping[int, Scalar],
+    broadcasts: Mapping[int, Round1Broadcast],
+) -> dict[int, int]:
+    """Nonzero 128-bit weight per sender for ``node``'s batched share check.
+
+    The weights hash every checked share and commitment, in sender order, so
+    a dealer cannot choose its share knowing its weight.
+    """
+    senders = sorted(shares)
+    seed = hash_bytes(_SHARE_BATCH_TAG, [id_bytes(node)] + [
+        part for s in senders
+        for part in (id_bytes(s), backend.encode_scalar(shares[s]), broadcasts[s].commitment.to_bytes())
+    ])
+    return {
+        s: int.from_bytes(hash_bytes(_SHARE_BATCH_TAG, [seed, id_bytes(s)])[:16], "big") or 1
+        for s in senders
+    }
+
+
+def _shares_batch_valid(state: Participant, shares: Mapping[int, Scalar]) -> bool:
+    """(sum w_j*s_j)*G == sum w_j*C_j(id) over the senders j of ``shares``."""
+    backend = state.backend
+    broadcasts = state.received_broadcasts
+    weights = share_batch_weights(backend, state.id, shares, broadcasts)
+    lhs = backend.scalar(sum(w * shares[s].value for s, w in weights.items())) * backend.generator()
+    return lhs == backend.multi_mul(
+        list(weights.values()),
+        [broadcasts[s].commitment.share_commitment(state.id) for s in weights],
+    )
+
+
+def committed_evaluations(vector: CommitmentVector, n: int) -> dict[int, GroupElement]:
+    """The committed values at ids 1..n, for n >= len(vector).
+
+    Ids 1..t (t = len(vector)) are evaluated directly; every later id costs
+    t-1 additions to a table of backward differences, which is constant in
+    its last entry because the committed polynomial has degree t-1.
+    """
+    t = len(vector)
+    values = {i: vector.share_commitment(i) for i in range(1, t + 1)}
+    diffs = [values[t - k] for k in range(t)]
+    for k in range(1, t):
+        for j in range(t - 1, k - 1, -1):
+            diffs[j] = diffs[j - 1] - diffs[j]
+    # now diffs[k] is the k-th backward difference at id t
+    for i in range(t + 1, n + 1):
+        for k in range(t - 2, -1, -1):
+            diffs[k] = diffs[k] + diffs[k + 1]
+        values[i] = diffs[0]
+    return values
+
+
 def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
-    """Verify all received shares, then derive key material.
+    """Verify the peers' shares, then derive key material.
 
     Returns (sk_share, pk_share, group_pk).  Received share values are
     dropped from the state once the signing share is derived.
@@ -206,35 +269,37 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
     if len(broadcasts) != state.n:
         raise ValueError("round-1 broadcasts must be accepted before finalizing")
 
-    all_shares = dict(shares)
-    all_shares.setdefault(state.id, state.self_share)
-    missing = sorted(set(range(1, state.n + 1)) - set(all_shares))
+    peer_shares = {s: v for s, v in shares.items() if s != state.id}
+    missing = sorted(set(range(1, state.n + 1)) - set(peer_shares) - {state.id})
     if missing:
         state._abort(f"missing round-2 shares from {missing}", missing)
 
     backend = state.backend
-    faulty = sorted(
-        sender for sender, value in all_shares.items()
-        if not feldman_verify(SharePacket(state.id, value), broadcasts[sender].commitment)
-    )
-    if faulty:
-        state._abort(f"share verification failed for {faulty}", faulty)
+    # a 128-bit weight can vanish mod a smaller q and drop its dealer from the
+    # batch, so such groups (toy) check dealer by dealer
+    if backend.order <= 1 << 128 or not _shares_batch_valid(state, peer_shares):
+        faulty = sorted(
+            sender for sender, value in peer_shares.items()
+            if not feldman_verify(SharePacket(state.id, value), broadcasts[sender].commitment)
+        )
+        if faulty:
+            state._abort(f"share verification failed for {faulty}", faulty)
 
+    all_shares = {**peer_shares, state.id: state.self_share}
     sk = backend.scalar(sum(v.value for v in all_shares.values()))
     state.sk_share = sk
-    state.pk_share = sk * backend.generator()
 
     # the summed commitment vector commits to the sum of all dealt
     # polynomials: its constant term is the group key, and its evaluation at
-    # each peer id is that peer's verification share
+    # each peer id is that peer's verification share (at this node's own id,
+    # sk*G, since every share matched its commitment)
     summed_vector = CommitmentVector(tuple(
         backend.element_sum(broadcasts[s].commitment.entries[k] for s in sorted(broadcasts))
         for k in range(state.t)
     ))
     state.group_pk = summed_vector.entries[0]
-    state.peer_pk_shares = {
-        peer: summed_vector.share_commitment(peer) for peer in range(1, state.n + 1)
-    }
+    state.peer_pk_shares = committed_evaluations(summed_vector, state.n)
+    state.pk_share = state.peer_pk_shares[state.id]
 
     state.pending_shares.clear()
     state.phase = Phase.ROUND2_DONE

@@ -126,7 +126,7 @@ def gossip_maybe_terminate(node: GossipNode, rng) -> Optional[Transcript]:
 
 
 def observe_broadcast(node: GossipNode, transcript: Transcript, pk_shares, group_pk) -> None:
-    """Adopt the smallest broadcast seen so far and aggregate it.
+    """Adopt the smallest broadcast seen so far and aggregate it with the node's verifier.
 
     Every broadcast eventually reaches every node, so adopting the minimum of
     (context hash, content hash) converges to one signature network-wide.
@@ -150,6 +150,7 @@ def observe_broadcast(node: GossipNode, transcript: Transcript, pk_shares, group
             {m: transcript.contributions[m] for m in coalition},
             pk_shares,
             group_pk,
+            verifier=node.verifier,
         )
     except ProtocolAbort:
         return

@@ -312,12 +312,21 @@ def aggregate(
     partials: Mapping[int, Scalar],
     pk_shares: Mapping[int, GroupElement],
     group_pk: GroupElement,
+    *,
+    verifier: Optional[PartialVerifier] = None,
 ) -> Signature:
-    """Verify every coalition partial and sum them into the final signature."""
+    """Verify every coalition partial and sum them into the final signature.
+
+    A caller that already holds this session's PartialVerifier passes it as
+    ``verifier``; one built for another package or group key is rejected.
+    """
     missing = sorted(set(package.coalition) - set(partials))
     if missing:
         raise ValueError(f"incomplete session: missing partials from {missing}")
-    verifier = PartialVerifier(package, pk_shares, group_pk)
+    if verifier is None:
+        verifier = PartialVerifier(package, pk_shares, group_pk)
+    elif verifier.package != package or verifier.group_pk != group_pk:
+        raise ValueError("verifier was built for another signing package or group key")
     faulty = sorted(
         member for member in package.coalition if not verifier.verify(member, partials[member])
     )

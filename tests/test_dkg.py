@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from trustmesh import dkg as dkg_mod
 from trustmesh.dkg import (
     Participant,
     Phase,
     ProofOfKnowledge,
     combine_signing_shares,
+    committed_evaluations,
     dkg_accept_round1,
     dkg_receive_broadcast,
     dkg_receive_share,
@@ -21,11 +23,13 @@ from trustmesh.dkg import (
     pok_verify,
     run_dkg,
     run_round2,
+    share_batch_weights,
     transcript_jsonl,
 )
 from trustmesh.errors import ProtocolAbort
 from trustmesh.groups import hash_to_scalar, id_bytes
 from trustmesh.rng import SeededRng
+from trustmesh.sharing import CommitmentVector
 
 TOY_P, TOY_Q, TOY_G = 23, 11, 2
 
@@ -358,3 +362,148 @@ class TestTranscript:
         parts = full_run(backend, 2, 4)
         final_hashes = {p.transcript[-1]["hash"] for p in parts}
         assert len(final_hashes) == 1
+
+
+def dealt_and_accepted(backend, t=3, n=5, seed=0):
+    """Participants that have dealt and accepted round 1, plus each one's outbound shares."""
+    rng = SeededRng(seed)
+    parts = fresh(backend, t, n)
+    bcs = {p.id: dkg_round1(p, rng.fork(str(p.id))) for p in parts}
+    for p in parts:
+        dkg_accept_round1(p, bcs)
+    return parts, {p.id: dict(dkg_round2_send(p)) for p in parts}
+
+
+def inbound_for(receiver, outbound):
+    return {s: shares[receiver.id] for s, shares in outbound.items() if s != receiver.id}
+
+
+def counting(monkeypatch, name):
+    """Replace dkg.<name> with a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(dkg_mod, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(dkg_mod, name, wrapper)
+    return calls
+
+
+def checked_dealers(receiver, feldman_calls):
+    """The dealers whose commitment a recorded feldman_verify call checked."""
+    by_commitment = {id(bc.commitment): s for s, bc in receiver.received_broadcasts.items()}
+    assert all(packet.id == receiver.id for packet, _ in feldman_calls)
+    return sorted(by_commitment[id(commitment)] for _, commitment in feldman_calls)
+
+
+class TestBatchedShareCheck:
+    def test_offsets_that_cancel_are_blamed_on_both_dealers(self, ed25519):
+        parts, outbound = dealt_and_accepted(ed25519)
+        receiver = parts[0]
+        inbound = inbound_for(receiver, outbound)
+        delta = ed25519.scalar(12345)
+        inbound[2] = inbound[2] + delta
+        inbound[4] = inbound[4] - delta
+        with pytest.raises(ProtocolAbort) as exc:
+            dkg_round2_finalize(receiver, inbound)
+        assert exc.value.faulty_ids == (2, 4)
+        assert receiver.abort_reason == "share verification failed for [2, 4]"
+
+    def test_one_corrupt_dealer_is_named_alone(self, ed25519):
+        parts, outbound = dealt_and_accepted(ed25519)
+        receiver = parts[2]
+        inbound = inbound_for(receiver, outbound)
+        inbound[5] = inbound[5] + 1
+        with pytest.raises(ProtocolAbort) as exc:
+            dkg_round2_finalize(receiver, inbound)
+        assert exc.value.faulty_ids == (5,)
+        assert receiver.abort_reason == "share verification failed for [5]"
+        assert receiver.phase is Phase.ABORTED
+
+    def test_honest_shares_pass_the_batch_without_per_dealer_checks(self, ed25519, monkeypatch):
+        parts, outbound = dealt_and_accepted(ed25519)
+        checks = counting(monkeypatch, "feldman_verify")
+        for p in parts:
+            dkg_round2_finalize(p, inbound_for(p, outbound))
+        assert checks == []
+        assert len({p.group_pk.encode() for p in parts}) == 1
+
+    def test_a_failed_batch_checks_each_peer_dealer_once(self, ed25519, monkeypatch):
+        parts, outbound = dealt_and_accepted(ed25519)
+        receiver = parts[0]
+        inbound = inbound_for(receiver, outbound)
+        inbound[3] = inbound[3] + 1
+        checks = counting(monkeypatch, "feldman_verify")
+        with pytest.raises(ProtocolAbort):
+            dkg_round2_finalize(receiver, inbound)
+        assert checked_dealers(receiver, checks) == [2, 3, 4, 5]
+
+    def test_toy_checks_dealer_by_dealer(self, toy, monkeypatch):
+        # a weight can vanish mod 11, so the toy group never batches
+        parts, outbound = dealt_and_accepted(toy, t=2, n=4)
+        weights = counting(monkeypatch, "share_batch_weights")
+        checks = counting(monkeypatch, "feldman_verify")
+        dkg_round2_finalize(parts[0], inbound_for(parts[0], outbound))
+        assert weights == []
+        assert len(checks) == parts[0].n - 1
+
+    def test_weights_are_a_pure_function_of_the_inputs(self, ed25519):
+        parts, outbound = dealt_and_accepted(ed25519)
+        receiver = parts[0]
+        inbound = inbound_for(receiver, outbound)
+        bcs = receiver.received_broadcasts
+        weights = share_batch_weights(ed25519, receiver.id, inbound, bcs)
+        copied = {s: ed25519.scalar(v.value) for s, v in reversed(inbound.items())}
+        assert share_batch_weights(ed25519, receiver.id, copied, dict(bcs)) == weights
+        assert sorted(weights) == [2, 3, 4, 5]
+        assert all(0 < w < 1 << 128 for w in weights.values())
+        assert len(set(weights.values())) == len(weights)
+        changed = dict(inbound)
+        changed[3] = changed[3] + 1
+        assert share_batch_weights(ed25519, receiver.id, changed, bcs) != weights
+        assert share_batch_weights(ed25519, 6, inbound, bcs) != weights
+
+
+class TestNoSelfChecks:
+    def test_round1_verifies_peer_proofs_only(self, backend, monkeypatch):
+        rng = SeededRng(5)
+        parts = fresh(backend, 2, 4)
+        bcs = {p.id: dkg_round1(p, rng.fork(str(p.id))) for p in parts}
+        checked = counting(monkeypatch, "pok_verify")
+        dkg_accept_round1(parts[1], bcs)
+        assert sorted(args[1] for args in checked) == [1, 3, 4]
+        assert parts[1].received_broadcasts[2] is bcs[2]
+        assert set(parts[1].received_broadcasts) == {1, 2, 3, 4}
+
+    def test_round2_does_not_check_the_own_share(self, toy, monkeypatch):
+        parts, outbound = dealt_and_accepted(toy, t=2, n=4)
+        receiver = parts[3]
+        checks = counting(monkeypatch, "feldman_verify")
+        dkg_round2_finalize(receiver, inbound_for(receiver, outbound))
+        assert checked_dealers(receiver, checks) == [1, 2, 3]
+        assert receiver.sk_share == sum(
+            (v for v in inbound_for(receiver, outbound).values()), receiver.self_share)
+
+
+class TestVerificationShares:
+    @pytest.mark.parametrize("t,n", [(2, 2), (2, 7), (3, 3), (3, 9), (4, 10)])
+    def test_forward_differences_match_direct_evaluation(self, backend, t, n):
+        rng = SeededRng(f"fd/{t}/{n}")
+        vector = CommitmentVector(tuple(
+            backend.random_scalar(rng) * backend.generator() for _ in range(t)))
+        values = committed_evaluations(vector, n)
+        assert sorted(values) == list(range(1, n + 1))
+        for i in range(1, n + 1):
+            assert values[i] == vector.share_commitment(i)
+
+    @pytest.mark.parametrize("t,n", [(2, 2), (2, 6), (3, 3), (3, 7)])
+    def test_peer_pk_shares_commit_to_every_signing_share(self, backend, t, n):
+        parts = run_dkg(backend, t, n, SeededRng(t * 100 + n))
+        bcs = parts[0].received_broadcasts
+        for p in parts:
+            assert p.pk_share == p.sk_share * backend.generator()
+            for i in range(1, n + 1):
+                direct = backend.element_sum(bcs[s].commitment.share_commitment(i) for s in bcs)
+                assert p.peer_pk_shares[i] == direct
+                assert p.peer_pk_shares[i] == parts[i - 1].sk_share * backend.generator()

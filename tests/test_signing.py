@@ -450,3 +450,38 @@ class TestIntake:
         sig = signing_session({i: keys[i] for i in (1, 3)}, b"intake", SeededRng(2))
         assert sig.to_bytes(backend).hex() == expected[backend.name]
         assert verify(keys[1].group_pk, b"intake", sig)
+
+
+class TestAggregateWithVerifier:
+    def session(self, backend):
+        keys, signers = make_signers(backend, t=2, n=4, seed=11)
+        return keys, run_session(backend, keys, signers, (1, 3), b"reuse")
+
+    def test_given_verifier_gives_the_same_signature(self, backend):
+        keys, (package, partials, sig) = self.session(backend)
+        verifier = PartialVerifier(package, keys[2].pk_shares, keys[2].group_pk)
+        again = aggregate(package, partials, keys[2].pk_shares, keys[2].group_pk, verifier=verifier)
+        assert again.to_bytes(backend) == sig.to_bytes(backend)
+
+    def test_given_verifier_still_blames_a_bad_partial(self, backend):
+        keys, (package, partials, _) = self.session(backend)
+        verifier = PartialVerifier(package, keys[1].pk_shares, keys[1].group_pk)
+        bad = dict(partials)
+        bad[3] = bad[3] + 1
+        with pytest.raises(ProtocolAbort) as exc:
+            aggregate(package, bad, keys[1].pk_shares, keys[1].group_pk, verifier=verifier)
+        assert exc.value.faulty_ids == (3,)
+
+    def test_verifier_for_another_package_is_rejected(self, backend):
+        keys, (package, partials, _) = self.session(backend)
+        other = SigningPackage.build(b"another message", {m: package.pair(m) for m in package.coalition})
+        verifier = PartialVerifier(other, keys[1].pk_shares, keys[1].group_pk)
+        with pytest.raises(ValueError, match="another signing package"):
+            aggregate(package, partials, keys[1].pk_shares, keys[1].group_pk, verifier=verifier)
+
+    def test_verifier_for_another_group_key_is_rejected(self, ed25519):
+        keys, (package, partials, _) = self.session(ed25519)
+        other_keys, _ = make_signers(ed25519, t=2, n=4, seed=12)
+        verifier = PartialVerifier(package, other_keys[1].pk_shares, other_keys[1].group_pk)
+        with pytest.raises(ValueError, match="group key"):
+            aggregate(package, partials, keys[1].pk_shares, keys[1].group_pk, verifier=verifier)

@@ -10,13 +10,14 @@ from trustmesh.errors import ConfigError
 from trustmesh.groups import get_backend
 from trustmesh.polynomials import interpolate_at
 from trustmesh.rng import SeededRng
-from trustmesh.signing import Signature, verify
+from trustmesh.signing import PartialVerifier, Signature, verify
 from trustmesh.simnet import (
     AdversarySpec,
     DelaySpec,
     DomainSpec,
     GossipSpec,
     SimConfig,
+    Simulator,
     load_scenario,
     run_simulation,
 )
@@ -500,3 +501,26 @@ class TestConfigValidation:
         draws = {spec.draw(rng) for _ in range(200)}
         assert draws <= {2, 3, 4, 5}
         assert min(draws) >= 2
+
+
+class TestVerifierBuilds:
+    @pytest.mark.parametrize("backend", ["toy", "ed25519"])
+    def test_one_partial_verifier_per_node_that_builds_a_session(self, backend, monkeypatch):
+        built = []
+        original = PartialVerifier.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            original(self, *args)
+        monkeypatch.setattr(PartialVerifier, "__init__", counting_init)
+        config = SimConfig(
+            seed=7, nodes=5, backend=backend,
+            domains=(dkg_domain(members=(1, 2, 3, 4, 5), t=3),),
+        )
+        sim = Simulator(config)
+        report = sim.run()
+        gnodes = sim.engines["d"].gnodes
+        assert report.domain("d")["ok"]
+        assert sorted(gnodes) == [1, 2, 3, 4, 5]
+        assert all(g.finalized is not None for g in gnodes.values())
+        assert sorted(map(id, built)) == sorted(id(g.verifier) for g in gnodes.values())
