@@ -117,7 +117,7 @@ def _load_group(path: str):
             for i, hexval in data["pk_shares"].items()
         }
         return backend, int(data["t"]), int(data["n"]), group_pk, pk_shares
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"cannot load group file {path}: {exc}")
 
 

@@ -140,7 +140,7 @@ class GroupElement:
         return hash((self.backend.name, self.encode()))
 
     def is_identity(self) -> bool:
-        return self.backend._eq(self.rep, self.backend._identity_rep())
+        return self.backend._eq(self.rep, self.backend._identity)
 
     def is_valid(self) -> bool:
         """Whether the representation is a group element.
@@ -179,6 +179,10 @@ class GroupBackend:
     order: int
     scalar_bytes: int
     element_bytes: int
+    # representations of G, H and the identity, declared per backend
+    _gen: object
+    _second_gen: object
+    _identity: object
 
     # -- scalars ----------------------------------------------------------
 
@@ -207,19 +211,17 @@ class GroupBackend:
     # -- elements ---------------------------------------------------------
 
     def generator(self) -> GroupElement:
-        return GroupElement(self, self._generator_rep())
+        return GroupElement(self, self._gen)
 
     def second_generator(self) -> GroupElement:
-        return GroupElement(self, self._second_generator_rep())
+        return GroupElement(self, self._second_gen)
 
     def identity(self) -> GroupElement:
-        return GroupElement(self, self._identity_rep())
+        return GroupElement(self, self._identity)
 
     def element_sum(self, elements: Iterable[GroupElement]) -> GroupElement:
-        acc = self.identity()
-        for e in elements:
-            acc = acc + e
-        return acc
+        elements = list(elements)
+        return self.multi_mul([1] * len(elements), elements)
 
     def multi_mul(self, scalars: Sequence, elements: Sequence[GroupElement]) -> GroupElement:
         """Sum of k_i*P_i (each k_i a Scalar or int); the identity when empty."""
@@ -244,15 +246,6 @@ class GroupBackend:
         return GroupElement(self, self._decode(data))
 
     # hooks implemented per backend
-    def _generator_rep(self):
-        raise NotImplementedError
-
-    def _second_generator_rep(self):
-        raise NotImplementedError
-
-    def _identity_rep(self):
-        raise NotImplementedError
-
     def _add(self, a, b):
         raise NotImplementedError
 
@@ -264,7 +257,7 @@ class GroupBackend:
 
     def _multi_mul(self, terms):
         """Sum of k*a over (k, a) terms; the generic loop, one _mul per term."""
-        acc = self._identity_rep()
+        acc = self._identity
         for k, a in terms:
             acc = self._add(acc, self._mul(k, a))
         return acc
@@ -303,17 +296,9 @@ class ToyGroup(GroupBackend):
     scalar_bytes = 1
     element_bytes = 1
 
-    _g = 2
-    _h = 3
-
-    def _generator_rep(self):
-        return self._g
-
-    def _second_generator_rep(self):
-        return self._h
-
-    def _identity_rep(self):
-        return 1
+    _gen = 2
+    _second_gen = 3
+    _identity = 1
 
     def _add(self, a, b):
         return (a * b) % self.modulus
@@ -411,8 +396,14 @@ def _wnaf(k: int) -> list[tuple[int, int]]:
     return digits
 
 
+def _ed_cached(p) -> tuple:
+    """P = (X, Y, Z, T) as (Y+X, Y-X, 2Z, 2*D*T), the form the Straus loop adds."""
+    x, y, z, t = p
+    return ((y + x) % _P, (y - x) % _P, 2 * z % _P, t * _D2 % _P)
+
+
 def _ed_cached_multiples(p, top: int) -> dict:
-    """{+-j: j*P} for odd j <= top, cached as (Y+X, Y-X, 2Z, 2*D*T)."""
+    """{+-j: j*P} for odd j <= top, in cached form."""
     table = {}
     q = p
     two_p = None
@@ -421,23 +412,23 @@ def _ed_cached_multiples(p, top: int) -> dict:
             if two_p is None:
                 two_p = _ed_double(p)
             q = _ed_add(q, two_p)
-        x, y, z, t = q
-        ypx, ymx, z2, t2d = (y + x) % _P, (y - x) % _P, 2 * z % _P, t * _D2 % _P
-        table[j] = (ypx, ymx, z2, t2d)
+        ypx, ymx, z2, t2d = table[j] = _ed_cached(q)
         table[-j] = (ymx, ypx, z2, _P - t2d)  # -(X, Y, Z, T) = (-X, Y, Z, -T)
     return table
 
 
-def _ed_straus(terms) -> tuple:
-    """Sum of k*P over (k, P) terms, k >= 0: interleaved width-5 wNAF.
+def _ed_straus(terms, extra=()) -> tuple:
+    """Sum of k*P over (k, P) terms, k >= 0, plus the cached points in extra.
 
     Every term shares one doubling chain (Straus, as Moller's "Algorithms
     for multi-exponentiation" interleaves wNAF digits), so a sum of m
-    253-bit terms costs about 253 doublings and 43*m additions.  T is
-    formed only before an addition: the loop carries E and H of the last
-    step, whose product is T, and doublings never use it.
+    253-bit terms costs about 253 doublings and 43*m additions; the extra
+    points are added after the last doubling.  The additions use cached
+    points (Hisil et al., "Twisted Edwards Curves Revisited").  T is formed
+    only before an addition: the loop carries E and H of the last step,
+    whose product is T, and doublings never use it.
     """
-    adds: dict[int, list] = {}
+    adds: dict[int, list] = {0: list(extra)} if extra else {}
     for k, p in terms:
         if not k:
             continue
@@ -563,11 +554,12 @@ def _in_prime_subgroup(x: int, y: int) -> bool:
 class Ed25519Group(GroupBackend):
     """Prime-order subgroup of Ed25519 (order 2^252 + 27742...493).
 
-    Base-point multiplications for G and H use precomputed window tables;
-    every other point goes through the interleaved wNAF kernel, alone or in
-    a multi-scalar sum.  Points are kept in extended twisted-Edwards
-    coordinates.  Not hardened against timing side channels: the wNAF
-    digits and table lookups depend on the scalar.
+    Multiples of G and H add points from precomputed 4-bit window tables;
+    every other point goes through the interleaved wNAF chain.  Both kinds
+    of term, and sums of points, share one accumulation loop.  Points are
+    kept in extended twisted-Edwards coordinates.  Not hardened against
+    timing side channels: the wNAF digits and table lookups depend on the
+    scalar.
     """
 
     name = "ed25519"
@@ -575,8 +567,10 @@ class Ed25519Group(GroupBackend):
     scalar_bytes = 32
     element_bytes = 32
 
+    _gen = (_BASE_X, _BASE_Y, 1, _BASE_X * _BASE_Y % _P)
+    _identity = _ED_IDENTITY
+
     def __init__(self):
-        self._gen = (_BASE_X, _BASE_Y, 1, _BASE_X * _BASE_Y % _P)
         self._second_gen = self._derive_second_generator()
 
     # -- second generator ---------------------------------------------------
@@ -609,38 +603,19 @@ class Ed25519Group(GroupBackend):
 
     @staticmethod
     def _build_table(base):
+        """Row w holds j * 16^w * base for j = 1..15, in cached form."""
         table = []
         for _ in range(_WINDOW_COUNT):
             row = [base]
             for _ in range(14):
                 row.append(_ed_add(row[-1], base))
-            table.append(row)
-            for _ in range(_WINDOW):
-                base = _ed_double(base)
+            table.append([_ed_cached(p) for p in row])
+            base = _ed_add(row[-1], base)  # 16 * base
         return table
-
-    @staticmethod
-    def _mul_base(k: int, table):
-        acc = _ED_IDENTITY
-        for w in range(_WINDOW_COUNT):
-            nibble = (k >> (w * _WINDOW)) & 0xF
-            if nibble:
-                acc = _ed_add(acc, table[w][nibble - 1])
-        return acc
 
     # -- backend hooks --------------------------------------------------------
 
-    def _generator_rep(self):
-        return self._gen
-
-    def _second_generator_rep(self):
-        return self._second_gen
-
-    def _identity_rep(self):
-        return _ED_IDENTITY
-
-    def _add(self, a, b):
-        return _ed_add(a, b)
+    _add = staticmethod(_ed_add)
 
     def _neg(self, a):
         x, y, z, t = a
@@ -648,29 +623,29 @@ class Ed25519Group(GroupBackend):
 
     def _fixed_table(self, a):
         """The window table of G or H when a is one of them, else None."""
-        if a is self._gen or a == self._gen:
+        if a == self._gen:
             return self._gen_table
-        if a is self._second_gen or a == self._second_gen:
-            return self._second_table
-        return None
+        return self._second_table if a == self._second_gen else None
 
     def _mul(self, k, a):
-        table = self._fixed_table(a)
-        return _ed_mul(k, a) if table is None else self._mul_base(k, table)
+        return _ed_mul(k, a) if self._fixed_table(a) is None else self._multi_mul(((k, a),))
 
     def _multi_mul(self, terms):
-        # G and H terms use their window tables; the rest share one chain
-        fixed, variable = [], []
+        # G and H terms add one table point per nonzero window, unit terms
+        # their own point, after the last doubling; the rest share the chain
+        variable, extra = [], []
         for k, a in terms:
             table = self._fixed_table(a)
-            if table is None:
-                variable.append((k, a))
+            if table is not None:
+                for row in table:
+                    if k & 0xF:
+                        extra.append(row[(k & 0xF) - 1])
+                    k >>= _WINDOW
+            elif k == 1:
+                extra.append(_ed_cached(a))
             else:
-                fixed.append(self._mul_base(k, table))
-        acc = _ed_straus(variable)
-        for point in fixed:
-            acc = _ed_add(acc, point)
-        return acc
+                variable.append((k, a))
+        return _ed_straus(variable, extra)
 
     def _eq(self, a, b):
         x1, y1, z1, _ = a

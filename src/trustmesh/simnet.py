@@ -96,6 +96,8 @@ class DomainSpec:
             raise ConfigError(f"{prefix}.protocol: unknown protocol {self.protocol!r}")
         if len(set(self.members)) != len(self.members):
             raise ConfigError(f"{prefix}.members: duplicate node ids")
+        if self.coalition is not None and len(set(self.coalition)) != len(self.coalition):
+            raise ConfigError(f"{prefix}.coalition: duplicate node ids")
         for m in self.members:
             if not 1 <= m <= nodes:
                 raise ConfigError(f"{prefix}.members: node {m} outside 1..{nodes}")
@@ -162,65 +164,87 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        def need(key, typ, where="config"):
-            if key not in data:
-                raise ConfigError(f"{where}.{key}: missing")
-            value = data[key]
-            if not isinstance(value, typ):
-                raise ConfigError(f"{where}.{key}: expected {typ.__name__}")
-            return value
-
+        data = _convert(data, _expect(dict), "scenario")
         domains = []
-        for i, dd in enumerate(data.get("domains", [])):
-            if not isinstance(dd, dict):
-                raise ConfigError(f"domains[{i}]: expected an object")
-            try:
-                domains.append(DomainSpec(
-                    domain_id=str(dd["id"]),
-                    members=tuple(dd["members"]),
-                    threshold=int(dd["threshold"]),
-                    protocol=dd.get("protocol", "dkg_sign"),
-                    coalition=tuple(dd["coalition"]) if dd.get("coalition") else None,
-                    secret=int(dd.get("secret", 5)),
-                    deliver_to=tuple(dd["deliver_to"]) if dd.get("deliver_to") else None,
-                ))
-            except KeyError as exc:
-                raise ConfigError(f"domains[{i}].{exc.args[0]}: missing") from None
-        delay_d = data.get("delay", {})
+        for i, dd in enumerate(_field(data, "domains", _expect(list), default=[])):
+            where = f"domains[{i}]"
+            dd = _convert(dd, _expect(dict), where)
+            domains.append(DomainSpec(
+                domain_id=_field(dd, "id", str, where),
+                members=_field(dd, "members", _ids, where),
+                threshold=_field(dd, "threshold", int, where),
+                protocol=dd.get("protocol", "dkg_sign"),
+                coalition=_field(dd, "coalition", _ids, where) if dd.get("coalition") else None,
+                secret=_field(dd, "secret", int, where, 5),
+                deliver_to=_field(dd, "deliver_to", _ids, where) if dd.get("deliver_to") else None,
+            ))
         adversaries = []
-        for i, ad in enumerate(data.get("adversaries", [])):
-            try:
-                adversaries.append(AdversarySpec(
-                    node=int(ad["node"]),
-                    behavior=str(ad["behavior"]),
-                    at_tick=int(ad["at_tick"]) if ad.get("at_tick") is not None else None,
-                ))
-            except KeyError as exc:
-                raise ConfigError(f"adversaries[{i}].{exc.args[0]}: missing") from None
-        gossip_d = data.get("gossip", {})
+        for i, ad in enumerate(_field(data, "adversaries", _expect(list), default=[])):
+            where = f"adversaries[{i}]"
+            ad = _convert(ad, _expect(dict), where)
+            adversaries.append(AdversarySpec(
+                node=_field(ad, "node", int, where),
+                behavior=_field(ad, "behavior", str, where),
+                at_tick=_field(ad, "at_tick", int, where) if ad.get("at_tick") is not None else None,
+            ))
+        delay_d = _field(data, "delay", _expect(dict), default={})
+        gossip_d = _field(data, "gossip", _expect(dict), default={})
         config = cls(
-            seed=need("seed", int),
-            nodes=need("nodes", int),
+            seed=_field(data, "seed", _expect(int)),
+            nodes=_field(data, "nodes", _expect(int)),
             domains=tuple(domains),
-            backend=data.get("backend", "toy"),
+            backend=_field(data, "backend", str, default="toy"),
             message=str(data.get("message", "agree")).encode("utf-8"),
             delay=DelaySpec(
                 model=delay_d.get("model", "fixed"),
-                ticks=int(delay_d.get("ticks", 1)),
-                lo=int(delay_d.get("lo", 1)),
-                hi=int(delay_d.get("hi", 1)),
+                ticks=_field(delay_d, "ticks", int, "delay", 1),
+                lo=_field(delay_d, "lo", int, "delay", 1),
+                hi=_field(delay_d, "hi", int, "delay", 1),
             ),
             adversaries=tuple(adversaries),
             gossip=GossipSpec(
-                c=int(gossip_d.get("c", 4)),
-                broadcast_prob_num=int(gossip_d.get("broadcast_prob_num", 2)),
+                c=_field(gossip_d, "c", int, "gossip", 4),
+                broadcast_prob_num=_field(gossip_d, "broadcast_prob_num", int, "gossip", 2),
             ),
-            max_ticks=int(data.get("max_ticks", 300)),
-            timeout_ticks=int(data.get("timeout_ticks", 50)),
-            exfiltrate_domains=tuple(data.get("exfiltrate_domains", [])),
+            max_ticks=_field(data, "max_ticks", int, default=300),
+            timeout_ticks=_field(data, "timeout_ticks", int, default=50),
+            exfiltrate_domains=tuple(_field(data, "exfiltrate_domains", _expect(list), default=[])),
         )
         config.validate()
         return config
+
+
+def _convert(value, conv, where: str):
+    """conv(value); a TypeError or ValueError becomes a ConfigError naming where."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _field(obj: dict, key: str, conv, where: str = "", default=None):
+    """conv(obj[key]), or default when the key is absent (required when None)."""
+    name = f"{where}.{key}" if where else key
+    if key in obj:
+        return _convert(obj[key], conv, name)
+    if default is None:
+        raise ConfigError(f"{name}: missing")
+    return default
+
+
+def _expect(typ):
+    """A conv that passes a typ through and rejects anything else."""
+    def check(value):
+        if not isinstance(value, typ):
+            raise TypeError(f"expected {typ.__name__}")
+        return value
+    return check
+
+
+def _ids(value) -> tuple[int, ...]:
+    if not all(isinstance(v, int) for v in _expect(list)(value)):
+        raise TypeError("expected a list of node ids")
+    return tuple(value)
 
 
 def load_scenario(ref: str) -> SimConfig:

@@ -288,3 +288,49 @@ class TestLargeRun:
         assert len(list(out.glob("share_*.bin"))) == 255
         group = json.loads((out / "group.json").read_text())
         assert len(group["pk_shares"]) == 255
+
+
+class TestMalformedInputFiles:
+    """Malformed scenario and group files are configuration errors (exit 4)."""
+
+    GOOD_DOMAIN = {"id": "d", "members": [1, 2, 3], "threshold": 2}
+
+    @pytest.mark.parametrize("patch, section", [
+        ({"adversaries": [[1]]}, "adversaries[0]"),
+        ({"delay": 5}, "delay"),
+        ({"gossip": []}, "gossip"),
+        ({"domains": [dict(GOOD_DOMAIN, members=5)]}, "domains[0].members"),
+        ({"domains": [dict(GOOD_DOMAIN, threshold=None)]}, "domains[0].threshold"),
+        ({"delay": {"ticks": [2]}}, "delay.ticks"),
+        ({"domains": "d"}, "domains"),
+    ], ids=["adversary-list", "delay-int", "gossip-list", "members-int", "threshold-null",
+            "delay-ticks-list", "domains-string"])
+    def test_malformed_scenario_section(self, tmp_path, capsys, patch, section):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({"seed": 1, "nodes": 3, "domains": [self.GOOD_DOMAIN],
+                                        **patch}))
+        assert run_cli("simulate", "--scenario", scenario) == 4
+        assert f"configuration error: {section}:" in capsys.readouterr().err
+
+    def test_top_level_list_scenario(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps([{"seed": 1, "nodes": 3, "domains": [self.GOOD_DOMAIN]}]))
+        assert run_cli("simulate", "--scenario", scenario) == 4
+        assert "configuration error: scenario:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mangle", [
+        lambda group: dict(group, pk_shares=[]),
+        lambda group: [group],
+    ], ids=["pk-shares-list", "top-level-list"])
+    def test_malformed_group_file(self, keydir, tmp_path, mangle):
+        group = json.loads((keydir / "group.json").read_text())
+        bad = tmp_path / "group.json"
+        bad.write_text(json.dumps(mangle(group)))
+        sig = tmp_path / "sig.txt"
+        assert run_cli("sign", "--group", keydir / "group.json",
+                       "--share", keydir / "share_1.bin", "--share", keydir / "share_2.bin",
+                       "--coalition", "1,2", "--message", "m", "--seed", 2, "--out", sig) == 0
+        assert run_cli("sign", "--group", bad,
+                       "--share", keydir / "share_1.bin", "--share", keydir / "share_2.bin",
+                       "--coalition", "1,2", "--message", "m", "--seed", 2) == 4
+        assert run_cli("verify", "--group", bad, "--message", "m", "--signature", sig) == 4

@@ -452,3 +452,44 @@ class TestSeededRng:
         assert SeededRng("text").randbelow(10) == SeededRng("text").randbelow(10)
         with pytest.raises(TypeError):
             SeededRng(3.14)
+
+
+class TestFixedBaseAndSums:
+    """The G/H window path and element_sum against plain point additions."""
+
+    WINDOW_EDGES = (0, 1, 15, 16, 17, 255, 256, 2**252, TestEd25519Kernel.ORDER - 1)
+
+    @staticmethod
+    def pairwise_sum(backend, elements):
+        acc = backend.identity()
+        for e in elements:
+            acc = acc + e
+        return acc
+
+    def test_fixed_base_matches_reference_at_window_edges(self, ed25519):
+        rng = SeededRng("fixed-base-edges")
+        ks = list(self.WINDOW_EDGES) + [ed25519.random_scalar(rng).value for _ in range(6)]
+        for base in (ed25519.generator(), ed25519.second_generator()):
+            for k in ks:
+                want = reference_mul(k, base)
+                assert base.mul(k) == want
+                assert ed25519.scalar(k) * base == want
+                assert ed25519.multi_mul([k], [base]) == want
+
+    def test_element_sum_matches_pairwise_sum(self, ed25519):
+        rng = SeededRng("element-sum")
+        g, h = ed25519.generator(), ed25519.second_generator()
+        p = ed25519.random_scalar(rng) * g
+        assert ed25519.element_sum([]).is_identity()
+        mixed = [g, h, p, -p, ed25519.identity()]
+        assert ed25519.element_sum(mixed) == self.pairwise_sum(ed25519, mixed) == g + h
+        many = [ed25519.random_scalar(rng) * (g if i % 3 else h) for i in range(40)] + [g, h, g]
+        assert ed25519.element_sum(many) == self.pairwise_sum(ed25519, many)
+        assert ed25519.element_sum(iter(many)) == self.pairwise_sum(ed25519, many)
+
+    def test_element_sum_matches_modmul_on_toy(self, toy):
+        assert toy.element_sum([]).rep == 1
+        for x in SUBGROUP:
+            for y in SUBGROUP:
+                elements = [toy.decode_element(bytes([x])), toy.decode_element(bytes([y]))]
+                assert toy.element_sum(elements).rep == x * y % TOY_P

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -524,3 +525,44 @@ class TestVerifierBuilds:
         assert sorted(gnodes) == [1, 2, 3, 4, 5]
         assert all(g.finalized is not None for g in gnodes.values())
         assert sorted(map(id, built)) == sorted(id(g.verifier) for g in gnodes.values())
+
+
+class TestScenarioShapes:
+    """from_dict names the section of a malformed scenario instead of crashing."""
+
+    def base(self, **patch):
+        return {"seed": 1, "nodes": 3, "domains": [{"id": "d", "members": [1, 2, 3],
+                                                      "threshold": 2}], **patch}
+
+    def test_duplicate_coalition_ids_rejected(self):
+        domain = {"id": "d", "members": [1, 2, 3], "threshold": 2, "coalition": [1, 1]}
+        with pytest.raises(ConfigError, match=r"domains\[d\]\.coalition: duplicate node ids"):
+            SimConfig.from_dict(self.base(domains=[domain]))
+        with pytest.raises(ConfigError, match="coalition: duplicate"):
+            SimConfig(seed=1, nodes=3, domains=(dkg_domain(members=(1, 2, 3), coalition=(2, 2)),)
+                      ).validate()
+
+    @pytest.mark.parametrize("patch, section", [
+        ({"adversaries": [{"node": [1], "behavior": "silent"}]}, "adversaries[0].node"),
+        ({"adversaries": 3}, "adversaries"),
+        ({"gossip": {"c": "many"}}, "gossip.c"),
+        ({"domains": [{"id": "d", "members": ["1"], "threshold": 1}]}, "domains[0].members"),
+        ({"domains": [{"id": "d", "members": [1, 2], "threshold": 2, "coalition": 7}]},
+         "domains[0].coalition"),
+        ({"max_ticks": {}}, "max_ticks"),
+        ({"exfiltrate_domains": 5}, "exfiltrate_domains"),
+        ({"nodes": "3"}, "nodes"),
+    ])
+    def test_malformed_section_named(self, patch, section):
+        with pytest.raises(ConfigError, match=f"^{re.escape(section)}:"):
+            SimConfig.from_dict(self.base(**patch))
+
+    def test_well_formed_optional_sections_still_parse(self):
+        config = SimConfig.from_dict(self.base(
+            delay={"model": "uniform", "lo": 1, "hi": 3}, gossip={"c": 5},
+            adversaries=[{"node": 2, "behavior": "crash", "at_tick": 4}],
+            exfiltrate_domains=["d"], max_ticks=99))
+        assert config.delay == DelaySpec(model="uniform", lo=1, hi=3)
+        assert config.gossip == GossipSpec(c=5)
+        assert config.adversaries == (AdversarySpec(2, "crash", 4),)
+        assert config.exfiltrate_domains == ("d",) and config.max_ticks == 99
