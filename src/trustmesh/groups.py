@@ -338,14 +338,13 @@ _BASE_X = 1511222134953540077250115140958853151145401269304185720604611328394984
 _BASE_Y = 46316835694926478169428394003475163141307993866256225615783033603165251855960
 
 _D2 = 2 * _D % _P
+_INV_D = pow(_D, -1, _P)
 
 # Curve25519, v^2 = u^3 + A*u^2 + u, is Ed25519 under u = (1+y)/(1-y) and
 # v = sqrt(-(A+2)) * u/x (RFC 7748, section 4.1)
 _MONT_A = 486662
 _SQRT_MINUS_A2 = 6853475219497561581579357271197624642482790079785650197046958215289687604742
 
-_WINDOW = 4
-_WINDOW_COUNT = 64  # ceil(253 / 4)
 _WNAF_WIDTH = 5  # odd digits up to +-15: a table of 8 points per term
 
 
@@ -365,11 +364,12 @@ def _ed_add(p1, p2):
 
 def _ed_double(p):
     x1, y1, z1, _ = p
+    s = x1 + y1
     a = x1 * x1 % _P
     b = y1 * y1 % _P
-    c = 2 * z1 * z1 % _P
+    c = z1 * z1 * 2 % _P
     h = a + b
-    e = (h - (x1 + y1) * (x1 + y1)) % _P
+    e = (h - s * s) % _P
     g = a - b
     f = c + g
     return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
@@ -417,18 +417,86 @@ def _ed_cached_multiples(p, top: int) -> dict:
     return table
 
 
+# _SPREAD[b] moves bit j of the byte b to bit 32*j
+_SPREAD = [sum(((b >> j) & 1) << (32 * j) for j in range(8)) for b in range(256)]
+
+
+def _ed_comb(base) -> list[list]:
+    """Four 8-tooth Lim-Lee combs for base B, in cached form.
+
+    Entry idx-1 of comb t is sum(idx_i * 2^(64t + 8i) * B) over the bits
+    idx_i of idx = 1..255 ("More Flexible Exponentiation with
+    Precomputation", Lim and Lee, CRYPTO 1994).  The 32 teeth 2^(8m)*B are
+    made affine with one shared inversion (Montgomery's trick), so every
+    other entry is one 8-multiplication addition of a tooth to an earlier
+    entry.
+    """
+    P = _P
+    teeth = [base]
+    for _ in range(31):
+        for _ in range(8):
+            base = _ed_double(base)
+        teeth.append(base)
+    prods = [1]  # prods[m] is the product of the first m Zs
+    for p in teeth:
+        prods.append(prods[-1] * p[2] % P)
+    inv = pow(prods[-1], -1, P)
+    for m in range(31, -1, -1):
+        x, y, z, _ = teeth[m]
+        zinv = inv * prods[m] % P
+        inv = inv * z % P
+        x, y = x * zinv % P, y * zinv % P
+        teeth[m] = ((y + x) % P, (y - x) % P, x * y % P)
+    combs = []
+    for t in range(0, 32, 8):
+        comb = []
+        for ypx2, ymx2, t2 in teeth[t:t + 8]:
+            # entry 2^i is the tooth, entry 2^i + j is entry j plus the tooth
+            comb.append((ypx2, ymx2, 2, t2 * _D2 % P))
+            for ypx1, ymx1, z1, t2d1 in comb[:-1]:
+                a = ymx1 * ymx2 % P
+                b = ypx1 * ypx2 % P
+                c = t2d1 * t2 % P
+                e = b - a
+                f = z1 - c  # z1 is 2*Z1*Z2, as Z2 = 1
+                g = z1 + c
+                h = b + a
+                x, y = e * f % P, g * h % P
+                comb.append(((y + x) % P, (y - x) % P, 2 * f * g % P, e * h % P * _D2 % P))
+        combs.append(comb)
+    return combs
+
+
+def _comb_points(combs, k: int) -> list[tuple[int, tuple]]:
+    """k*B as (bit position j < 8, comb entry) pairs for the Straus loop.
+
+    Column j's index into comb t collects bit j of bytes 8t..8t+7 of k.
+    Spreading byte b's bit j to bit 32j + b transposes the scalar, so byte
+    4j + t of the result is that index.
+    """
+    spread = 0
+    for b, byte in enumerate(k.to_bytes(32, "little")):
+        spread |= _SPREAD[byte] << b
+    return [(i >> 2, combs[i & 3][idx - 1])
+            for i, idx in enumerate(spread.to_bytes(32, "little")) if idx]
+
+
 def _ed_straus(terms, extra=()) -> tuple:
-    """Sum of k*P over (k, P) terms, k >= 0, plus the cached points in extra.
+    """Sum of k*P over (k, P) terms, k >= 0, plus 2^j*E over (j, E) in extra.
 
     Every term shares one doubling chain (Straus, as Moller's "Algorithms
     for multi-exponentiation" interleaves wNAF digits), so a sum of m
-    253-bit terms costs about 253 doublings and 43*m additions; the extra
-    points are added after the last doubling.  The additions use cached
-    points (Hisil et al., "Twisted Edwards Curves Revisited").  T is formed
-    only before an addition: the loop carries E and H of the last step,
-    whose product is T, and doublings never use it.
+    253-bit terms costs about 253 doublings and 43*m additions.  An extra
+    point E is a cached point added at bit position j of the chain, with
+    j doublings after it: comb entries sit at j = 0..7, so a sum of fixed
+    bases alone costs at most 7 doublings, and single points at j = 0.
+    The additions use cached points (Hisil et al., "Twisted Edwards Curves
+    Revisited").  T is formed only before an addition: the loop carries E
+    and H of the last step, whose product is T, and doublings never use it.
     """
-    adds: dict[int, list] = {0: list(extra)} if extra else {}
+    adds: dict[int, list] = {}
+    for pos, p in extra:
+        adds.setdefault(pos, []).append(p)
     for k, p in terms:
         if not k:
             continue
@@ -439,8 +507,11 @@ def _ed_straus(terms, extra=()) -> tuple:
     if not adds:
         return _ED_IDENTITY
     P = _P
-    x, y, z, e, h = 0, 1, 1, 0, 1  # the identity, with T = e*h = 0
     positions = sorted(adds, reverse=True)
+    # start from the first point: (Y+X, Y-X, 2Z, 2dT) is (2X, 2Y, 2Z) with
+    # e*h = 2T
+    ypx, ymx, z, e = adds[positions[0]].pop()
+    x, y, h = (ypx - ymx) % P, (ypx + ymx) % P, _INV_D
     for i, pos in enumerate(positions):
         for ypx, ymx, z2, t2d in adds[pos]:
             a = (y - x) * ymx % P
@@ -453,11 +524,14 @@ def _ed_straus(terms, extra=()) -> tuple:
             h = b + a
             x, y, z = e * f % P, g * h % P, f * g % P
         for _ in range(pos - (positions[i + 1] if i + 1 < len(positions) else 0)):
+            # s * s and z * z square one int object, which CPython does
+            # faster than (x + y) * (x + y) or (2 * z) * z
+            s = x + y
             a = x * x % P
             b = y * y % P
-            c = 2 * z * z % P
+            c = z * z * 2 % P
             h = a + b
-            e = (h - (x + y) * (x + y)) % P
+            e = (h - s * s) % P
             g = a - b
             f = c + g
             x, y, z = e * f % P, g * h % P, f * g % P
@@ -467,7 +541,7 @@ def _ed_straus(terms, extra=()) -> tuple:
 def _ed_mul(k: int, p):
     """k*P for an arbitrary point P."""
     if 0 < k < 1 << 16:
-        # small exponents (share-index powers): plain double-and-add beats
+        # small exponents such as share ids: plain double-and-add beats
         # paying for the wNAF table
         acc = None
         while k:
@@ -554,12 +628,13 @@ def _in_prime_subgroup(x: int, y: int) -> bool:
 class Ed25519Group(GroupBackend):
     """Prime-order subgroup of Ed25519 (order 2^252 + 27742...493).
 
-    Multiples of G and H add points from precomputed 4-bit window tables;
-    every other point goes through the interleaved wNAF chain.  Both kinds
-    of term, and sums of points, share one accumulation loop.  Points are
-    kept in extended twisted-Edwards coordinates.  Not hardened against
-    timing side channels: the wNAF digits and table lookups depend on the
-    scalar.
+    Multiples of G and H add one point per comb and bit column from four
+    precomputed 8-tooth combs per generator (7 doublings and up to 32
+    additions for k*G); every other point goes through the interleaved wNAF
+    chain.  Both kinds of term, and sums of points, share one accumulation
+    loop and its doublings.  Points are kept in extended twisted-Edwards
+    coordinates.  Not hardened against timing side channels: the wNAF
+    digits and table lookups depend on the scalar.
     """
 
     name = "ed25519"
@@ -591,27 +666,15 @@ class Ed25519Group(GroupBackend):
                 return cleared
             counter += 1
 
-    # -- precomputed base tables ---------------------------------------------
+    # -- precomputed base combs ----------------------------------------------
 
     @functools.cached_property
-    def _gen_table(self):
-        return self._build_table(self._gen)
+    def _gen_combs(self):
+        return _ed_comb(self._gen)
 
     @functools.cached_property
-    def _second_table(self):
-        return self._build_table(self._second_gen)
-
-    @staticmethod
-    def _build_table(base):
-        """Row w holds j * 16^w * base for j = 1..15, in cached form."""
-        table = []
-        for _ in range(_WINDOW_COUNT):
-            row = [base]
-            for _ in range(14):
-                row.append(_ed_add(row[-1], base))
-            table.append([_ed_cached(p) for p in row])
-            base = _ed_add(row[-1], base)  # 16 * base
-        return table
+    def _second_combs(self):
+        return _ed_comb(self._second_gen)
 
     # -- backend hooks --------------------------------------------------------
 
@@ -621,28 +684,26 @@ class Ed25519Group(GroupBackend):
         x, y, z, t = a
         return ((-x) % _P, y, z, (-t) % _P)
 
-    def _fixed_table(self, a):
-        """The window table of G or H when a is one of them, else None."""
+    def _fixed_combs(self, a):
+        """The combs of G or H when a is one of them, else None."""
         if a == self._gen:
-            return self._gen_table
-        return self._second_table if a == self._second_gen else None
+            return self._gen_combs
+        return self._second_combs if a == self._second_gen else None
 
     def _mul(self, k, a):
-        return _ed_mul(k, a) if self._fixed_table(a) is None else self._multi_mul(((k, a),))
+        return _ed_mul(k, a) if self._fixed_combs(a) is None else self._multi_mul(((k, a),))
 
     def _multi_mul(self, terms):
-        # G and H terms add one table point per nonzero window, unit terms
-        # their own point, after the last doubling; the rest share the chain
+        # G and H terms add comb points in the chain's last 8 bit positions,
+        # unit terms their own point after the last doubling; the rest
+        # share the chain
         variable, extra = [], []
         for k, a in terms:
-            table = self._fixed_table(a)
-            if table is not None:
-                for row in table:
-                    if k & 0xF:
-                        extra.append(row[(k & 0xF) - 1])
-                    k >>= _WINDOW
+            combs = self._fixed_combs(a)
+            if combs is not None:
+                extra += _comb_points(combs, k)
             elif k == 1:
-                extra.append(_ed_cached(a))
+                extra.append((0, _ed_cached(a)))
             else:
                 variable.append((k, a))
         return _ed_straus(variable, extra)

@@ -68,13 +68,14 @@ class CommitmentVector:
         return self.entries[0].backend
 
     def share_commitment(self, participant_id: int) -> GroupElement:
-        """Sum of (id^k) * entries[k]: the committed value of f(id)."""
-        q = self.backend.order
-        acc = self.entries[0]
-        power = 1
-        for entry in self.entries[1:]:
-            power = power * participant_id % q
-            acc = acc + power * entry
+        """Sum of (id^k) * entries[k]: the committed value of f(id).
+
+        Horner's rule from the top entry down, so each multiplier is the id
+        itself rather than a power of it.
+        """
+        acc = self.entries[-1]
+        for entry in reversed(self.entries[:-1]):
+            acc = participant_id * acc + entry
         return acc
 
     def to_bytes(self) -> bytes:

@@ -148,6 +148,10 @@ class SimConfig:
             raise ConfigError("seed: must be in 0..2^64-1 (it is the 8-byte CRS epoch)")
         if self.nodes < 1:
             raise ConfigError("nodes: must be >= 1")
+        if self.max_ticks < 1:
+            raise ConfigError("max_ticks: must be >= 1")
+        if self.timeout_ticks < 1:
+            raise ConfigError("timeout_ticks: must be >= 1")
         if not self.domains:
             raise ConfigError("domains: at least one domain required")
         seen = set()

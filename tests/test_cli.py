@@ -312,6 +312,16 @@ class TestMalformedInputFiles:
         assert run_cli("simulate", "--scenario", scenario) == 4
         assert f"configuration error: {section}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patch", [{"timeout_ticks": 0}, {"timeout_ticks": -5}, {"max_ticks": 0}],
+                             ids=["timeout-zero", "timeout-negative", "max-ticks-zero"])
+    def test_tick_limit_below_one(self, tmp_path, capsys, patch):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({"seed": 1, "nodes": 3, "domains": [self.GOOD_DOMAIN],
+                                        **patch}))
+        assert run_cli("simulate", "--scenario", scenario) == 4
+        field = next(iter(patch))
+        assert f"configuration error: {field}: must be >= 1" in capsys.readouterr().err
+
     def test_top_level_list_scenario(self, tmp_path, capsys):
         scenario = tmp_path / "bad.json"
         scenario.write_text(json.dumps([{"seed": 1, "nodes": 3, "domains": [self.GOOD_DOMAIN]}]))

@@ -493,3 +493,44 @@ class TestFixedBaseAndSums:
             for y in SUBGROUP:
                 elements = [toy.decode_element(bytes([x])), toy.decode_element(bytes([y]))]
                 assert toy.element_sum(elements).rep == x * y % TOY_P
+
+
+class TestCombTables:
+    """k*G and k*H through the comb tables against plain point additions.
+
+    The combs split a scalar into four 64-bit tables with eight teeth 8 bits
+    apart; the scalars below hit each tooth, each column and each table edge.
+    """
+
+    ORDER = TestEd25519Kernel.ORDER
+    BOUNDARIES = (2**64 - 1, 2**64, 2**128, 2**192, ORDER - 1)
+
+    @pytest.fixture(params=["G", "H"])
+    def base(self, request, ed25519):
+        return ed25519.generator() if request.param == "G" else ed25519.second_generator()
+
+    def test_every_single_bit(self, base):
+        # 2^b * B by b point doublings, which is what reference_mul computes
+        want = base
+        for b in range(253):
+            assert base.mul(1 << b) == want, b
+            want = want + want
+
+    def test_every_full_column(self, base):
+        for j in range(8):
+            # bits below 252 keep k < q, so the combs see the column unreduced
+            k = sum(1 << (8 * i + j) for i in range(32) if 8 * i + j < 252)
+            assert base.mul(k) == reference_mul(k, base), j
+
+    def test_table_boundaries(self, base):
+        for k in self.BOUNDARIES:
+            assert base.mul(k) == reference_mul(k, base), k
+
+    def test_multi_mul_mixes_combs_variable_unit_and_zero_terms(self, ed25519):
+        rng = SeededRng("comb-multi-mul")
+        g, h = ed25519.generator(), ed25519.second_generator()
+        p = ed25519.random_scalar(rng) * g + h
+        unit = ed25519.random_scalar(rng) * h
+        a, b, c = (ed25519.random_scalar(rng).value for _ in range(3))
+        got = ed25519.multi_mul([a, b, c, 1, 0], [g, h, p, unit, g])
+        assert got == reference_mul(a, g) + reference_mul(b, h) + reference_mul(c, p) + unit

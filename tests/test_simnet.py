@@ -493,6 +493,21 @@ class TestConfigValidation:
                 "domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2}],
             })
 
+    @pytest.mark.parametrize("field, value", [
+        ("timeout_ticks", 0), ("timeout_ticks", -5), ("max_ticks", 0), ("max_ticks", -1),
+    ])
+    def test_tick_limits_must_be_positive(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: must be >= 1"):
+            SimConfig(seed=1, nodes=3, domains=(dkg_domain(members=(1, 2, 3), t=2),),
+                      **{field: value}).validate()
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            SimConfig.from_dict({"seed": 1, "nodes": 3, field: value,
+                                 "domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2}]})
+
+    def test_one_tick_limits_accepted(self):
+        SimConfig(seed=1, nodes=3, domains=(dkg_domain(members=(1, 2, 3), t=2),),
+                  max_ticks=1, timeout_ticks=1).validate()
+
     def test_largest_seed_accepted(self):
         SimConfig(seed=2**64 - 1, nodes=3, domains=(dkg_domain(members=(1, 2, 3), t=2),)).validate()
 
