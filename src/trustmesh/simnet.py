@@ -20,7 +20,7 @@ import hashlib
 import heapq
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -168,87 +168,66 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        data = _convert(data, _expect(dict), "scenario")
-        domains = []
-        for i, dd in enumerate(_field(data, "domains", _expect(list), default=[])):
-            where = f"domains[{i}]"
-            dd = _convert(dd, _expect(dict), where)
-            domains.append(DomainSpec(
-                domain_id=_field(dd, "id", str, where),
-                members=_field(dd, "members", _ids, where),
-                threshold=_field(dd, "threshold", int, where),
-                protocol=dd.get("protocol", "dkg_sign"),
-                coalition=_field(dd, "coalition", _ids, where) if dd.get("coalition") else None,
-                secret=_field(dd, "secret", int, where, 5),
-                deliver_to=_field(dd, "deliver_to", _ids, where) if dd.get("deliver_to") else None,
-            ))
-        adversaries = []
-        for i, ad in enumerate(_field(data, "adversaries", _expect(list), default=[])):
-            where = f"adversaries[{i}]"
-            ad = _convert(ad, _expect(dict), where)
-            adversaries.append(AdversarySpec(
-                node=_field(ad, "node", int, where),
-                behavior=_field(ad, "behavior", str, where),
-                at_tick=_field(ad, "at_tick", int, where) if ad.get("at_tick") is not None else None,
-            ))
-        delay_d = _field(data, "delay", _expect(dict), default={})
-        gossip_d = _field(data, "gossip", _expect(dict), default={})
-        config = cls(
-            seed=_field(data, "seed", _expect(int)),
-            nodes=_field(data, "nodes", _expect(int)),
-            domains=tuple(domains),
-            backend=_field(data, "backend", str, default="toy"),
-            message=str(data.get("message", "agree")).encode("utf-8"),
-            delay=DelaySpec(
-                model=delay_d.get("model", "fixed"),
-                ticks=_field(delay_d, "ticks", int, "delay", 1),
-                lo=_field(delay_d, "lo", int, "delay", 1),
-                hi=_field(delay_d, "hi", int, "delay", 1),
-            ),
-            adversaries=tuple(adversaries),
-            gossip=GossipSpec(
-                c=_field(gossip_d, "c", int, "gossip", 4),
-                broadcast_prob_num=_field(gossip_d, "broadcast_prob_num", int, "gossip", 2),
-            ),
-            max_ticks=_field(data, "max_ticks", int, default=300),
-            timeout_ticks=_field(data, "timeout_ticks", int, default=50),
-            exfiltrate_domains=tuple(_field(data, "exfiltrate_domains", _expect(list), default=[])),
-        )
+        """A validated config from a parsed scenario file (keys in _SCENARIO)."""
+        config = _SCENARIO.read(data, "scenario", prefix="")
         config.validate()
         return config
 
 
-def _convert(value, conv, where: str):
-    """conv(value); a TypeError or ValueError becomes a ConfigError naming where."""
-    try:
-        return conv(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+class _Section:
+    """A JSON object read into dataclass cls.  types maps each key to its JSON
+    type; a key names the field of the same name unless renamed.  A key that
+    is absent or null takes the field's default."""
+
+    def __init__(self, cls, types: dict, renamed: Optional[dict] = None):
+        self.cls, self.types = cls, types
+        self.field = {key: key for key in types} | (renamed or {})
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        self.required = [key for key in types if self.field[key] in required]
+
+    def read(self, value, name: str, prefix: Optional[str] = None):
+        obj = _read(dict, value, name)
+        unknown = sorted(obj.keys() - self.types.keys())
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {unknown}")
+        prefix = f"{name}." if prefix is None else prefix
+        for key in self.required:
+            if obj.get(key) is None:
+                raise ConfigError(f"{prefix}{key}: missing")
+        return self.cls(**{self.field[key]: _read(self.types[key], v, prefix + key)
+                           for key, v in obj.items() if v is not None})
 
 
-def _field(obj: dict, key: str, conv, where: str = "", default=None):
-    """conv(obj[key]), or default when the key is absent (required when None)."""
-    name = f"{where}.{key}" if where else key
-    if key in obj:
-        return _convert(obj[key], conv, name)
-    if default is None:
-        raise ConfigError(f"{name}: missing")
-    return default
-
-
-def _expect(typ):
-    """A conv that passes a typ through and rejects anything else."""
-    def check(value):
-        if not isinstance(value, typ):
-            raise TypeError(f"expected {typ.__name__}")
+def _read(typ, value, name: str):
+    """value, which must have JSON type typ: exactly int (no bool), str, dict,
+    bytes (a string, read as UTF-8), a _Section, or [t] (a list of t)."""
+    if typ is bytes:
+        return _read(str, value, name).encode("utf-8")
+    if isinstance(typ, type):
+        if type(value) is not typ:
+            raise ConfigError(f"{name}: expected {typ.__name__}")
         return value
-    return check
+    if isinstance(typ, _Section):
+        return typ.read(value, name)
+    items = _read(list, value, name)
+    if isinstance(typ[0], _Section):
+        return tuple(typ[0].read(item, f"{name}[{i}]") for i, item in enumerate(items))
+    if any(type(item) is not typ[0] for item in items):
+        raise ConfigError(f"{name}: expected a list of {typ[0].__name__}")
+    return tuple(items)
 
 
-def _ids(value) -> tuple[int, ...]:
-    if not all(isinstance(v, int) for v in _expect(list)(value)):
-        raise TypeError("expected a list of node ids")
-    return tuple(value)
+_SCENARIO = _Section(SimConfig, {
+    "seed": int, "nodes": int, "backend": str, "message": bytes,
+    "domains": [_Section(DomainSpec, {
+        "id": str, "members": [int], "threshold": int, "protocol": str,
+        "coalition": [int], "secret": int, "deliver_to": [int],
+    }, renamed={"id": "domain_id"})],
+    "delay": _Section(DelaySpec, {"model": str, "ticks": int, "lo": int, "hi": int}),
+    "adversaries": [_Section(AdversarySpec, {"node": int, "behavior": str, "at_tick": int})],
+    "gossip": _Section(GossipSpec, {"c": int, "broadcast_prob_num": int}),
+    "max_ticks": int, "timeout_ticks": int, "exfiltrate_domains": [str],
+})
 
 
 def load_scenario(ref: str) -> SimConfig:
@@ -738,7 +717,7 @@ class AvssEngine(_DomainEngine):
         t = self.spec.threshold
         commitment, deals = avss_mod.avss_deal(secret, t, len(self.members), rng, self.backend)
         self.nodes = {local: avss_mod.NodeRecovery(local, commitment, t) for local in self.globl}
-        targets = self.spec.deliver_to or self.members
+        targets = self.members if self.spec.deliver_to is None else self.spec.deliver_to
         for deal in deals:
             recipient = self.globl[deal.recipient]
             if recipient not in targets:

@@ -300,6 +300,18 @@ class TestAvssScenarios:
         assert dom["completed_members"] == [1, 2, 3, 4]
         assert dom["flagged"].get("4") == [2]
 
+    def test_dealer_reaching_nobody_times_out_everywhere(self):
+        config = SimConfig.from_dict({"seed": 3, "nodes": 4, "domains": [
+            {"id": "a", "members": [1, 2, 3, 4], "threshold": 2, "protocol": "avss",
+             "deliver_to": []}]})
+        assert config.domains[0].deliver_to == ()
+        dom = run_simulation(config).domain("a")
+        assert not dom["ok"]
+        assert dom["verdicts"] == [
+            f"node {n} timed out waiting for points from {[m for m in (1, 2, 3, 4) if m != n]}"
+            for n in (1, 2, 3, 4)
+        ] + ["timeout at tick 50"]
+
 
 class TestDeadlines:
     def test_coalition_crash_before_nonce_lists_times_out_naming_it(self):
@@ -567,6 +579,19 @@ class TestScenarioShapes:
         ({"max_ticks": {}}, "max_ticks"),
         ({"exfiltrate_domains": 5}, "exfiltrate_domains"),
         ({"nodes": "3"}, "nodes"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2.9}]}, "domains[0].threshold"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": "2"}]}, "domains[0].threshold"),
+        ({"max_ticks": 99.5}, "max_ticks"),
+        ({"seed": True}, "seed"),
+        ({"message": 5}, "message"),
+        ({"delay": {"ticks": "2"}}, "delay.ticks"),
+        ({"timeout_tick": 5}, "scenario"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2, "colaition": [1, 2]}]},
+         "domains[0]"),
+        ({"gossip": {"prob": 1}}, "gossip"),
+        ({"adversaries": [{"node": 2, "behavior": "crash", "tick": 4}]}, "adversaries[0]"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2, "coalition": []}]},
+         "domains[d].coalition"),
     ])
     def test_malformed_section_named(self, patch, section):
         with pytest.raises(ConfigError, match=f"^{re.escape(section)}:"):
@@ -576,8 +601,20 @@ class TestScenarioShapes:
         config = SimConfig.from_dict(self.base(
             delay={"model": "uniform", "lo": 1, "hi": 3}, gossip={"c": 5},
             adversaries=[{"node": 2, "behavior": "crash", "at_tick": 4}],
+            domains=[{"id": "d", "members": [1, 2, 3], "threshold": 2, "coalition": None}],
             exfiltrate_domains=["d"], max_ticks=99))
         assert config.delay == DelaySpec(model="uniform", lo=1, hi=3)
         assert config.gossip == GossipSpec(c=5)
         assert config.adversaries == (AdversarySpec(2, "crash", 4),)
         assert config.exfiltrate_domains == ("d",) and config.max_ticks == 99
+        assert config.domains == (DomainSpec("d", (1, 2, 3), 2),)
+        silent = SimConfig.from_dict(self.base(adversaries=[{"node": 3, "behavior": "silent",
+                                                             "at_tick": None}]))
+        assert silent.adversaries == (AdversarySpec(3, "silent"),)
+
+    def test_readme_scenario_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"## Scenario files.*?```json\n(.*?)```", readme, re.S).group(1)
+        config = SimConfig.from_dict(json.loads(example))
+        assert [d.domain_id for d in config.domains] == ["A", "vss", "async"]
+        assert config.domains[2].deliver_to == (2, 3, 4)
