@@ -35,7 +35,7 @@ from typing import Mapping, Optional
 from .errors import ProtocolAbort
 from .groups import GroupBackend, GroupElement, Scalar, hash_bytes, hash_to_scalar, id_bytes
 from .polynomials import Polynomial, interpolate_at, random_polynomial
-from .sharing import CommitmentVector, SharePacket, commit_polynomial, feldman_verify
+from .sharing import CommitmentVector, commit_polynomial
 
 
 EPOCH_LIMIT = 1 << 64   # CRS epochs are encoded in 8 bytes
@@ -225,16 +225,14 @@ def share_batch_weights(
     }
 
 
-def _shares_batch_valid(state: Participant, shares: Mapping[int, Scalar]) -> bool:
+def _shares_batch_valid(
+    state: Participant, shares: Mapping[int, Scalar], expected: Mapping[int, GroupElement],
+) -> bool:
     """(sum w_j*s_j)*G == sum w_j*C_j(id) over the senders j of ``shares``."""
     backend = state.backend
-    broadcasts = state.received_broadcasts
-    weights = share_batch_weights(backend, state.id, shares, broadcasts)
+    weights = share_batch_weights(backend, state.id, shares, state.received_broadcasts)
     lhs = backend.scalar(sum(w * shares[s].value for s, w in weights.items())) * backend.generator()
-    return lhs == backend.multi_mul(
-        list(weights.values()),
-        [broadcasts[s].commitment.share_commitment(state.id) for s in weights],
-    )
+    return lhs == backend.multi_mul(list(weights.values()), [expected[s] for s in weights])
 
 
 def committed_evaluations(vector: CommitmentVector, n: int) -> dict[int, GroupElement]:
@@ -275,13 +273,13 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
         state._abort(f"missing round-2 shares from {missing}", missing)
 
     backend = state.backend
+    # C_j(id) once per dealer j, for the batch and, if it fails, for blame
+    expected = {s: broadcasts[s].commitment.share_commitment(state.id) for s in peer_shares}
     # a 128-bit weight can vanish mod a smaller q and drop its dealer from the
     # batch, so such groups (toy) check dealer by dealer
-    if backend.order <= 1 << 128 or not _shares_batch_valid(state, peer_shares):
-        faulty = sorted(
-            sender for sender, value in peer_shares.items()
-            if not feldman_verify(SharePacket(state.id, value), broadcasts[sender].commitment)
-        )
+    if backend.order <= 1 << 128 or not _shares_batch_valid(state, peer_shares, expected):
+        g = backend.generator()
+        faulty = sorted(s for s, value in peer_shares.items() if value * g != expected[s])
         if faulty:
             state._abort(f"share verification failed for {faulty}", faulty)
 

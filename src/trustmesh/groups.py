@@ -426,44 +426,18 @@ def _ed_comb(base) -> list[list]:
 
     Entry idx-1 of comb t is sum(idx_i * 2^(64t + 8i) * B) over the bits
     idx_i of idx = 1..255 ("More Flexible Exponentiation with
-    Precomputation", Lim and Lee, CRYPTO 1994).  The 32 teeth 2^(8m)*B are
-    made affine with one shared inversion (Montgomery's trick), so every
-    other entry is one 8-multiplication addition of a tooth to an earlier
-    entry.
+    Precomputation", Lim and Lee, CRYPTO 1994).  Entry 2^i - 1 is tooth i,
+    made by 8 doublings of the tooth before it, and entry 2^i + j - 1 is
+    entry j - 1 plus tooth i.  The tables are built once per process.
     """
-    P = _P
-    teeth = [base]
-    for _ in range(31):
-        for _ in range(8):
-            base = _ed_double(base)
-        teeth.append(base)
-    prods = [1]  # prods[m] is the product of the first m Zs
-    for p in teeth:
-        prods.append(prods[-1] * p[2] % P)
-    inv = pow(prods[-1], -1, P)
-    for m in range(31, -1, -1):
-        x, y, z, _ = teeth[m]
-        zinv = inv * prods[m] % P
-        inv = inv * z % P
-        x, y = x * zinv % P, y * zinv % P
-        teeth[m] = ((y + x) % P, (y - x) % P, x * y % P)
     combs = []
-    for t in range(0, 32, 8):
+    for _ in range(4):
         comb = []
-        for ypx2, ymx2, t2 in teeth[t:t + 8]:
-            # entry 2^i is the tooth, entry 2^i + j is entry j plus the tooth
-            comb.append((ypx2, ymx2, 2, t2 * _D2 % P))
-            for ypx1, ymx1, z1, t2d1 in comb[:-1]:
-                a = ymx1 * ymx2 % P
-                b = ypx1 * ypx2 % P
-                c = t2d1 * t2 % P
-                e = b - a
-                f = z1 - c  # z1 is 2*Z1*Z2, as Z2 = 1
-                g = z1 + c
-                h = b + a
-                x, y = e * f % P, g * h % P
-                comb.append(((y + x) % P, (y - x) % P, 2 * f * g % P, e * h % P * _D2 % P))
-        combs.append(comb)
+        for _ in range(8):
+            comb += [base] + [_ed_add(p, base) for p in comb]
+            for _ in range(8):
+                base = _ed_double(base)
+        combs.append([_ed_cached(p) for p in comb])
     return combs
 
 

@@ -41,17 +41,8 @@ class SeededRng:
     def randint(self, a: int, b: int) -> int:
         return self._rand.randint(a, b)
 
-    def random(self) -> float:
-        return self._rand.random()
-
-    def choice(self, seq):
-        return self._rand.choice(seq)
-
     def sample(self, population, k: int):
         return self._rand.sample(population, k)
-
-    def shuffle(self, seq) -> None:
-        self._rand.shuffle(seq)
 
     def getrandbits(self, k: int) -> int:
         return self._rand.getrandbits(k)

@@ -347,10 +347,10 @@ class NonceIntake:
     Signer when the node is a coalition member.
     """
 
-    def __init__(self, message: bytes, coalition: Iterable[int], signer: Optional[Signer] = None):
+    def __init__(self, message: bytes, coalition: Iterable[int]):
         self.message = message
         self.coalition = tuple(sorted(coalition))
-        self.signer = signer
+        self.signer: Optional[Signer] = None
         self.lists: dict[int, NonceCommitmentList] = {}
         self.package: Optional[SigningPackage] = None
 

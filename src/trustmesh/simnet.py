@@ -90,7 +90,8 @@ class DomainSpec:
     secret: int = 5                               # planted secret (vss / avss)
     deliver_to: Optional[tuple[int, ...]] = None  # avss: who the dealer reaches
 
-    def validate(self, nodes: int) -> None:
+    def validate(self, nodes: int, q: int) -> None:
+        """Check the domain against the node count and the group order q."""
         prefix = f"domains[{self.domain_id}]"
         if self.protocol not in _PROTOCOLS:
             raise ConfigError(f"{prefix}.protocol: unknown protocol {self.protocol!r}")
@@ -101,8 +102,12 @@ class DomainSpec:
         for m in self.members:
             if not 1 <= m <= nodes:
                 raise ConfigError(f"{prefix}.members: node {m} outside 1..{nodes}")
+        if len(self.members) >= q:
+            raise ConfigError(f"{prefix}.members: group order {q} allows at most {q - 1} members")
         if not 1 <= self.threshold <= len(self.members):
             raise ConfigError(f"{prefix}.threshold: need 1 <= t <= members")
+        if self.protocol == "pedersen_vss" and self.threshold >= len(self.members):
+            raise ConfigError(f"{prefix}.threshold: Pedersen VSS needs t < members")
         if self.protocol == "dkg_sign" and self.threshold < 2:
             raise ConfigError(f"{prefix}.threshold: key generation needs t >= 2")
         if self.coalition is not None:
@@ -115,6 +120,8 @@ class DomainSpec:
             bad = set(self.deliver_to) - set(self.members)
             if bad:
                 raise ConfigError(f"{prefix}.deliver_to: {sorted(bad)} not members")
+        if self.protocol in ("pedersen_vss", "avss") and not 0 <= self.secret < q:
+            raise ConfigError(f"{prefix}.secret: must be in 0..{q - 1}")
 
 
 @dataclass(frozen=True)
@@ -154,17 +161,17 @@ class SimConfig:
             raise ConfigError("timeout_ticks: must be >= 1")
         if not self.domains:
             raise ConfigError("domains: at least one domain required")
+        q = get_backend(self.backend).order
         seen = set()
         for d in self.domains:
             if d.domain_id in seen:
                 raise ConfigError(f"domains: duplicate id {d.domain_id!r}")
             seen.add(d.domain_id)
-            d.validate(self.nodes)
+            d.validate(self.nodes, q)
         for a in self.adversaries:
             a.validate(self.nodes)
         self.delay.validate()
         self.gossip.validate()
-        get_backend(self.backend)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
@@ -230,6 +237,16 @@ _SCENARIO = _Section(SimConfig, {
 })
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key written twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"scenario: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(ref: str) -> SimConfig:
     """Load a scenario from a path or from the bundled scenario set."""
     path = Path(ref)
@@ -242,7 +259,7 @@ def load_scenario(ref: str) -> SimConfig:
         except (FileNotFoundError, ModuleNotFoundError):
             raise ConfigError(f"scenario {ref!r}: not a file and not a bundled scenario")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {ref!r}: invalid JSON ({exc})") from None
     return SimConfig.from_dict(data)

@@ -27,7 +27,7 @@ from trustmesh.dkg import (
     transcript_jsonl,
 )
 from trustmesh.errors import ProtocolAbort
-from trustmesh.groups import hash_to_scalar, id_bytes
+from trustmesh.groups import GroupElement, hash_to_scalar, id_bytes
 from trustmesh.rng import SeededRng
 from trustmesh.sharing import CommitmentVector
 
@@ -390,11 +390,39 @@ def counting(monkeypatch, name):
     return calls
 
 
-def checked_dealers(receiver, feldman_calls):
-    """The dealers whose commitment a recorded feldman_verify call checked."""
+def evaluations(monkeypatch):
+    """Record (vector, id) for each CommitmentVector.share_commitment call."""
+    calls = []
+    original = CommitmentVector.share_commitment
+
+    def wrapper(self, participant_id):
+        calls.append((self, participant_id))
+        return original(self, participant_id)
+    monkeypatch.setattr(CommitmentVector, "share_commitment", wrapper)
+    return calls
+
+
+def generator_multiples(monkeypatch, backend):
+    """Record k for each k*G computed, G the backend's generator."""
+    calls = []
+    original = GroupElement.mul
+    g = backend.generator()
+
+    def wrapper(self, k):
+        if self.rep is g.rep:
+            calls.append(k)
+        return original(self, k)
+    monkeypatch.setattr(GroupElement, "mul", wrapper)
+    monkeypatch.setattr(GroupElement, "__rmul__", wrapper)
+    return calls
+
+
+def checked_dealers(receiver, evaluated):
+    """The dealers whose round-1 commitment was evaluated, at the receiver's id."""
     by_commitment = {id(bc.commitment): s for s, bc in receiver.received_broadcasts.items()}
-    assert all(packet.id == receiver.id for packet, _ in feldman_calls)
-    return sorted(by_commitment[id(commitment)] for _, commitment in feldman_calls)
+    dealt = [(vector, i) for vector, i in evaluated if id(vector) in by_commitment]
+    assert all(i == receiver.id for _, i in dealt)
+    return sorted(by_commitment[id(vector)] for vector, _ in dealt)
 
 
 class TestBatchedShareCheck:
@@ -423,10 +451,11 @@ class TestBatchedShareCheck:
 
     def test_honest_shares_pass_the_batch_without_per_dealer_checks(self, ed25519, monkeypatch):
         parts, outbound = dealt_and_accepted(ed25519)
-        checks = counting(monkeypatch, "feldman_verify")
+        muls = generator_multiples(monkeypatch, ed25519)
         for p in parts:
             dkg_round2_finalize(p, inbound_for(p, outbound))
-        assert checks == []
+        # one k*G per node, the batch's left-hand side
+        assert len(muls) == len(parts)
         assert len({p.group_pk.encode() for p in parts}) == 1
 
     def test_a_failed_batch_checks_each_peer_dealer_once(self, ed25519, monkeypatch):
@@ -434,19 +463,39 @@ class TestBatchedShareCheck:
         receiver = parts[0]
         inbound = inbound_for(receiver, outbound)
         inbound[3] = inbound[3] + 1
-        checks = counting(monkeypatch, "feldman_verify")
+        evaluated = evaluations(monkeypatch)
+        muls = generator_multiples(monkeypatch, ed25519)
         with pytest.raises(ProtocolAbort):
             dkg_round2_finalize(receiver, inbound)
-        assert checked_dealers(receiver, checks) == [2, 3, 4, 5]
+        assert checked_dealers(receiver, evaluated) == [2, 3, 4, 5]
+        # the batch's k*G, then value*G for each peer dealer
+        assert sorted(k.value for k in muls[1:]) == sorted(v.value for v in inbound.values())
+
+    def test_a_failed_check_evaluates_each_commitment_once(self, backend, monkeypatch):
+        parts, outbound = dealt_and_accepted(backend, t=3, n=6)
+        receiver = parts[0]
+        inbound = inbound_for(receiver, outbound)
+        inbound[4] = inbound[4] + 1
+        weights = counting(monkeypatch, "share_batch_weights")
+        evaluated = evaluations(monkeypatch)
+        with pytest.raises(ProtocolAbort) as exc:
+            dkg_round2_finalize(receiver, inbound)
+        # ed25519 batches first; toy, where a weight can vanish, never does
+        assert len(weights) == (backend.name == "ed25519")
+        assert len(evaluated) == 5
+        assert checked_dealers(receiver, evaluated) == [2, 3, 4, 5, 6]
+        assert exc.value.faulty_ids == (4,)
+        assert receiver.abort_reason == "share verification failed for [4]"
 
     def test_toy_checks_dealer_by_dealer(self, toy, monkeypatch):
         # a weight can vanish mod 11, so the toy group never batches
         parts, outbound = dealt_and_accepted(toy, t=2, n=4)
         weights = counting(monkeypatch, "share_batch_weights")
-        checks = counting(monkeypatch, "feldman_verify")
-        dkg_round2_finalize(parts[0], inbound_for(parts[0], outbound))
+        muls = generator_multiples(monkeypatch, toy)
+        inbound = inbound_for(parts[0], outbound)
+        dkg_round2_finalize(parts[0], inbound)
         assert weights == []
-        assert len(checks) == parts[0].n - 1
+        assert sorted(k.value for k in muls) == sorted(v.value for v in inbound.values())
 
     def test_weights_are_a_pure_function_of_the_inputs(self, ed25519):
         parts, outbound = dealt_and_accepted(ed25519)
@@ -479,9 +528,9 @@ class TestNoSelfChecks:
     def test_round2_does_not_check_the_own_share(self, toy, monkeypatch):
         parts, outbound = dealt_and_accepted(toy, t=2, n=4)
         receiver = parts[3]
-        checks = counting(monkeypatch, "feldman_verify")
+        evaluated = evaluations(monkeypatch)
         dkg_round2_finalize(receiver, inbound_for(receiver, outbound))
-        assert checked_dealers(receiver, checks) == [1, 2, 3]
+        assert checked_dealers(receiver, evaluated) == [1, 2, 3]
         assert receiver.sk_share == sum(
             (v for v in inbound_for(receiver, outbound).values()), receiver.self_share)
 

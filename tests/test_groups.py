@@ -522,6 +522,24 @@ class TestCombTables:
             k = sum(1 << (8 * i + j) for i in range(32) if 8 * i + j < 252)
             assert base.mul(k) == reference_mul(k, base), j
 
+    def test_every_comb_entry(self, base):
+        # tooth m is 2^(8m) * B by repeated doubling; entry idx of comb t sums
+        # tooth 8t + i over the set bits i of idx
+        teeth = [base]
+        for _ in range(31):
+            tooth = teeth[-1]
+            for _ in range(8):
+                tooth = tooth + tooth
+            teeth.append(tooth)
+        for t in range(4):
+            for idx in range(1, 256):
+                bits = [i for i in range(8) if idx >> i & 1]
+                k = sum(1 << (64 * t + 8 * i) for i in bits)
+                want = teeth[8 * t + bits[0]]
+                for i in bits[1:]:
+                    want = want + teeth[8 * t + i]
+                assert base.mul(k) == want, (t, idx)
+
     def test_table_boundaries(self, base):
         for k in self.BOUNDARIES:
             assert base.mul(k) == reference_mul(k, base), k

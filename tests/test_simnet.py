@@ -592,6 +592,18 @@ class TestScenarioShapes:
         ({"adversaries": [{"node": 2, "behavior": "crash", "tick": 4}]}, "adversaries[0]"),
         ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2, "coalition": []}]},
          "domains[d].coalition"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2,
+                       "protocol": "pedersen_vss", "secret": 16}]}, "domains[d].secret"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2,
+                       "protocol": "avss", "secret": -6}]}, "domains[d].secret"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 3,
+                       "protocol": "pedersen_vss"}]}, "domains[d].threshold"),
+        ({"nodes": 11, "domains": [{"id": "d", "members": list(range(1, 12)), "threshold": 2}]},
+         "domains[d].members"),
+        ({"nodes": 11, "domains": [{"id": "d", "members": list(range(1, 12)), "threshold": 2,
+                                    "protocol": "pedersen_vss"}]}, "domains[d].members"),
+        ({"nodes": 11, "domains": [{"id": "d", "members": list(range(1, 12)), "threshold": 2,
+                                    "protocol": "avss"}]}, "domains[d].members"),
     ])
     def test_malformed_section_named(self, patch, section):
         with pytest.raises(ConfigError, match=f"^{re.escape(section)}:"):
@@ -611,6 +623,28 @@ class TestScenarioShapes:
         silent = SimConfig.from_dict(self.base(adversaries=[{"node": 3, "behavior": "silent",
                                                              "at_tick": None}]))
         assert silent.adversaries == (AdversarySpec(3, "silent"),)
+
+    def test_protocol_limits_accepted(self):
+        SimConfig.from_dict(self.base(nodes=10, domains=[
+            {"id": "v", "members": [1, 2, 3], "threshold": 2, "protocol": "pedersen_vss",
+             "secret": 10},
+            {"id": "a", "members": list(range(1, 11)), "threshold": 2, "protocol": "avss",
+             "secret": 0},
+            {"id": "k", "members": list(range(1, 11)), "threshold": 10}]))
+        SimConfig.from_dict(self.base(backend="ed25519", domains=[
+            {"id": "a", "members": [1, 2, 3], "threshold": 2, "protocol": "avss",
+             "secret": 424242}]))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "repeated.json"
+        path.write_text('{"seed": 1, "seed": 2, "nodes": 3, '
+                        '"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2}]}')
+        with pytest.raises(ConfigError, match="^scenario: repeated key 'seed'"):
+            load_scenario(str(path))
+        path.write_text('{"seed": 1, "nodes": 3, "domains": [{"id": "d", "members": [1, 2, 3], '
+                        '"threshold": 2, "threshold": 3}]}')
+        with pytest.raises(ConfigError, match="^scenario: repeated key 'threshold'"):
+            load_scenario(str(path))
 
     def test_readme_scenario_example_parses(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
