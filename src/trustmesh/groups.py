@@ -338,6 +338,7 @@ _BASE_X = 1511222134953540077250115140958853151145401269304185720604611328394984
 _BASE_Y = 46316835694926478169428394003475163141307993866256225615783033603165251855960
 
 _D2 = 2 * _D % _P
+_M = 2**255 - 1  # (v & _M) + 19 * (v >> 255) is v mod P, since 2^255 = 19 mod P
 _INV_D = pow(_D, -1, _P)
 
 # Curve25519, v^2 = u^3 + A*u^2 + u, is Ed25519 under u = (1+y)/(1-y) and
@@ -349,12 +350,19 @@ _WNAF_WIDTH = 5  # odd digits up to +-15: a table of 8 points per term
 
 
 def _ed_add(p1, p2):
+    # the folds follow the rule in _ed_straus
     x1, y1, z1, t1 = p1
     x2, y2, z2, t2 = p2
-    a = (y1 - x1) * (y2 - x2) % _P
-    b = (y1 + x1) * (y2 + x2) % _P
-    c = t1 * t2 % _P * _D2 % _P
-    d = z1 * z2 * 2 % _P
+    a = (y1 - x1) * (y2 - x2)
+    a = (a & _M) + 19 * (a >> 255)
+    b = (y1 + x1) * (y2 + x2)
+    b = (b & _M) + 19 * (b >> 255)
+    c = t1 * t2
+    c = (c & _M) + 19 * (c >> 255)
+    c *= _D2
+    c = (c & _M) + 19 * (c >> 255)
+    d = z1 * z2 * 2
+    d = (d & _M) + 19 * (d >> 255)
     e = b - a
     f = d - c
     g = d + c
@@ -363,13 +371,18 @@ def _ed_add(p1, p2):
 
 
 def _ed_double(p):
+    # the folds follow the rule in _ed_straus
     x1, y1, z1, _ = p
     s = x1 + y1
-    a = x1 * x1 % _P
-    b = y1 * y1 % _P
-    c = z1 * z1 * 2 % _P
+    a = x1 * x1
+    a = (a & _M) + 19 * (a >> 255)
+    b = y1 * y1
+    b = (b & _M) + 19 * (b >> 255)
+    c = z1 * z1 * 2
+    c = (c & _M) + 19 * (c >> 255)
     h = a + b
-    e = (h - s * s) % _P
+    e = h - s * s
+    e = (e & _M) + 19 * (e >> 255)
     g = a - b
     f = c + g
     return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
@@ -467,6 +480,17 @@ def _ed_straus(terms, extra=()) -> tuple:
     The additions use cached points (Hisil et al., "Twisted Edwards Curves
     Revisited").  T is formed only before an addition: the loop carries E
     and H of the last step, whose product is T, and doublings never use it.
+
+    Reduction is lazy.  A product that is only added or subtracted before
+    the next multiplication (a, b, c and d of an addition, where c's two
+    products are folded one by one; a, b, c and e of a doubling) is folded
+    once, v = (v & M) + 19*(v >> 255) with M = 2^255 - 1, which keeps its
+    residue mod P but not its size.  x, y and z are fully reduced after
+    every step, and so is every value the function returns, so nothing
+    grows from one step to the next: a, b, d, E and H stay below 2^262 in
+    absolute value, c and so f and g below 2^276, and each product below
+    2^552.  ``>>`` floors, so negative differences fold correctly too.
+    _ed_add and _ed_double follow the same rule.
     """
     adds: dict[int, list] = {}
     for pos, p in extra:
@@ -480,7 +504,7 @@ def _ed_straus(terms, extra=()) -> tuple:
             adds.setdefault(pos, []).append(table[d])
     if not adds:
         return _ED_IDENTITY
-    P = _P
+    P, M = _P, _M
     positions = sorted(adds, reverse=True)
     # start from the first point: (Y+X, Y-X, 2Z, 2dT) is (2X, 2Y, 2Z) with
     # e*h = 2T
@@ -488,10 +512,16 @@ def _ed_straus(terms, extra=()) -> tuple:
     x, y, h = (ypx - ymx) % P, (ypx + ymx) % P, _INV_D
     for i, pos in enumerate(positions):
         for ypx, ymx, z2, t2d in adds[pos]:
-            a = (y - x) * ymx % P
-            b = (y + x) * ypx % P
-            c = e * h % P * t2d % P
-            d = z * z2 % P
+            a = (y - x) * ymx
+            a = (a & M) + 19 * (a >> 255)
+            b = (y + x) * ypx
+            b = (b & M) + 19 * (b >> 255)
+            c = e * h
+            c = (c & M) + 19 * (c >> 255)
+            c *= t2d
+            c = (c & M) + 19 * (c >> 255)
+            d = z * z2
+            d = (d & M) + 19 * (d >> 255)
             e = b - a
             f = d - c
             g = d + c
@@ -501,11 +531,15 @@ def _ed_straus(terms, extra=()) -> tuple:
             # s * s and z * z square one int object, which CPython does
             # faster than (x + y) * (x + y) or (2 * z) * z
             s = x + y
-            a = x * x % P
-            b = y * y % P
-            c = z * z * 2 % P
+            a = x * x
+            a = (a & M) + 19 * (a >> 255)
+            b = y * y
+            b = (b & M) + 19 * (b >> 255)
+            c = z * z * 2
+            c = (c & M) + 19 * (c >> 255)
             h = a + b
-            e = (h - s * s) % P
+            e = h - s * s
+            e = (e & M) + 19 * (e >> 255)
             g = a - b
             f = c + g
             x, y, z = e * f % P, g * h % P, f * g % P

@@ -161,7 +161,10 @@ class SimConfig:
             raise ConfigError("timeout_ticks: must be >= 1")
         if not self.domains:
             raise ConfigError("domains: at least one domain required")
-        q = get_backend(self.backend).order
+        try:
+            q = get_backend(self.backend).order
+        except ValueError as exc:
+            raise ConfigError(f"backend: {exc}") from None
         seen = set()
         for d in self.domains:
             if d.domain_id in seen:

@@ -5,6 +5,8 @@ check every operation exhaustively with plain pow()/% arithmetic that never
 touches the library's own group code.
 """
 
+import hashlib
+
 import pytest
 
 from trustmesh import groups
@@ -552,3 +554,149 @@ class TestCombTables:
         a, b, c = (ed25519.random_scalar(rng).value for _ in range(3))
         got = ed25519.multi_mul([a, b, c, 1, 0], [g, h, p, unit, g])
         assert got == reference_mul(a, g) + reference_mul(b, h) + reference_mul(c, p) + unit
+
+
+# RFC 8032, section 5.1: d = -121665/121666, computed here rather than read
+# from the library
+ED_D = -121665 * pow(121666, -1, FIELD_P) % FIELD_P
+
+
+def affine_add(p1: tuple[int, int], p2: tuple[int, int]) -> tuple[int, int]:
+    """Affine Edwards addition with field inversions (RFC 8032, section 5.1.4)."""
+    (x1, y1), (x2, y2) = p1, p2
+    k = ED_D * x1 * x2 * y1 * y2 % FIELD_P
+    x3 = (x1 * y2 + x2 * y1) * pow(1 + k, -1, FIELD_P)
+    y3 = (y1 * y2 + x1 * x2) * pow(1 - k, -1, FIELD_P)
+    return x3 % FIELD_P, y3 % FIELD_P
+
+
+def affine_mul(k: int, point: tuple[int, int]) -> tuple[int, int]:
+    """k*P by double-and-add over affine_add: shares no code with the library."""
+    acc = (0, 1)
+    while k:
+        if k & 1:
+            acc = affine_add(acc, point)
+        point = affine_add(point, point)
+        k >>= 1
+    return acc
+
+
+def extended_to_affine(rep: tuple) -> tuple[int, int]:
+    """The affine point of a library point (X, Y, Z, T), which must be fully
+    reduced and consistent (T*Z = X*Y)."""
+    x, y, z, t = rep
+    assert all(0 <= v < FIELD_P for v in rep), rep
+    assert t * z % FIELD_P == x * y % FIELD_P
+    zinv = pow(z, -1, FIELD_P)
+    return x * zinv % FIELD_P, y * zinv % FIELD_P
+
+
+def small_x_points(count: int) -> list[tuple[int, int]]:
+    """Affine curve points with the smallest x > 0 and the x of their
+    negations, P - x: the largest coordinates a point can have."""
+    points = []
+    x = 0
+    while len(points) < 2 * count:
+        x += 1
+        y2 = (1 + x * x) * pow(1 - ED_D * x * x, -1, FIELD_P) % FIELD_P
+        y = pow(y2, (FIELD_P + 3) // 8, FIELD_P)
+        if y * y % FIELD_P != y2:
+            y = y * pow(2, (FIELD_P - 1) // 4, FIELD_P) % FIELD_P
+        if y * y % FIELD_P == y2:
+            points += [(x, y), (FIELD_P - x, y)]
+    return points
+
+
+class TestAffineOracle:
+    """The extended-coordinate kernels against affine arithmetic with inversions.
+
+    reference_mul adds through _ed_add, so it cannot see a fault in the
+    addition law itself; this oracle shares no curve code with the library.
+    """
+
+    ORDER = TestEd25519Kernel.ORDER
+    SCALARS = (0, 1, 2, 2**16 - 1, 2**16, ORDER - 1)
+
+    @pytest.fixture(scope="class")
+    def points(self, ed25519):
+        """Subgroup points, their negations (X is P minus the original X)
+        and the identity."""
+        rng = SeededRng("affine-oracle-points")
+        g, h = ed25519.generator(), ed25519.second_generator()
+        points = [g, h] + [ed25519.random_scalar(rng) * g + h for _ in range(2)]
+        return points + [-p for p in points] + [ed25519.identity()]
+
+    @pytest.fixture(scope="class")
+    def outside(self):
+        """Curve points outside the subgroup whose x is 1, 2, ... or P - 1,
+        P - 2, ..., each with Z = 1 and with Z != 1."""
+        reps = []
+        for x, y in small_x_points(2):
+            z = pow(3, 200 + x, FIELD_P)
+            reps += [(x, y, 1, x * y % FIELD_P),
+                     (x * z % FIELD_P, y * z % FIELD_P, z, x * y * z % FIELD_P)]
+        return reps
+
+    def test_add_and_double(self, points, outside):
+        reps = [p.rep for p in points] + outside
+        for p1 in reps:
+            a1 = extended_to_affine(p1)
+            assert extended_to_affine(groups._ed_double(p1)) == affine_add(a1, a1)
+            for p2 in reps:
+                want = affine_add(a1, extended_to_affine(p2))
+                assert extended_to_affine(groups._ed_add(p1, p2)) == want
+
+    def test_mul(self, ed25519, points):
+        rng = SeededRng("affine-oracle-mul")
+        ks = list(self.SCALARS) + [ed25519.random_scalar(rng).value]
+        for p in points:
+            a = extended_to_affine(p.rep)
+            for k in ks:
+                assert extended_to_affine(p.mul(k).rep) == affine_mul(k, a), k
+
+    def test_mul_outside_the_subgroup(self, outside):
+        for rep in outside:
+            a = extended_to_affine(rep)
+            for k in (2, 3, 2**16 - 1, 2**16, self.ORDER - 1):
+                assert extended_to_affine(groups._ed_mul(k, rep)) == affine_mul(k, a), k
+
+    def test_multi_mul(self, ed25519, points):
+        rng = SeededRng("affine-oracle-multi-mul")
+        ks = list(self.SCALARS)
+        ks += [ed25519.random_scalar(rng).value for _ in range(len(points) - len(ks))]
+        want = (0, 1)
+        for k, p in zip(ks, points):
+            want = affine_add(want, affine_mul(k, extended_to_affine(p.rep)))
+        assert extended_to_affine(ed25519.multi_mul(ks, points).rep) == want
+
+    def test_multi_mul_property(self, ed25519, points):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        scalars = st.one_of(st.sampled_from([0, 1, self.ORDER - 1]), st.integers(0, self.ORDER - 1))
+        affines = [extended_to_affine(p.rep) for p in points]
+        term = st.tuples(scalars, st.integers(0, len(points) - 1))
+
+        # the length is drawn first: st.lists alone rarely goes past 15 terms
+        @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.integers(1, 40).flatmap(lambda n: st.lists(term, min_size=n, max_size=n)))
+        def check(terms):
+            want = (0, 1)
+            for k, i in terms:
+                want = affine_add(want, affine_mul(k, affines[i]))
+            got = ed25519.multi_mul([k for k, _ in terms], [points[i] for _, i in terms])
+            assert extended_to_affine(got.rep) == want
+
+        check()
+
+
+def test_fixed_base_matches_the_cryptography_package(ed25519):
+    """RFC 8032 public keys from the comb path and encode, against code we did not write."""
+    ed = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ed25519")
+    rng = SeededRng("rfc8032-public-keys")
+    g = ed25519.generator()
+    for _ in range(32):
+        seed = rng.getrandbits(256).to_bytes(32, "little")
+        a = int.from_bytes(hashlib.sha512(seed).digest()[:32], "little")
+        a = a & (2**254 - 8) | 2**254  # clamp (RFC 8032, section 5.1.5)
+        want = ed.Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
+        assert g.mul(a).encode() == want

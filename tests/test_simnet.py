@@ -583,6 +583,7 @@ class TestScenarioShapes:
         ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": "2"}]}, "domains[0].threshold"),
         ({"max_ticks": 99.5}, "max_ticks"),
         ({"seed": True}, "seed"),
+        ({"backend": "p256"}, "backend"),
         ({"message": 5}, "message"),
         ({"delay": {"ticks": "2"}}, "delay.ticks"),
         ({"timeout_tick": 5}, "scenario"),
