@@ -583,7 +583,6 @@ class TestScenarioShapes:
         ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": "2"}]}, "domains[0].threshold"),
         ({"max_ticks": 99.5}, "max_ticks"),
         ({"seed": True}, "seed"),
-        ({"backend": "p256"}, "backend"),
         ({"message": 5}, "message"),
         ({"delay": {"ticks": "2"}}, "delay.ticks"),
         ({"timeout_tick": 5}, "scenario"),
@@ -605,6 +604,7 @@ class TestScenarioShapes:
                                     "protocol": "pedersen_vss"}]}, "domains[d].members"),
         ({"nodes": 11, "domains": [{"id": "d", "members": list(range(1, 12)), "threshold": 2,
                                     "protocol": "avss"}]}, "domains[d].members"),
+        ({"backend": "p256"}, "backend"),
     ])
     def test_malformed_section_named(self, patch, section):
         with pytest.raises(ConfigError, match=f"^{re.escape(section)}:"):
