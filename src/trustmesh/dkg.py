@@ -65,10 +65,13 @@ def _pok_challenge(
     )
 
 
-def pok_prove(backend: GroupBackend, sender: int, crs: bytes, secret: Scalar, rng) -> ProofOfKnowledge:
+def pok_prove(
+    backend: GroupBackend, sender: int, crs: bytes, secret: Scalar, public_secret: GroupElement, rng
+) -> ProofOfKnowledge:
+    """Prove knowledge of ``secret``, whose public value secret*G the caller already holds."""
     k = backend.random_scalar(rng)
     commitment = k * backend.generator()
-    challenge = _pok_challenge(backend, sender, crs, secret * backend.generator(), commitment)
+    challenge = _pok_challenge(backend, sender, crs, public_secret, commitment)
     return ProofOfKnowledge(commitment, k + secret * challenge)
 
 
@@ -153,7 +156,7 @@ def dkg_round1(state: Participant, rng) -> Round1Broadcast:
     secret = state.backend.random_scalar(rng)
     state.own_polynomial = random_polynomial(secret, state.t - 1, rng)
     commitment = commit_polynomial(state.backend, state.own_polynomial)
-    proof = pok_prove(state.backend, state.id, state.crs, secret, rng)
+    proof = pok_prove(state.backend, state.id, state.crs, secret, commitment.entries[0], rng)
     broadcast = Round1Broadcast(state.id, commitment, proof)
     state.received_broadcasts[state.id] = broadcast
     state.self_share = state.own_polynomial.evaluate(state.id)

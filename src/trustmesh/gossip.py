@@ -2,8 +2,10 @@
 
 Signers seed per-node transcripts with their own verified partial response.
 Each round a node forwards its transcript to a logarithmic fan-out of random
-peers; receivers verify every previously unseen contribution against the
-session context before merging, so forged partials never spread.  Once a
+peers; receivers check each contribution they have not accepted yet against
+the session context before merging, so forged partials never spread.  Each
+unseen contribution is checked once: the node's verifier remembers the
+accepted ones, so aggregating them later repeats no group work.  Once a
 node's transcript holds enough contributions to aggregate, it broadcasts the
 full transcript with small probability; everyone who observes a broadcast
 aggregates it into the final signature and stops gossiping.  Ties between

@@ -208,7 +208,9 @@ def pedersen_verify(share: SharePacket, commitments: CommitmentVector) -> bool:
     if share.blinding is None:
         raise ValueError("pedersen verification needs a blinded share")
     backend = commitments.backend
-    lhs = share.value * backend.generator() + share.blinding * backend.second_generator()
+    lhs = backend.multi_mul(
+        [share.value, share.blinding], [backend.generator(), backend.second_generator()]
+    )
     return lhs == commitments.share_commitment(share.id)
 
 

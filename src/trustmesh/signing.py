@@ -243,8 +243,16 @@ class Signer:
                 return nonce
         raise NonceReuseError("package references an unknown nonce pair")
 
-    def round2_partial(self, package: SigningPackage) -> Scalar:
-        """Compute this signer's bound partial response and burn the nonce pair."""
+    def round2_partial(
+        self, package: SigningPackage, verifier: Optional["PartialVerifier"] = None
+    ) -> Scalar:
+        """Compute this signer's bound partial response and burn the nonce pair.
+
+        A node that already built this session's PartialVerifier passes it as
+        ``verifier``, and its binding values and challenge are reused; one
+        built for another package or group key is rejected.  Without it the
+        signer builds its own, deriving the session itself.
+        """
         key = self.key
         if key.id not in package.coalition:
             raise ValueError(f"signer {key.id} is not in the coalition {package.coalition}")
@@ -253,12 +261,9 @@ class Signer:
                 f"coalition of {len(package.coalition)} is below the threshold {key.t}"
             )
         nonce = self._find_nonce(package.pair(key.id))
-        backend = key.backend
-        betas = binding_values(backend, package)
-        lam = lagrange_coefficient(key.id, package.coalition, backend.scalar(0))
-        R, _ = bound_commitments(backend, package, betas)
-        c = challenge_scalar(backend, R, key.group_pk, package.message)
-        z = nonce.a + nonce.b * betas[key.id] + lam * key.sk_share * c
+        verifier = _session_verifier(verifier, package, key.pk_shares, key.group_pk)
+        lam = lagrange_coefficient(key.id, package.coalition, key.backend.scalar(0))
+        z = nonce.a + nonce.b * verifier.betas[key.id] + lam * key.sk_share * verifier.challenge
         nonce.scrub()
         return z
 
@@ -269,12 +274,14 @@ class Signer:
 
 
 class PartialVerifier:
-    """Precomputed per-signer checks for one signing session.
+    """One node's partial checks for one signing session.
 
-    A partial z_i is valid iff z_i*G = R_i + (c * lambda_i) * pk_i; the right
-    side is frozen per signer so each check costs one base multiplication.
-    Each target A_i + (beta_i*B_i + c*lambda_i*pk_i) costs one two-term
-    multi-scalar mul.
+    Building it derives the session once: the binding values beta_i, the
+    group commitment R and the challenge c.  A partial z_i is valid iff
+    z_i*G - beta_i*B_i - (c*lambda_i)*pk_i = A_i, which ``verify`` checks with
+    one three-term multi-scalar mul, so z_i*G shares the chain.  Each
+    accepted partial is remembered, and asking again about it costs no group
+    operation; a rejected one is never remembered.
     """
 
     def __init__(
@@ -286,25 +293,45 @@ class PartialVerifier:
         backend = group_pk.backend
         self.backend = backend
         self.package = package
+        self.pk_shares = pk_shares
         self.group_pk = group_pk
         self.context_hash = package.context_hash()
-        betas = binding_values(backend, package)
-        R, _ = bound_commitments(backend, package, betas)
-        self.R = R
-        self.challenge = challenge_scalar(backend, R, group_pk, package.message)
-        zero = backend.scalar(0)
-        self._targets = {}
-        for member, a, b in package.commitments:
-            lam = lagrange_coefficient(member, package.coalition, zero)
-            self._targets[member] = a + backend.multi_mul(
-                [betas[member], self.challenge * lam], [b, pk_shares[member]]
-            )
+        self.betas = binding_values(backend, package)
+        self.R, _ = bound_commitments(backend, package, self.betas)
+        self.challenge = challenge_scalar(backend, self.R, group_pk, package.message)
+        self._accepted: dict[int, Scalar] = {}
 
     def verify(self, member: int, z: Scalar) -> bool:
-        target = self._targets.get(member)
-        if target is None:
+        held = self._accepted.get(member)
+        if held is not None and held == z:
+            return True
+        coalition = self.package.coalition
+        if member not in coalition:
             return False
-        return z * self.backend.generator() == target
+        backend = self.backend
+        a, b = self.package.pair(member)
+        c_lam = self.challenge * lagrange_coefficient(member, coalition, backend.scalar(0))
+        lhs = backend.multi_mul(
+            [z, -self.betas[member], -c_lam], [backend.generator(), b, self.pk_shares[member]]
+        )
+        if lhs != a:
+            return False
+        self._accepted[member] = z
+        return True
+
+
+def _session_verifier(
+    verifier: Optional[PartialVerifier],
+    package: SigningPackage,
+    pk_shares: Mapping[int, GroupElement],
+    group_pk: GroupElement,
+) -> PartialVerifier:
+    """A new verifier for this session, or ``verifier`` once it is checked to be one."""
+    if verifier is None:
+        return PartialVerifier(package, pk_shares, group_pk)
+    if verifier.package != package or verifier.group_pk != group_pk:
+        raise ValueError("verifier was built for another signing package or group key")
+    return verifier
 
 
 def aggregate(
@@ -323,10 +350,7 @@ def aggregate(
     missing = sorted(set(package.coalition) - set(partials))
     if missing:
         raise ValueError(f"incomplete session: missing partials from {missing}")
-    if verifier is None:
-        verifier = PartialVerifier(package, pk_shares, group_pk)
-    elif verifier.package != package or verifier.group_pk != group_pk:
-        raise ValueError("verifier was built for another signing package or group key")
+    verifier = _session_verifier(verifier, package, pk_shares, group_pk)
     faulty = sorted(
         member for member in package.coalition if not verifier.verify(member, partials[member])
     )

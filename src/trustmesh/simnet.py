@@ -90,9 +90,9 @@ class DomainSpec:
     secret: int = 5                               # planted secret (vss / avss)
     deliver_to: Optional[tuple[int, ...]] = None  # avss: who the dealer reaches
 
-    def validate(self, nodes: int, q: int) -> None:
-        """Check the domain against the node count and the group order q."""
-        prefix = f"domains[{self.domain_id}]"
+    def validate(self, index: int, nodes: int, q: int) -> None:
+        """Check domain ``index`` of the scenario against the node count and the group order q."""
+        prefix = f"domains[{index}]"
         if self.protocol not in _PROTOCOLS:
             raise ConfigError(f"{prefix}.protocol: unknown protocol {self.protocol!r}")
         if len(set(self.members)) != len(self.members):
@@ -166,11 +166,11 @@ class SimConfig:
         except ValueError as exc:
             raise ConfigError(f"backend: {exc}") from None
         seen = set()
-        for d in self.domains:
+        for index, d in enumerate(self.domains):
             if d.domain_id in seen:
                 raise ConfigError(f"domains: duplicate id {d.domain_id!r}")
             seen.add(d.domain_id)
-            d.validate(self.nodes, q)
+            d.validate(index, self.nodes, q)
         for a in self.adversaries:
             a.validate(self.nodes)
         self.delay.validate()
@@ -583,7 +583,7 @@ class DkgSignEngine(_DomainEngine):
             broadcast_prob_num=self.sim.config.gossip.broadcast_prob_num,
         )
         if intake.signer is not None:
-            z = intake.signer.round2_partial(package)
+            z = intake.signer.round2_partial(package, verifier)
             if not gnode.seed_own_partial(z):
                 self.verdicts.append(f"node {node} computed an invalid own partial")
         self.gnodes[node] = gnode

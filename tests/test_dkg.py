@@ -47,7 +47,7 @@ class TestProofOfKnowledge:
     def test_honest_proof_verifies(self, backend, rng):
         crs = make_crs("pok")
         secret = backend.random_scalar(rng)
-        proof = pok_prove(backend, 1, crs, secret, rng)
+        proof = pok_prove(backend, 1, crs, secret, secret * backend.generator(), rng)
         assert pok_verify(backend, 1, crs, secret * backend.generator(), proof)
 
     def test_exhaustive_candidate_scan_matches_oracle(self, toy):
@@ -56,7 +56,7 @@ class TestProofOfKnowledge:
         rng = SeededRng("pok-scan")
         crs = make_crs("pok-scan")
         secret = toy.scalar(4)
-        proof = pok_prove(toy, 2, crs, secret, rng)
+        proof = pok_prove(toy, 2, crs, secret, secret * toy.generator(), rng)
         r_rep = proof.commitment.rep
         for candidate_dlog in range(TOY_Q):
             candidate = toy.scalar(candidate_dlog) * toy.generator()
@@ -71,13 +71,13 @@ class TestProofOfKnowledge:
 
     def test_crs_binding(self, backend, rng):
         secret = backend.random_scalar(rng)
-        proof = pok_prove(backend, 1, make_crs("ctx-a"), secret, rng)
+        proof = pok_prove(backend, 1, make_crs("ctx-a"), secret, secret * backend.generator(), rng)
         assert not pok_verify(backend, 1, make_crs("ctx-b"), secret * backend.generator(), proof)
 
     def test_sender_binding(self, backend, rng):
         secret = backend.random_scalar(rng)
         crs = make_crs("sender")
-        proof = pok_prove(backend, 1, crs, secret, rng)
+        proof = pok_prove(backend, 1, crs, secret, secret * backend.generator(), rng)
         assert not pok_verify(backend, 2, crs, secret * backend.generator(), proof)
 
 

@@ -250,7 +250,7 @@ class TestAggregate:
 
 
 class TestEd25519SessionEquivalence:
-    """The multi-scalar group commitment and targets match the term-by-term forms."""
+    """The multi-scalar group commitment and partial checks match the term-by-term forms."""
 
     @pytest.fixture(scope="class")
     def keys(self, ed25519):
@@ -281,8 +281,10 @@ class TestEd25519SessionEquivalence:
             c = verifier.challenge
             for m in coalition:
                 lam = lagrange_coefficient(m, coalition, zero)
-                assert verifier._targets[m] == per_signer[m] + (c * lam) * keys[m].pk_shares[m]
+                lhs = partials[m] * ed25519.generator()
+                assert lhs == per_signer[m] + (c * lam) * keys[m].pk_shares[m]
                 assert verifier.verify(m, partials[m])
+                assert not verifier.verify(m, partials[m] + 1)
 
     def test_corrupted_partial_aborts_naming_exactly_the_culprit(self, ed25519, keys):
         coalition = (1, 3, 4)
@@ -485,3 +487,73 @@ class TestAggregateWithVerifier:
         verifier = PartialVerifier(package, other_keys[1].pk_shares, other_keys[1].group_pk)
         with pytest.raises(ValueError, match="group key"):
             aggregate(package, partials, keys[1].pk_shares, keys[1].group_pk, verifier=verifier)
+
+
+class TestPartialVerifierChecksOnce:
+    """verify checks a partial once and remembers it only when it is accepted."""
+
+    def session(self, backend):
+        keys, signers = make_signers(backend, t=2, n=4, seed=11)
+        package, partials, _ = run_session(backend, keys, signers, (1, 3), b"once")
+        return PartialVerifier(package, keys[2].pk_shares, keys[2].group_pk), partials
+
+    def test_accepted_partial_is_rechecked_without_group_work(self, backend, monkeypatch):
+        verifier, partials = self.session(backend)
+        calls = []
+        multi_mul = backend.multi_mul
+
+        def counting(scalars, elements):
+            calls.append(len(scalars))
+            return multi_mul(scalars, elements)
+        monkeypatch.setattr(backend, "multi_mul", counting)
+        assert verifier.verify(3, partials[3])
+        assert calls == [3]
+        assert verifier.verify(3, partials[3]) and verifier.verify(3, partials[3])
+        assert calls == [3]
+
+    def test_rejected_partial_is_never_remembered(self, backend):
+        verifier, partials = self.session(backend)
+        z = partials[1]
+        checks = [verifier.verify(1, w) for w in (z + 1, z + 1, z, z + 1)]
+        assert checks == [False, False, True, False]
+
+    def test_non_member_is_rejected(self, backend):
+        verifier, partials = self.session(backend)
+        assert not verifier.verify(2, partials[3])
+        assert not verifier.verify(9, partials[3])
+
+
+class TestRound2WithVerifier:
+    """A signer given its node's verifier reuses the session and computes the same partial."""
+
+    def setup_session(self, backend, message=b"reuse"):
+        keys, _ = make_signers(backend, t=2, n=4, seed=11)
+        # two signers drawing the same nonce pair, so each can answer once
+        twins = [Signer(keys[3]) for _ in range(2)]
+        lists = [s.round1(SeededRng(5).fork("n3")) for s in twins]
+        other = Signer(keys[1]).round1(SeededRng(5).fork("n1"))
+        package = SigningPackage.build(message, {1: other.pairs[0], 3: lists[0].pairs[0]})
+        return keys, twins, package
+
+    def test_same_partial_as_without_a_verifier(self, backend):
+        keys, (plain, reusing), package = self.setup_session(backend)
+        verifier = PartialVerifier(package, keys[3].pk_shares, keys[3].group_pk)
+        z = reusing.round2_partial(package, verifier)
+        assert z == plain.round2_partial(package)
+        assert verifier.verify(3, z)
+
+    def test_verifier_for_another_package_is_rejected(self, backend):
+        keys, (signer, _), package = self.setup_session(backend)
+        other = SigningPackage.build(b"another message", {m: package.pair(m) for m in package.coalition})
+        verifier = PartialVerifier(other, keys[3].pk_shares, keys[3].group_pk)
+        with pytest.raises(ValueError, match="another signing package"):
+            signer.round2_partial(package, verifier)
+        # the nonce pair was not burned by the refused call
+        signer.round2_partial(package)
+
+    def test_verifier_for_another_group_key_is_rejected(self, ed25519):
+        _, (signer, _), package = self.setup_session(ed25519)
+        other_keys, _ = make_signers(ed25519, t=2, n=4, seed=12)
+        verifier = PartialVerifier(package, other_keys[3].pk_shares, other_keys[3].group_pk)
+        with pytest.raises(ValueError, match="group key"):
+            signer.round2_partial(package, verifier)

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from trustmesh import signing as signing_mod
 from trustmesh.errors import ConfigError
 from trustmesh.groups import get_backend
 from trustmesh.polynomials import interpolate_at
 from trustmesh.rng import SeededRng
-from trustmesh.signing import PartialVerifier, Signature, verify
+from trustmesh.signing import PartialVerifier, Signature, Signer, verify
 from trustmesh.simnet import (
     AdversarySpec,
     DelaySpec,
@@ -553,6 +554,37 @@ class TestVerifierBuilds:
         assert all(g.finalized is not None for g in gnodes.values())
         assert sorted(map(id, built)) == sorted(id(g.verifier) for g in gnodes.values())
 
+    @pytest.mark.parametrize("backend", ["toy", "ed25519"])
+    def test_each_node_derives_the_challenge_once(self, backend, monkeypatch):
+        calls, in_partial = [], []
+        challenge = signing_mod.challenge_scalar
+        round2_partial = Signer.round2_partial
+
+        def counting_challenge(*args):
+            calls.append(args)
+            return challenge(*args)
+
+        def counting_partial(self, *args):
+            before = len(calls)
+            z = round2_partial(self, *args)
+            in_partial.append(len(calls) - before)
+            return z
+        monkeypatch.setattr(signing_mod, "challenge_scalar", counting_challenge)
+        monkeypatch.setattr(Signer, "round2_partial", counting_partial)
+        config = SimConfig(
+            seed=7, nodes=5, backend=backend,
+            domains=(dkg_domain(members=(1, 2, 3, 4, 5), t=3),),
+        )
+        sim = Simulator(config)
+        report = sim.run()
+        engine = sim.engines["d"]
+        signers = [n for n, intake in engine.intakes.items() if intake.signer is not None]
+        assert report.domain("d")["ok"] and len(signers) >= 3
+        # each signer reuses its node's verifier: no challenge of its own
+        assert in_partial == [0] * len(signers)
+        # one per node's verifier, and one for the engine's final signature check
+        assert len(calls) == len(engine.gnodes) + 1
+
 
 class TestScenarioShapes:
     """from_dict names the section of a malformed scenario instead of crashing."""
@@ -563,7 +595,7 @@ class TestScenarioShapes:
 
     def test_duplicate_coalition_ids_rejected(self):
         domain = {"id": "d", "members": [1, 2, 3], "threshold": 2, "coalition": [1, 1]}
-        with pytest.raises(ConfigError, match=r"domains\[d\]\.coalition: duplicate node ids"):
+        with pytest.raises(ConfigError, match=r"domains\[0\]\.coalition: duplicate node ids"):
             SimConfig.from_dict(self.base(domains=[domain]))
         with pytest.raises(ConfigError, match="coalition: duplicate"):
             SimConfig(seed=1, nodes=3, domains=(dkg_domain(members=(1, 2, 3), coalition=(2, 2)),)
@@ -590,21 +622,33 @@ class TestScenarioShapes:
          "domains[0]"),
         ({"gossip": {"prob": 1}}, "gossip"),
         ({"adversaries": [{"node": 2, "behavior": "crash", "tick": 4}]}, "adversaries[0]"),
-        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2, "coalition": []}]},
-         "domains[d].coalition"),
-        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2,
-                       "protocol": "pedersen_vss", "secret": 16}]}, "domains[d].secret"),
-        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2,
-                       "protocol": "avss", "secret": -6}]}, "domains[d].secret"),
-        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 3,
-                       "protocol": "pedersen_vss"}]}, "domains[d].threshold"),
-        ({"nodes": 11, "domains": [{"id": "d", "members": list(range(1, 12)), "threshold": 2}]},
-         "domains[d].members"),
-        ({"nodes": 11, "domains": [{"id": "d", "members": list(range(1, 12)), "threshold": 2,
-                                    "protocol": "pedersen_vss"}]}, "domains[d].members"),
-        ({"nodes": 11, "domains": [{"id": "d", "members": list(range(1, 12)), "threshold": 2,
-                                    "protocol": "avss"}]}, "domains[d].members"),
+        # these cases keep the ids they had when validate named a domain by
+        # its id ("d") rather than by its index
+        pytest.param({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2,
+                                   "coalition": []}]},
+                     "domains[0].coalition", id="patch18-domains[d].coalition"),
+        pytest.param({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2,
+                                   "protocol": "pedersen_vss", "secret": 16}]},
+                     "domains[0].secret", id="patch19-domains[d].secret"),
+        pytest.param({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2,
+                                   "protocol": "avss", "secret": -6}]},
+                     "domains[0].secret", id="patch20-domains[d].secret"),
+        pytest.param({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 3,
+                                   "protocol": "pedersen_vss"}]},
+                     "domains[0].threshold", id="patch21-domains[d].threshold"),
+        pytest.param({"nodes": 11, "domains": [{"id": "d", "members": list(range(1, 12)),
+                                                "threshold": 2}]},
+                     "domains[0].members", id="patch22-domains[d].members"),
+        pytest.param({"nodes": 11, "domains": [{"id": "d", "members": list(range(1, 12)),
+                                                "threshold": 2, "protocol": "pedersen_vss"}]},
+                     "domains[0].members", id="patch23-domains[d].members"),
+        pytest.param({"nodes": 11, "domains": [{"id": "d", "members": list(range(1, 12)),
+                                                "threshold": 2, "protocol": "avss"}]},
+                     "domains[0].members", id="patch24-domains[d].members"),
         ({"backend": "p256"}, "backend"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2},
+                      {"id": "e", "members": [1, 2, 3], "threshold": 2, "coalition": []}]},
+         "domains[1].coalition"),
     ])
     def test_malformed_section_named(self, patch, section):
         with pytest.raises(ConfigError, match=f"^{re.escape(section)}:"):
