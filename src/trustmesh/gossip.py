@@ -2,11 +2,11 @@
 
 Signers seed per-node transcripts with their own verified partial response.
 Each round a node forwards its transcript to a logarithmic fan-out of random
-peers; receivers check each contribution they have not accepted yet against
-the session context before merging, so forged partials never spread.  Each
-unseen contribution is checked once: the node's verifier remembers the
-accepted ones, so aggregating them later repeats no group work.  Once a
-node's transcript holds enough contributions to aggregate, it broadcasts the
+peers; receivers check every contribution against the session context before
+merging, so forged partials never spread.  The node's PartialVerifier holds
+the session (package, key shares, group key) and remembers each accepted
+partial, so a contribution seen again, or aggregated later, costs no group
+work.  Once a node's transcript holds the whole coalition, it broadcasts the
 full transcript with small probability; everyone who observes a broadcast
 aggregates it into the final signature and stops gossiping.  Ties between
 concurrent broadcasts break deterministically on (context hash, content hash).
@@ -58,18 +58,16 @@ class GossipNode:
     node_id: int
     peers: tuple[int, ...]            # everyone else in the domain
     verifier: PartialVerifier
-    required: int                     # contributions needed before broadcasting
     c: int = 4
     broadcast_prob_num: int = 2       # broadcast probability = num / (peers+1)
-    transcript: Transcript = None
+    transcript: Transcript = field(init=False)
     flagged: set[int] = field(default_factory=set)
     stopped: bool = False
     adopted: Optional[Transcript] = None
     finalized: Optional[Signature] = None
 
     def __post_init__(self):
-        if self.transcript is None:
-            self.transcript = Transcript(self.verifier.context_hash)
+        self.transcript = Transcript(self.verifier.package.context_hash())
 
     @property
     def n(self) -> int:
@@ -83,7 +81,8 @@ class GossipNode:
         return True
 
     def is_complete(self) -> bool:
-        return len(self.transcript.contributions) >= self.required
+        # only coalition members' partials pass the verifier
+        return len(self.transcript.contributions) >= len(self.verifier.package.coalition)
 
 
 def gossip_round(node: GossipNode, rng) -> list[tuple[int, Transcript]]:
@@ -98,7 +97,7 @@ def gossip_round(node: GossipNode, rng) -> list[tuple[int, Transcript]]:
 
 
 def gossip_receive(node: GossipNode, sender: int, incoming: Transcript) -> None:
-    """Merge an incoming transcript, verifying every new contribution.
+    """Merge an incoming transcript, verifying every contribution.
 
     A context mismatch drops the whole message; an invalid contribution is
     dropped and its carrier flagged, while valid entries still merge.
@@ -108,9 +107,6 @@ def gossip_receive(node: GossipNode, sender: int, incoming: Transcript) -> None:
     mine = node.transcript.contributions
     for member in sorted(incoming.contributions):
         z = incoming.contributions[member]
-        held = mine.get(member)
-        if held is not None and held == z:
-            continue
         if node.verifier.verify(member, z):
             mine[member] = z
         else:
@@ -127,13 +123,13 @@ def gossip_maybe_terminate(node: GossipNode, rng) -> Optional[Transcript]:
     return None
 
 
-def observe_broadcast(node: GossipNode, transcript: Transcript, pk_shares, group_pk) -> None:
+def observe_broadcast(node: GossipNode, transcript: Transcript) -> None:
     """Adopt the smallest broadcast seen so far and aggregate it with the node's verifier.
 
     Every broadcast eventually reaches every node, so adopting the minimum of
     (context hash, content hash) converges to one signature network-wide.
     Broadcasts that cannot be aggregated (wrong context, missing or invalid
-    partials) are ignored.
+    partials) are ignored.  The verifier holds the key shares and group key.
     """
     if transcript.context_hash != node.transcript.context_hash:
         return
@@ -150,8 +146,8 @@ def observe_broadcast(node: GossipNode, transcript: Transcript, pk_shares, group
         signature = aggregate(
             node.verifier.package,
             {m: transcript.contributions[m] for m in coalition},
-            pk_shares,
-            group_pk,
+            node.verifier.pk_shares,
+            node.verifier.group_pk,
             verifier=node.verifier,
         )
     except ProtocolAbort:

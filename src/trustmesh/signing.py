@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import NonceReuseError, ProtocolAbort
 from .groups import GroupBackend, GroupElement, Scalar, hash_bytes, hash_to_scalar, id_bytes
@@ -171,42 +171,17 @@ def binding_values(backend: GroupBackend, package: SigningPackage) -> dict[int, 
     }
 
 
-class _BoundShares(Mapping):
-    """Each signer's bound share R_i = A_i + beta_i*B_i, formed on lookup."""
-
-    def __init__(self, package: SigningPackage, betas: Mapping[int, Scalar]):
-        self._package = package
-        self._betas = betas
-
-    def __getitem__(self, member: int) -> GroupElement:
-        a, b = self._package.pair(member)
-        return a + self._betas[member] * b
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._package.coalition)
-
-    def __len__(self) -> int:
-        return len(self._package.coalition)
-
-
 def bound_commitments(
-    backend: GroupBackend,
-    package: SigningPackage,
-    betas: Optional[Mapping[int, Scalar]] = None,
-) -> tuple[GroupElement, Mapping[int, GroupElement]]:
-    """Group commitment R and each signer's bound share R_i = A_i + beta_i*B_i.
+    backend: GroupBackend, package: SigningPackage, betas: Mapping[int, Scalar]
+) -> GroupElement:
+    """Group commitment R = sum(A_i) + sum(beta_i*B_i) under binding values ``betas``.
 
-    R = sum(A_i) + sum(beta_i*B_i) costs one multi-scalar mul; the shares
-    R_i, which the signing roles never need, are only formed when looked up.
-    Pass ``betas`` when the caller already holds the binding values.
+    The beta_i*B_i terms share one multi-scalar mul.
     """
-    if betas is None:
-        betas = binding_values(backend, package)
     commitments = package.commitments
-    R = backend.element_sum(a for _, a, _ in commitments) + backend.multi_mul(
+    return backend.element_sum(a for _, a, _ in commitments) + backend.multi_mul(
         [betas[member] for member, _, _ in commitments], [b for _, _, b in commitments]
     )
-    return R, _BoundShares(package, betas)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +249,7 @@ class Signer:
 
 
 class PartialVerifier:
-    """One node's partial checks for one signing session.
+    """One node's signing session: the one holder of its package and keys.
 
     Building it derives the session once: the binding values beta_i, the
     group commitment R and the challenge c.  A partial z_i is valid iff
@@ -295,9 +270,8 @@ class PartialVerifier:
         self.package = package
         self.pk_shares = pk_shares
         self.group_pk = group_pk
-        self.context_hash = package.context_hash()
         self.betas = binding_values(backend, package)
-        self.R, _ = bound_commitments(backend, package, self.betas)
+        self.R = bound_commitments(backend, package, self.betas)
         self.challenge = challenge_scalar(backend, self.R, group_pk, package.message)
         self._accepted: dict[int, Scalar] = {}
 

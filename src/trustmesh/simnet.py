@@ -165,14 +165,19 @@ class SimConfig:
             q = get_backend(self.backend).order
         except ValueError as exc:
             raise ConfigError(f"backend: {exc}") from None
-        seen = set()
+        protocols = {}
         for index, d in enumerate(self.domains):
-            if d.domain_id in seen:
+            if d.domain_id in protocols:
                 raise ConfigError(f"domains: duplicate id {d.domain_id!r}")
-            seen.add(d.domain_id)
+            protocols[d.domain_id] = d.protocol
             d.validate(index, self.nodes, q)
         for a in self.adversaries:
             a.validate(self.nodes)
+            if sum(b.node == a.node for b in self.adversaries) > 1:
+                raise ConfigError(f"adversaries: node {a.node} listed twice")
+        for domain_id in self.exfiltrate_domains:
+            if protocols.get(domain_id) != "dkg_sign":
+                raise ConfigError(f"exfiltrate_domains: {domain_id!r} is not a dkg_sign domain")
         self.delay.validate()
         self.gossip.validate()
 
@@ -346,6 +351,12 @@ class _DomainEngine:
 
     def send(self, tick, src, dst, kind, payload, payload_bytes) -> None:
         self.sim.send(tick, self.spec.domain_id, src, dst, kind, payload, payload_bytes)
+
+    def broadcast(self, tick, node, kind, payload, payload_bytes) -> None:
+        """Send to every other member, in member order."""
+        for peer in self.members:
+            if peer != node:
+                self.send(tick, node, peer, kind, payload, payload_bytes)
 
     def finish(self, failed: bool = False) -> None:
         self.completed = True
@@ -545,9 +556,7 @@ class DkgSignEngine(_DomainEngine):
             key = signing_mod.KeyShare.from_participant(self.participants[node])
             intake.signer = signing_mod.Signer(key)
             nonces = intake.signer.round1(self.rng("proto", node).fork("nonce"))
-            for peer in self.members:
-                if peer != node:
-                    self.send(tick, node, peer, "nonce-list", nonces, nonces.to_bytes())
+            self.broadcast(tick, node, "nonce-list", nonces, nonces.to_bytes())
             self._take_nonces(node, node, nonces, tick)
             return
         gnode = self.gnodes.get(node)
@@ -560,10 +569,8 @@ class DkgSignEngine(_DomainEngine):
             broadcast = gossip_mod.gossip_maybe_terminate(gnode, grng)
             if broadcast is not None:
                 self.mark("first_broadcast", tick)
-                payload_bytes = broadcast.to_bytes(self.backend)
-                for peer in self.members:
-                    if peer != node:
-                        self.send(tick, node, peer, "gossip-broadcast", broadcast, payload_bytes)
+                self.broadcast(tick, node, "gossip-broadcast", broadcast,
+                               broadcast.to_bytes(self.backend))
                 self._observe(node, broadcast)
 
     def _take_nonces(self, node: int, sender: int, nonces, tick: int) -> None:
@@ -578,7 +585,6 @@ class DkgSignEngine(_DomainEngine):
             node_id=self.local[node],
             peers=tuple(self.local[m] for m in self.members if m != node),
             verifier=verifier,
-            required=len(self.coalition),
             c=self.sim.config.gossip.c,
             broadcast_prob_num=self.sim.config.gossip.broadcast_prob_num,
         )
@@ -591,8 +597,7 @@ class DkgSignEngine(_DomainEngine):
     def _observe(self, node: int, transcript) -> None:
         gnode = self.gnodes.get(node)
         if gnode is not None:
-            p = self.participants[node]
-            gossip_mod.observe_broadcast(gnode, transcript, p.peer_pk_shares, p.group_pk)
+            gossip_mod.observe_broadcast(gnode, transcript)
 
     def _conclude(self, tick: int) -> None:
         signatures = self._signatures()
@@ -693,10 +698,7 @@ class PedersenVssEngine(_DomainEngine):
             self.share_results[share.id] = ok
             if not ok:
                 complaint = sharing_mod.Complaint(share.id, share, commitments)
-                for peer in self.members:
-                    if peer != node:
-                        self.send(tick, node, peer, "vss-complaint",
-                                  complaint, share.to_bytes(self.backend))
+                self.broadcast(tick, node, "vss-complaint", complaint, share.to_bytes(self.backend))
                 self.complaint_verdicts[node] = sharing_mod.adjudicate_complaint(complaint).value
         elif msg.kind == "vss-complaint":
             self.complaint_verdicts[node] = sharing_mod.adjudicate_complaint(msg.payload).value

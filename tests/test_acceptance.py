@@ -168,17 +168,24 @@ def test_toy_group_oracle_equivalence(toy):
         # signing partial check, exhaustive over forged responses; the oracle
         # recomputes the target R_m * pk_m^(c*lambda_m) from public values
         from trustmesh.polynomials import lagrange_coefficient
-        from trustmesh.signing import bound_commitments
+        from trustmesh.signing import binding_values, bound_commitments
 
         keys = {p.id: KeyShare.from_participant(p) for p in parts}
         signers = {i: Signer(keys[i]) for i in keys}
         package, partials = toy_session(keys, signers, (1, 3), b"oracle", seed=77)
         verifier = PartialVerifier(package, keys[1].pk_shares, keys[1].group_pk)
         c = verifier.challenge.value
-        _, per_signer = bound_commitments(toy, package)
+        betas = binding_values(toy, package)
+        per_signer = {}
+        for member in (1, 3):
+            a, b = package.pair(member)
+            per_signer[member] = a.rep * pow(b.rep, betas[member].value, TOY_P) % TOY_P
+        R = bound_commitments(toy, package, betas)
+        if R.rep != per_signer[1] * per_signer[3] % TOY_P:
+            mismatches += 1
         for member in (1, 3):
             lam = lagrange_coefficient(member, (1, 3), toy.scalar(0)).value
-            target = per_signer[member].rep * pow(
+            target = per_signer[member] * pow(
                 keys[1].pk_shares[member].rep, c * lam % TOY_Q, TOY_P
             ) % TOY_P
             for z in range(TOY_Q):
@@ -355,7 +362,6 @@ def test_gossip_liveness(toy):
                         node_id=node_id,
                         peers=tuple(p for p in range(1, n + 1) if p != node_id),
                         verifier=PartialVerifier(*verifier_args),
-                        required=len(coalition),
                     )
                     if node_id in coalition:
                         assert node.seed_own_partial(partials[node_id])
@@ -382,7 +388,7 @@ def test_gossip_liveness(toy):
                     continue
                 for i in sorted(nodes):
                     for b in broadcasts:
-                        observe_broadcast(nodes[i], b, keys[1].pk_shares, keys[1].group_pk)
+                        observe_broadcast(nodes[i], b)
                 encodings = {
                     nodes[i].finalized.to_bytes(toy) for i in nodes if nodes[i].finalized
                 }

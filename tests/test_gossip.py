@@ -30,12 +30,12 @@ def session(toy):
     return keys, package, partials
 
 
-def make_node(keys, package, node_id, n=4, required=2, prob=2):
+def make_node(keys, package, node_id, n=4, prob=2):
     verifier = PartialVerifier(package, keys[1].pk_shares, keys[1].group_pk)
     peers = tuple(i for i in range(1, n + 1) if i != node_id)
     return GossipNode(
         node_id=node_id, peers=peers, verifier=verifier,
-        required=required, c=4, broadcast_prob_num=prob,
+        c=4, broadcast_prob_num=prob,
     )
 
 
@@ -70,7 +70,7 @@ class TestRounds:
     def test_n2_always_sends_to_single_peer(self, session):
         keys, package, partials = session
         verifier = PartialVerifier(package, keys[1].pk_shares, keys[1].group_pk)
-        node = GossipNode(node_id=1, peers=(2,), verifier=verifier, required=2)
+        node = GossipNode(node_id=1, peers=(2,), verifier=verifier)
         node.seed_own_partial(partials[1])
         for seed in range(5):
             out = gossip_round(node, SeededRng(seed))
@@ -139,7 +139,7 @@ class TestTermination:
         full = Transcript(nodes[1].transcript.context_hash, dict(partials))
         signatures = set()
         for node in nodes.values():
-            observe_broadcast(node, full, keys[1].pk_shares, keys[1].group_pk)
+            observe_broadcast(node, full)
             assert node.finalized is not None
             signatures.add(node.finalized.to_bytes(keys[1].backend))
         assert len(signatures) == 1
@@ -162,8 +162,8 @@ class TestTermination:
         adopted = []
         for first, second in ([t_small, t_big], [t_big, t_small]):
             node = make_node(keys, package, 2)
-            observe_broadcast(node, first, keys[1].pk_shares, keys[1].group_pk)
-            observe_broadcast(node, second, keys[1].pk_shares, keys[1].group_pk)
+            observe_broadcast(node, first)
+            observe_broadcast(node, second)
             adopted.append(node.adopted.content_hash(backend))
         assert adopted[0] == adopted[1] == order[0].content_hash(backend)
 
@@ -171,7 +171,7 @@ class TestTermination:
         keys, package, partials = session
         node = make_node(keys, package, 2)
         forged = Transcript(node.transcript.context_hash, {1: partials[1], 2: partials[2] + 1})
-        observe_broadcast(node, forged, keys[1].pk_shares, keys[1].group_pk)
+        observe_broadcast(node, forged)
         assert node.finalized is None
         assert not node.stopped
 
@@ -179,5 +179,63 @@ class TestTermination:
         keys, package, partials = session
         node = make_node(keys, package, 2)
         partial_only = Transcript(node.transcript.context_hash, {1: partials[1]})
-        observe_broadcast(node, partial_only, keys[1].pk_shares, keys[1].group_pk)
+        observe_broadcast(node, partial_only)
         assert node.finalized is None
+
+
+class TestSessionFromVerifier:
+    """Gossip reads the session from the node's verifier and keeps no copy of it."""
+
+    @pytest.fixture
+    def session(self, backend):
+        parts = run_dkg(backend, 2, 4, SeededRng(41))
+        keys = {p.id: KeyShare.from_participant(p) for p in parts}
+        signers = {i: Signer(keys[i]) for i in (1, 2, 3)}
+        rng = SeededRng(42)
+        lists = {i: s.round1(rng.fork(str(i))) for i, s in signers.items()}
+        package = SigningPackage.build(b"owner", {i: lists[i].pairs[0] for i in signers})
+        partials = {i: s.round2_partial(package) for i, s in signers.items()}
+        return keys, package, partials
+
+    def test_held_contribution_costs_no_group_work(self, session, backend, monkeypatch):
+        keys, package, partials = session
+        node = make_node(keys, package, 1)
+        assert node.seed_own_partial(partials[1])
+        ctx = node.transcript.context_hash
+        gossip_receive(node, 2, Transcript(ctx, {2: partials[2]}))
+        calls = []
+        multi_mul = backend.multi_mul
+
+        def counting(scalars, elements):
+            calls.append(len(scalars))
+            return multi_mul(scalars, elements)
+        monkeypatch.setattr(backend, "multi_mul", counting)
+        gossip_receive(node, 3, Transcript(ctx, {1: partials[1], 2: partials[2]}))
+        assert calls == []
+        assert node.flagged == set()
+        assert node.transcript.contributions == {1: partials[1], 2: partials[2]}
+
+    def test_complete_once_the_whole_coalition_is_held(self, session):
+        keys, package, partials = session
+        node = make_node(keys, package, 4)
+        ctx = node.transcript.context_hash
+        gossip_receive(node, 1, Transcript(ctx, {1: partials[1], 2: partials[2]}))
+        assert len(node.transcript.contributions) == 2 and not node.is_complete()
+        gossip_receive(node, 3, Transcript(ctx, {3: partials[3]}))
+        assert node.is_complete()
+
+    def test_broadcast_aggregates_with_the_nodes_verifier(self, session, monkeypatch):
+        keys, package, partials = session
+        node = make_node(keys, package, 4)
+        builds = []
+        init = PartialVerifier.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(PartialVerifier, "__init__", counting_init)
+        observe_broadcast(node, Transcript(b"\x00" * 32, dict(partials)))
+        assert node.finalized is None and not node.stopped
+        observe_broadcast(node, Transcript(node.transcript.context_hash, dict(partials)))
+        assert builds == []
+        assert verify(keys[1].group_pk, b"owner", node.finalized)

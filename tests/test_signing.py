@@ -116,12 +116,12 @@ class TestRound2:
         rng = SeededRng(9)
         lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
         package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in coalition})
-        R, per = bound_commitments(toy, package)
+        R = bound_commitments(toy, package, binding_values(toy, package))
         c = challenge_scalar(toy, R, keys[1].group_pk, b"m")
         # every participant recomputes the identical group commitment and
         # challenge from the shared package
         for _ in coalition:
-            R2, _per2 = bound_commitments(toy, package)
+            R2 = bound_commitments(toy, package, binding_values(toy, package))
             assert R2 == R
             assert challenge_scalar(toy, R2, keys[1].group_pk, b"m") == c
 
@@ -273,7 +273,12 @@ class TestEd25519SessionEquivalence:
             seen_R.clear()
             package, partials, sig = run_session(ed25519, keys, signers, coalition, b"eq", seed)
             verifier = PartialVerifier(package, keys[1].pk_shares, keys[1].group_pk)
-            R, per_signer = bound_commitments(ed25519, package)
+            betas = binding_values(ed25519, package)
+            R = bound_commitments(ed25519, package, betas)
+            per_signer = {}
+            for m in coalition:
+                a, b = package.pair(m)
+                per_signer[m] = a + betas[m] * b
             summed = ed25519.element_sum(per_signer[m] for m in coalition)
             # three signers, the aggregator's verifier and the one built here
             assert len(seen_R) == 5
@@ -323,7 +328,8 @@ class TestBinding:
         pkg1 = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in (1, 2)})
         pkg2 = SigningPackage.build(b"m", {i: lists[i].pairs[1] for i in (1, 2)})
         assert binding_values(toy, pkg1) != binding_values(toy, pkg2) or (
-            bound_commitments(toy, pkg1)[0] != bound_commitments(toy, pkg2)[0]
+            bound_commitments(toy, pkg1, binding_values(toy, pkg1))
+            != bound_commitments(toy, pkg2, binding_values(toy, pkg2))
         )
 
     def test_package_requires_valid_points(self, toy):

@@ -649,6 +649,13 @@ class TestScenarioShapes:
         ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2},
                       {"id": "e", "members": [1, 2, 3], "threshold": 2, "coalition": []}]},
          "domains[1].coalition"),
+        ({"adversaries": [{"node": 2, "behavior": "crash", "at_tick": 0},
+                          {"node": 2, "behavior": "silent"}]}, "adversaries"),
+        ({"exfiltrate_domains": ["nope"]}, "exfiltrate_domains"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2},
+                      {"id": "v", "members": [1, 2, 3], "threshold": 2,
+                       "protocol": "pedersen_vss"}],
+          "exfiltrate_domains": ["v"]}, "exfiltrate_domains"),
     ])
     def test_malformed_section_named(self, patch, section):
         with pytest.raises(ConfigError, match=f"^{re.escape(section)}:"):
