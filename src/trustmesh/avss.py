@@ -84,6 +84,12 @@ class CommitmentMatrix:
             CommitmentVector(row).share_commitment(x) for row in self.entries
         ))
 
+    def column_commitment(self, y: int) -> CommitmentVector:
+        """Commitments to the coefficients of f(x, y) as a polynomial in x."""
+        return CommitmentVector(tuple(
+            CommitmentVector(col).share_commitment(y) for col in zip(*self.entries)
+        ))
+
     def to_bytes(self) -> bytes:
         return b"".join(e.encode() for row in self.entries for e in row)
 
@@ -203,28 +209,31 @@ class NodeRecovery:
     node: int
     commitment: CommitmentMatrix
     t: int
-    complete: bool = False
-    a: Optional[Polynomial] = None
-    a_prime: Optional[Polynomial] = None
-    b: Optional[Polynomial] = None
-    b_prime: Optional[Polynomial] = None
+    deal: Optional[AvssDeal] = None
     flagged: set[int] = field(default_factory=set)
     points: dict[int, PointExchange] = field(default_factory=dict)
 
-    def share(self) -> Scalar:
-        if not self.complete:
-            raise ValueError(f"node {self.node} has not completed its share yet")
-        return self.a.evaluate(0)
+    @property
+    def complete(self) -> bool:
+        return self.deal is not None
 
-    def as_deal(self) -> AvssDeal:
-        return AvssDeal(self.node, self.commitment, self.a, self.a_prime, self.b, self.b_prime)
+    def share(self) -> Scalar:
+        if self.deal is None:
+            raise ValueError(f"node {self.node} has not completed its share yet")
+        return self.deal.share()
 
     def accept_deal(self, deal: AvssDeal) -> bool:
-        """Install the dealer's polynomials; False if their share fails the check."""
-        if not avss_verify_share(self.commitment, self.node, deal.share(), deal.share_blinding()):
+        """Keep the dealer's deal; False unless its row and column polynomials open C."""
+        polys = (deal.a, deal.a_prime, deal.b, deal.b_prime)
+        if deal.recipient != self.node or any(len(p.coefficients) != self.t for p in polys):
             return False
-        self.a, self.a_prime, self.b, self.b_prime = deal.a, deal.a_prime, deal.b, deal.b_prime
-        self.complete = True
+        c = self.commitment
+        backend = c.entries[0][0].backend
+        if commit_polynomial_pair(backend, deal.a, deal.a_prime) != c.row_commitment(self.node):
+            return False
+        if commit_polynomial_pair(backend, deal.b, deal.b_prime) != c.column_commitment(self.node):
+            return False
+        self.deal = deal
         return True
 
     def receive(self, msg: PointExchange) -> bool:
@@ -232,7 +241,7 @@ class NodeRecovery:
 
         An invalid point flags its sender, also after completion; a repeated
         sender is dropped; the first t valid senders' points are interpolated
-        into the row and column polynomials.
+        into the node's deal.
         """
         if not exchange_message_valid(self.commitment, msg):
             self.flagged.add(msg.sender)
@@ -242,12 +251,10 @@ class NodeRecovery:
         self.points[msg.sender] = msg
         if len(self.points) < self.t:
             return False
-        pts = self.points.values()
-        self.a = interpolate_polynomial([(m.sender, m.row_value) for m in pts])
-        self.a_prime = interpolate_polynomial([(m.sender, m.row_blind) for m in pts])
-        self.b = interpolate_polynomial([(m.sender, m.col_value) for m in pts])
-        self.b_prime = interpolate_polynomial([(m.sender, m.col_blind) for m in pts])
-        self.complete = True
+        # row points rebuild a and a', column points b and b'
+        polys = [interpolate_polynomial([(s, getattr(m, name)) for s, m in self.points.items()])
+                 for name in ("row_value", "row_blind", "col_value", "col_blind")]
+        self.deal = AvssDeal(self.node, self.commitment, *polys)
         return True
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -65,8 +66,17 @@ def _rng(seed) -> SeededRng:
     return SeededRng(secrets.token_bytes(32) if seed is None else seed)
 
 
+def _refuse_existing_key(out: Path) -> None:
+    """A key directory is written once: stop if ``out`` already holds a key's files."""
+    for path in [out / "group.json", *sorted(out.glob("share_*.bin"))]:
+        if path.exists():
+            raise ConfigError(f"refusing to overwrite {path}: choose a new --out directory")
+
+
 def _cmd_dkg(args) -> int:
     backend = get_backend(args.backend)
+    if args.out:
+        _refuse_existing_key(Path(args.out))
     epoch = secrets.randbits(64) if args.seed is None else args.seed
     crs = dkg_mod.make_crs("cli", epoch=epoch)
     try:
@@ -93,8 +103,10 @@ def _cmd_dkg(args) -> int:
         }
         (out / "group.json").write_text(json.dumps(group, indent=2) + "\n")
         for p in participants:
-            packet = SharePacket(p.id, p.sk_share)
-            (out / f"share_{p.id}.bin").write_bytes(packet.to_bytes(backend))
+            # private whatever the umask, and never replaces an existing file
+            fd = os.open(out / f"share_{p.id}.bin", os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            with os.fdopen(fd, "wb") as share_file:
+                share_file.write(SharePacket(p.id, p.sk_share).to_bytes(backend))
         (out / "transcript.jsonl").write_text(dkg_mod.transcript_jsonl(participants))
         print(f"wrote group.json, {args.n} share files and transcript.jsonl to {out}")
     for record in participants[0].transcript:
@@ -135,6 +147,10 @@ def _cmd_sign(args) -> int:
             packet = SharePacket.from_bytes(Path(path).read_bytes(), backend)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load share file {path}: {exc}")
+        expected = pk_shares.get(packet.id)
+        if expected is None or packet.value * backend.generator() != expected:
+            raise ConfigError(f"share file {path} (member {packet.id}) is not a share of "
+                              f"the key in {args.group}")
         shares[packet.id] = packet.value
     missing = sorted(set(coalition) - set(shares))
     if missing:

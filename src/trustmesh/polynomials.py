@@ -62,12 +62,12 @@ def random_polynomial(secret: Scalar, degree: int, rng) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def _check_ids(ids: Sequence[int], q: int, require_nonzero: bool) -> None:
+def _check_ids(ids: Sequence[int], q: int) -> None:
     # ids are field elements: two that agree mod q are the same point
     residues = {i % q for i in ids}
     if len(residues) != len(ids):
         raise ValueError("duplicate participant ids")
-    if require_nonzero and 0 in residues:
+    if 0 in residues:
         raise ValueError("participant id 0 is reserved for the secret")
 
 
@@ -79,7 +79,7 @@ def lagrange_coefficient(index: int, coalition: Iterable[int], x: Scalar) -> Sca
     """
     ids = sorted(coalition)
     q = x.q
-    _check_ids(ids, q, require_nonzero=True)
+    _check_ids(ids, q)
     if index not in ids:
         raise ValueError(f"index {index} is not in the coalition")
     num, den = 1, 1
@@ -96,18 +96,7 @@ def interpolate_at(points: Sequence[tuple[int, Scalar]], x: Scalar) -> Scalar:
     if not points:
         raise ValueError("need at least one point")
     ids = [i for i, _ in points]
-    q = x.q
-    _check_ids(ids, q, require_nonzero=False)
-    total = 0
-    for i, y in points:
-        num, den = 1, 1
-        for j in ids:
-            if j == i:
-                continue
-            num = num * (x.value - j) % q
-            den = den * (i - j) % q
-        total = (total + y.value * num % q * pow(den, -1, q)) % q
-    return Scalar(total, q)
+    return sum((y * lagrange_coefficient(i, ids, x) for i, y in points), Scalar(0, x.q))
 
 
 def interpolate_polynomial(points: Sequence[tuple[int, Scalar]]) -> Polynomial:
@@ -116,7 +105,7 @@ def interpolate_polynomial(points: Sequence[tuple[int, Scalar]]) -> Polynomial:
         raise ValueError("need at least one point")
     ids = [i for i, _ in points]
     q = points[0][1].q
-    _check_ids(ids, q, require_nonzero=False)
+    _check_ids(ids, q)
     size = len(points)
     total = [0] * size
     for i, y in points:

@@ -770,7 +770,7 @@ class AvssEngine(_DomainEngine):
         if recovery is not None and recovery.complete and local not in self.exchanged:
             self.exchanged.add(local)
             corrupt = self.sim.behavior(node) == "corrupt_shares"
-            for pmsg in avss_mod.exchange_messages(recovery.as_deal(), list(self.globl)):
+            for pmsg in avss_mod.exchange_messages(recovery.deal, list(self.globl)):
                 if corrupt:
                     pmsg = replace(pmsg, row_value=pmsg.row_value + 1)
                 recipient = self.globl[pmsg.recipient]

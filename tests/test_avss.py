@@ -1,5 +1,7 @@
 """Bivariate asynchronous sharing: dealing, verification, exchange, recovery."""
 
+from dataclasses import replace
+
 import pytest
 
 from trustmesh.avss import (
@@ -172,7 +174,7 @@ class TestExchange:
         commitment, held, all_deals = self._dealt(toy, 2, 4, rng, deliver_to={1, 2, 3})
         results = avss_exchange_and_interpolate(commitment, held, 2, 4)
         assert all(r.complete for r in results.values())
-        recovered = results[4]
+        recovered = results[4].deal
         assert recovered.a.coefficients == all_deals[4].a.coefficients
         assert recovered.a_prime.coefficients == all_deals[4].a_prime.coefficients
         assert recovered.b.coefficients == all_deals[4].b.coefficients
@@ -190,7 +192,7 @@ class TestExchange:
         results = avss_exchange_and_interpolate(commitment, held, 2, 4, tamper={2: corrupt})
         assert results[4].complete
         assert results[4].flagged == {2}
-        assert results[4].a.coefficients == all_deals[4].a.coefficients
+        assert results[4].deal.a.coefficients == all_deals[4].a.coefficients
 
     def test_dealer_crash_after_t_deliveries(self, toy, rng):
         commitment, held, _ = self._dealt(toy, 2, 5, rng, deliver_to={1, 2})
@@ -340,5 +342,60 @@ class TestNodeRecovery:
         assert list(node.points) == [2, 3, 4]
         dealt_to_5 = deals[5]
         for name in ("a", "a_prime", "b", "b_prime"):
-            assert getattr(node, name).coefficients == getattr(dealt_to_5, name).coefficients
-        assert node.as_deal() == dealt_to_5
+            assert getattr(node.deal, name).coefficients == getattr(dealt_to_5, name).coefficients
+        assert node.deal == dealt_to_5
+
+
+class TestDealAcceptance:
+    """A node keeps a deal only when its row and column polynomials open C."""
+
+    POLYS = ("a", "a_prime", "b", "b_prime")
+
+    @pytest.mark.parametrize("name", POLYS)
+    def test_tampered_polynomial_rejected_and_no_honest_node_flagged(self, backend, name):
+        # raising the coefficient of x (or y) leaves the main share as dealt,
+        # so only the row and column checks can catch it
+        rng = SeededRng(f"deal-check-{backend.name}-{name}")
+        commitment, deals = avss_deal(backend.scalar(5), 2, 4, rng, backend)
+        honest = deals[0]
+        coeffs = getattr(honest, name).coefficients
+        bad = replace(honest, **{name: Polynomial((coeffs[0], coeffs[1] + 1))})
+        assert (bad.share(), bad.share_blinding()) == (honest.share(), honest.share_blinding())
+        assert not NodeRecovery(1, commitment, 2).accept_deal(bad)
+        held = {d.recipient: d for d in deals}
+        held[1] = bad
+        results = avss_exchange_and_interpolate(commitment, held, 2, 4)
+        assert all(r.flagged == set() for r in results.values())
+        assert results[1].share() == honest.share()
+
+    def test_wrong_recipient_or_size_rejected_without_raising(self, toy, rng):
+        commitment, deals = avss_deal(toy.scalar(5), 2, 4, rng, toy)
+        node = NodeRecovery(1, commitment, 2)
+        mine = deals[0]
+        short = Polynomial(mine.a.coefficients[:1])
+        padded = Polynomial(mine.b.coefficients + (toy.scalar(0),))
+        padded_prime = Polynomial(mine.b_prime.coefficients + (toy.scalar(0),))
+        assert not node.accept_deal(deals[1])
+        assert not node.accept_deal(replace(mine, a=short))
+        assert not node.accept_deal(replace(mine, b=padded, b_prime=padded_prime))
+        assert not node.complete
+        assert node.accept_deal(mine)
+
+    def test_accepted_deal_is_kept_as_is(self, backend, rng):
+        commitment, deals = avss_deal(backend.scalar(5), 3, 4, rng, backend)
+        node = NodeRecovery(2, commitment, 3)
+        assert node.accept_deal(deals[1])
+        assert node.deal is deals[1] and node.complete
+        assert node.share() == deals[1].share()
+
+    def test_rebuilt_deal_holds_the_dealers_polynomials(self, backend):
+        rng = SeededRng(f"rebuilt-{backend.name}")
+        commitment, deals = avss_deal(backend.scalar(5), 3, 5, rng, backend)
+        node = NodeRecovery(5, commitment, 3)
+        for sender in (1, 2, 3):
+            node.receive(exchange_messages(deals[sender - 1], [5])[0])
+        rebuilt = node.deal
+        assert rebuilt.recipient == 5 and rebuilt.commitment == commitment
+        for name in self.POLYS:
+            assert getattr(rebuilt, name).coefficients == getattr(deals[4], name).coefficients
+        assert NodeRecovery(5, commitment, 3).accept_deal(rebuilt)

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import stat
 
 import pytest
 
@@ -64,6 +66,34 @@ class TestDkgCommand:
             keys.append(json.loads((out / "group.json").read_text()))
         assert keys[0]["group_pk"] != keys[1]["group_pk"]
         assert keys[0]["crs"] != keys[1]["crs"]
+
+    def test_share_files_are_private_under_a_permissive_umask(self, tmp_path):
+        out = tmp_path / "keys"
+        old = os.umask(0o022)
+        try:
+            assert run_cli("dkg", "--t", 2, "--n", 4, "--backend", "toy",
+                           "--seed", 3, "--out", out) == 0
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE((out / f"share_{i}.bin").stat().st_mode) for i in range(1, 5)]
+        assert modes == [0o600] * 4
+
+    def test_second_dkg_into_a_key_directory_refused(self, keydir, capsys):
+        before = {p.name: p.read_bytes() for p in keydir.iterdir()}
+        capsys.readouterr()
+        assert run_cli("dkg", "--t", 2, "--n", 4, "--backend", "toy",
+                       "--seed", 4, "--out", keydir) == 4
+        assert f"refusing to overwrite {keydir / 'group.json'}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in keydir.iterdir()} == before
+
+    def test_stray_share_file_refuses_the_directory(self, tmp_path, capsys):
+        out = tmp_path / "keys"
+        out.mkdir()
+        (out / "share_7.bin").write_bytes(b"kept")
+        assert run_cli("dkg", "--t", 2, "--n", 4, "--backend", "toy",
+                       "--seed", 3, "--out", out) == 4
+        assert f"refusing to overwrite {out / 'share_7.bin'}" in capsys.readouterr().err
+        assert [(p.name, p.read_bytes()) for p in out.iterdir()] == [("share_7.bin", b"kept")]
 
 
 class TestSignVerifyCommands:
@@ -159,6 +189,31 @@ class TestSignVerifyCommands:
         for k in range(2):
             assert run_cli("verify", "--group", edkeys / "group.json", "--message",
                            "pay alice 5", "--signature", tmp_path / f"{k}.txt") == 0
+
+    def test_share_from_another_key_refused_before_any_nonce(self, keydir, tmp_path, capsys,
+                                                            published):
+        other = tmp_path / "other"
+        assert run_cli("dkg", "--t", 2, "--n", 4, "--backend", "toy",
+                       "--seed", 4, "--out", other) == 0
+        foreign = other / "share_2.bin"
+        assert foreign.read_bytes() != (keydir / "share_2.bin").read_bytes()
+        capsys.readouterr()
+        assert run_cli("sign", "--group", keydir / "group.json",
+                       "--share", keydir / "share_1.bin", "--share", foreign,
+                       "--coalition", "1,2", "--message", "m", "--seed", 2) == 4
+        assert f"share file {foreign} (member 2) is not a share" in capsys.readouterr().err
+        assert published == []
+
+    def test_share_for_a_member_outside_the_group_refused(self, keydir, tmp_path, capsys,
+                                                          published):
+        toy = get_backend("toy")
+        stray = tmp_path / "share_9.bin"
+        stray.write_bytes(SharePacket(9, toy.scalar(3)).to_bytes(toy))
+        assert run_cli("sign", "--group", keydir / "group.json",
+                       "--share", keydir / "share_1.bin", "--share", stray,
+                       "--coalition", "1,9", "--message", "m", "--seed", 2) == 4
+        assert f"share file {stray} (member 9) is not a share" in capsys.readouterr().err
+        assert published == []
 
     def test_ed25519_round_trip(self, tmp_path):
         out = tmp_path / "ed"

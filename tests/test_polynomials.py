@@ -153,6 +153,15 @@ class TestInterpolateAt:
         with pytest.raises(ValueError, match="reserved"):
             lagrange_coefficient(1, [1, 11], toy.scalar(0))
 
+    def test_point_at_id_zero_rejected(self, backend):
+        # id 0 (or any id equal to it mod q) is where the secret lives
+        for zero in (0, backend.order):
+            pts = [(zero, backend.scalar(5)), (1, backend.scalar(7))]
+            with pytest.raises(ValueError, match="reserved"):
+                interpolate_at(pts, backend.scalar(3))
+            with pytest.raises(ValueError, match="reserved"):
+                interpolate_polynomial(pts)
+
     def test_recovers_constant_from_any_subset(self, backend):
         rng = SeededRng(f"interp-{backend.name}")
         q = backend.order
