@@ -17,7 +17,7 @@ Pedersen share, at id y, of the row polynomial f(x, .).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .groups import GroupBackend, GroupElement, Scalar
 from .polynomials import Polynomial, interpolate_at, interpolate_polynomial
@@ -263,24 +263,20 @@ def avss_exchange_and_interpolate(
     deals: Mapping[int, AvssDeal],
     t: int,
     n: int,
-    tamper: Optional[Mapping[int, Callable[[PointExchange], PointExchange]]] = None,
 ) -> dict[int, NodeRecovery]:
     """One full overlap-point exchange among nodes 1..n.
 
     ``deals`` holds whatever the dealer managed to deliver; every node that
     accepts its deal sends its overlap points, and nodes without a deal
-    reconstruct from t commitment-consistent points.  ``tamper`` lets tests
-    corrupt the messages of specific senders in flight.  Nodes with fewer
+    reconstruct from t commitment-consistent points.  Nodes with fewer
     than t valid points stay incomplete (no failure: the exchange can be
     rerun once more deals or points arrive).
     """
-    tamper = tamper or {}
     results = {j: NodeRecovery(j, commitment, t) for j in range(1, n + 1)}
     senders = [deal for j, deal in deals.items() if results[j].accept_deal(deal)]
     for deal in senders:
-        mutate = tamper.get(deal.recipient)
         for msg in exchange_messages(deal, range(1, n + 1)):
-            results[msg.recipient].receive(mutate(msg) if mutate else msg)
+            results[msg.recipient].receive(msg)
     return results
 
 

@@ -8,8 +8,9 @@ the session (package, key shares, group key) and remembers each accepted
 partial, so a contribution seen again, or aggregated later, costs no group
 work.  Once a node's transcript holds the whole coalition, it broadcasts the
 full transcript with small probability; everyone who observes a broadcast
-aggregates it into the final signature and stops gossiping.  Ties between
-concurrent broadcasts break deterministically on (context hash, content hash).
+aggregates it into the final signature and stops gossiping.  A node keeps the
+first broadcast that aggregates: each coalition member has exactly one valid
+partial, so every broadcast that aggregates yields the same signature.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ProtocolAbort
-from .groups import GroupBackend, Scalar, hash_bytes, id_bytes
+from .groups import GroupBackend, Scalar, id_bytes
 from .signing import PartialVerifier, Signature, aggregate
 
 
@@ -47,9 +48,6 @@ class Transcript:
         )
         return self.context_hash + body
 
-    def content_hash(self, backend: GroupBackend) -> bytes:
-        return hash_bytes("transcript-content", [self.to_bytes(backend)])
-
 
 @dataclass
 class GossipNode:
@@ -63,7 +61,6 @@ class GossipNode:
     transcript: Transcript = field(init=False)
     flagged: set[int] = field(default_factory=set)
     stopped: bool = False
-    adopted: Optional[Transcript] = None
     finalized: Optional[Signature] = None
 
     def __post_init__(self):
@@ -124,26 +121,21 @@ def gossip_maybe_terminate(node: GossipNode, rng) -> Optional[Transcript]:
 
 
 def observe_broadcast(node: GossipNode, transcript: Transcript) -> None:
-    """Adopt the smallest broadcast seen so far and aggregate it with the node's verifier.
+    """Aggregate the first broadcast that aggregates, with the node's verifier.
 
-    Every broadcast eventually reaches every node, so adopting the minimum of
-    (context hash, content hash) converges to one signature network-wide.
-    Broadcasts that cannot be aggregated (wrong context, missing or invalid
-    partials) are ignored.  The verifier holds the key shares and group key.
+    Each coalition member has exactly one partial that passes the verifier,
+    so every aggregatable broadcast yields the same signature and a node that
+    already holds one ignores later broadcasts.  Broadcasts that cannot be
+    aggregated (wrong context, missing or invalid partials) are ignored.  The
+    verifier holds the key shares and group key.
     """
-    if transcript.context_hash != node.transcript.context_hash:
+    if node.finalized is not None or transcript.context_hash != node.transcript.context_hash:
         return
-    backend = node.verifier.backend
-    if node.adopted is not None:
-        current = (node.adopted.context_hash, node.adopted.content_hash(backend))
-        candidate = (transcript.context_hash, transcript.content_hash(backend))
-        if candidate >= current:
-            return
     coalition = set(node.verifier.package.coalition)
     if not coalition <= set(transcript.contributions):
         return  # cannot aggregate a partial coalition
     try:
-        signature = aggregate(
+        node.finalized = aggregate(
             node.verifier.package,
             {m: transcript.contributions[m] for m in coalition},
             node.verifier.pk_shares,
@@ -152,6 +144,4 @@ def observe_broadcast(node: GossipNode, transcript: Transcript) -> None:
         )
     except ProtocolAbort:
         return
-    node.adopted = transcript.copy()
-    node.finalized = signature
     node.stopped = True

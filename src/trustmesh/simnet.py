@@ -31,7 +31,7 @@ from . import gossip as gossip_mod
 from . import sharing as sharing_mod
 from . import signing as signing_mod
 from .errors import ConfigError, ProtocolAbort
-from .groups import get_backend, id_bytes
+from .groups import get_backend
 from .rng import SeededRng
 
 # ---------------------------------------------------------------------------
@@ -508,8 +508,8 @@ class DkgSignEngine(_DomainEngine):
                 value = value + 1
             elif shadow is not None and peer > node:
                 value = shadow.own_polynomial.evaluate(local_peer)
-            self.send(tick, node, peer, "dkg-round2",
-                      (sender, value), id_bytes(sender) + self.backend.encode_scalar(value))
+            share = sharing_mod.SharePacket(sender, value)
+            self.send(tick, node, peer, "dkg-round2", share, share.to_bytes(self.backend))
 
     def _dkg_receive(self, node: int, msg: Message, tick: int) -> None:
         p = self.participants[node]
@@ -519,7 +519,7 @@ class DkgSignEngine(_DomainEngine):
                 if shares:
                     self._send_shares(node, shares, tick)
             else:
-                dkg_mod.dkg_receive_share(p, *msg.payload)
+                dkg_mod.dkg_receive_share(p, msg.payload.id, msg.payload.value)
         except ProtocolAbort as abort:
             culprits = self.globals_of(abort.faulty_ids)
             self.verdicts.append(f"node {node} aborted key generation blaming {culprits}")
@@ -527,19 +527,17 @@ class DkgSignEngine(_DomainEngine):
 
     def _dkg_complete(self, tick: int) -> None:
         self.mark("dkg_done", tick)
-        if len(self._group_keys()) != 1:
-            self.verdicts.append("group key disagreement: equivocation detected")
-            self.finish(failed=True)
-            return
-        # two dealings with the same constant term leave the group keys equal
-        # while the verification shares differ
+        # the group key and the verification shares are sums over the dealers'
+        # commitments: finished nodes disagree on either only where a dealer
+        # sent them different commitments (with n >= t, a split group key
+        # splits the verification shares too)
         done = list(self._in_phase(dkg_mod.Phase.ROUND2_DONE).values())
-        if any(p.peer_pk_shares != done[0].peer_pk_shares for p in done[1:]):
-            first = done[0].received_broadcasts
-            dealers = self.globals_of(
-                j for j in first
-                if any(p.received_broadcasts[j].commitment != first[j].commitment for p in done[1:])
-            )
+        first = done[0].received_broadcasts
+        dealers = self.globals_of(
+            j for j in first
+            if any(p.received_broadcasts[j].commitment != first[j].commitment for p in done[1:])
+        )
+        if dealers:
             self.verdicts.append(
                 f"verification share disagreement: equivocation by dealers {dealers}")
             self.finish(failed=True)

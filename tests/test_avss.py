@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from trustmesh import avss as avss_mod
 from trustmesh.avss import (
     AvssDeal,
     BivariatePolynomial,
@@ -180,16 +181,19 @@ class TestExchange:
         assert recovered.b.coefficients == all_deals[4].b.coefficients
         assert recovered.b_prime.coefficients == all_deals[4].b_prime.coefficients
 
-    def test_corrupt_sender_flagged_but_completion_proceeds(self, toy, rng):
+    def test_corrupt_sender_flagged_but_completion_proceeds(self, toy, rng, monkeypatch):
         commitment, held, all_deals = self._dealt(toy, 2, 4, rng, deliver_to={1, 2, 3})
+        honest = avss_mod.exchange_messages
 
-        def corrupt(msg):
-            return PointExchange(
-                msg.sender, msg.recipient,
-                msg.row_value + 1, msg.row_blind, msg.col_value, msg.col_blind,
-            )
+        def corrupting(deal, recipients):
+            # node 2 sends every overlap point with a wrong row value
+            return [
+                replace(msg, row_value=msg.row_value + 1) if deal.recipient == 2 else msg
+                for msg in honest(deal, recipients)
+            ]
 
-        results = avss_exchange_and_interpolate(commitment, held, 2, 4, tamper={2: corrupt})
+        monkeypatch.setattr(avss_mod, "exchange_messages", corrupting)
+        results = avss_exchange_and_interpolate(commitment, held, 2, 4)
         assert results[4].complete
         assert results[4].flagged == {2}
         assert results[4].deal.a.coefficients == all_deals[4].a.coefficients

@@ -2,6 +2,7 @@
 
 import pytest
 
+from trustmesh import gossip as gossip_mod
 from trustmesh.dkg import run_dkg
 from trustmesh.gossip import (
     GossipNode,
@@ -150,22 +151,19 @@ class TestTermination:
         keys, package, partials = session
         ctx = make_node(keys, package, 1).transcript.context_hash
         t_small = Transcript(ctx, dict(partials))
-        # same aggregatable coalition, extra (unverified) entry changes the
-        # content hash: nodes must still converge on the hash-rule minimum
+        # same aggregatable coalition plus an extra (unverified) entry: each
+        # member has one valid partial, so either order gives one signature
         extra = dict(partials)
         extra[9] = partials[1]
         t_big = Transcript(ctx, extra)
-        backend = keys[1].backend
-        order = sorted(
-            [t_small, t_big], key=lambda t: (t.context_hash, t.content_hash(backend))
-        )
-        adopted = []
+        signatures = set()
         for first, second in ([t_small, t_big], [t_big, t_small]):
             node = make_node(keys, package, 2)
             observe_broadcast(node, first)
             observe_broadcast(node, second)
-            adopted.append(node.adopted.content_hash(backend))
-        assert adopted[0] == adopted[1] == order[0].content_hash(backend)
+            signatures.add(node.finalized.to_bytes(keys[1].backend))
+        assert len(signatures) == 1
+        assert verify(keys[1].group_pk, b"gossip", node.finalized)
 
     def test_invalid_broadcast_ignored(self, session):
         keys, package, partials = session
@@ -239,3 +237,17 @@ class TestSessionFromVerifier:
         observe_broadcast(node, Transcript(node.transcript.context_hash, dict(partials)))
         assert builds == []
         assert verify(keys[1].group_pk, b"owner", node.finalized)
+
+    def test_later_broadcasts_are_ignored(self, session, monkeypatch):
+        keys, package, partials = session
+        node = make_node(keys, package, 4)
+        ctx = node.transcript.context_hash
+        observe_broadcast(node, Transcript(ctx, dict(partials)))
+        signature = node.finalized
+        assert verify(keys[1].group_pk, b"owner", signature)
+        calls = []
+        monkeypatch.setattr(gossip_mod, "aggregate", lambda *args, **kwargs: calls.append(args))
+        extra = {**partials, 4: partials[1]}
+        observe_broadcast(node, Transcript(ctx, extra))
+        assert calls == []
+        assert node.finalized is signature

@@ -210,6 +210,19 @@ class TestAdversaries:
         assert dom["verdicts"] == ["verification share disagreement: equivocation by dealers [2]"]
         assert dom["completed_members"] == []
 
+    @pytest.mark.parametrize("backend", ["toy", "ed25519"])
+    def test_group_key_split_names_its_dealer(self, backend):
+        # node 2's two dealings differ in their constant term, so the group
+        # keys split; the split commitment still names node 2
+        config = SimConfig(
+            seed=33, nodes=5, backend=backend,
+            domains=(DomainSpec("d", (1, 2, 3, 4, 5), 3),),
+            adversaries=(AdversarySpec(2, "equivocate"),),
+        )
+        dom = run_simulation(config).domain("d")
+        assert dom["verdicts"] == ["verification share disagreement: equivocation by dealers [2]"]
+        assert dom["completed_members"] == []
+
     def test_crash_outside_coalition_is_tolerated(self):
         config = SimConfig(
             seed=34, nodes=4, domains=(dkg_domain(coalition=(1, 2)),),
@@ -220,8 +233,9 @@ class TestAdversaries:
         assert 4 not in dom["completed_members"]
 
     def test_forged_partial_never_merges_and_blocks_termination(self):
-        # a coalition member forging its partial starves the transcript: the
-        # domain fails without any node finalizing a signature
+        # corrupt_shares corrupts node 2's round-2 shares, so key generation
+        # aborts naming it and gossip never starts; an adversary that forges
+        # its signing partial is ROADMAP item 8a
         config = SimConfig(
             seed=35, nodes=4, domains=(dkg_domain(coalition=(1, 2)),),
             adversaries=(AdversarySpec(2, "corrupt_shares"),),
@@ -231,8 +245,8 @@ class TestAdversaries:
         assert not dom["ok"]
         assert dom["signature"] is None
         assert dom["completed_members"] == []
-        # honest receivers flagged the forger's gossip
-        assert any("2" in str(flags) for flags in dom["flagged"].values()) or dom["flagged"] == {}
+        assert dom["flagged"] == {}
+        assert dom["verdicts"] == ["node 3 aborted key generation blaming [2]"]
 
 
 class TestMessageOrder:
