@@ -33,7 +33,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import ProtocolAbort
-from .groups import GroupBackend, GroupElement, Scalar, hash_bytes, hash_to_scalar, id_bytes
+from .groups import (
+    GroupBackend, GroupElement, Scalar, batch_weights, batches, hash_bytes, hash_to_scalar, id_bytes,
+)
 from .polynomials import Polynomial, interpolate_at, random_polynomial
 from .sharing import CommitmentVector, commit_polynomial
 
@@ -217,15 +219,9 @@ def share_batch_weights(
     The weights hash every checked share and commitment, in sender order, so
     a dealer cannot choose its share knowing its weight.
     """
-    senders = sorted(shares)
-    seed = hash_bytes(_SHARE_BATCH_TAG, [id_bytes(node)] + [
-        part for s in senders
-        for part in (id_bytes(s), backend.encode_scalar(shares[s]), broadcasts[s].commitment.to_bytes())
-    ])
-    return {
-        s: int.from_bytes(hash_bytes(_SHARE_BATCH_TAG, [seed, id_bytes(s)])[:16], "big") or 1
-        for s in senders
-    }
+    return batch_weights(_SHARE_BATCH_TAG, [id_bytes(node)], {
+        s: (backend.encode_scalar(v), broadcasts[s].commitment.to_bytes()) for s, v in shares.items()
+    })
 
 
 def _shares_batch_valid(
@@ -278,9 +274,7 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
     backend = state.backend
     # C_j(id) once per dealer j, for the batch and, if it fails, for blame
     expected = {s: broadcasts[s].commitment.share_commitment(state.id) for s in peer_shares}
-    # a 128-bit weight can vanish mod a smaller q and drop its dealer from the
-    # batch, so such groups (toy) check dealer by dealer
-    if backend.order <= 1 << 128 or not _shares_batch_valid(state, peer_shares, expected):
+    if not batches(backend) or not _shares_batch_valid(state, peer_shares, expected):
         g = backend.generator()
         faulty = sorted(s for s, value in peer_shares.items() if value * g != expected[s])
         if faulty:

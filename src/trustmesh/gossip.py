@@ -4,13 +4,16 @@ Signers seed per-node transcripts with their own verified partial response.
 Each round a node forwards its transcript to a logarithmic fan-out of random
 peers; receivers check every contribution against the session context before
 merging, so forged partials never spread.  The node's PartialVerifier holds
-the session (package, key shares, group key) and remembers each accepted
-partial, so a contribution seen again, or aggregated later, costs no group
-work.  Once a node's transcript holds the whole coalition, it broadcasts the
-full transcript with small probability; everyone who observes a broadcast
-aggregates it into the final signature and stops gossiping.  A node keeps the
-first broadcast that aggregates: each coalition member has exactly one valid
-partial, so every broadcast that aggregates yields the same signature.
+the session (package, key shares, group key) and checks an incoming
+transcript with one call: its new contributions in one random-weight sum on
+ed25519, member by member when that sum fails.  The verifier remembers each
+accepted partial, so a contribution seen again, or aggregated later, costs
+no group work.  Once a node's transcript holds the whole coalition, it
+broadcasts the full transcript with small probability; everyone who observes
+a broadcast aggregates it into the final signature and stops gossiping.  A
+node keeps the first broadcast that aggregates: each coalition member has
+exactly one valid partial, so every broadcast that aggregates yields the
+same signature.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class GossipNode:
 
     def seed_own_partial(self, z: Scalar) -> bool:
         """Self-check this node's own partial, then install it."""
-        if not self.verifier.verify(self.node_id, z):
+        if self.verifier.verify({self.node_id: z}):
             return False
         self.transcript.contributions[self.node_id] = z
         return True
@@ -94,20 +97,20 @@ def gossip_round(node: GossipNode, rng) -> list[tuple[int, Transcript]]:
 
 
 def gossip_receive(node: GossipNode, sender: int, incoming: Transcript) -> None:
-    """Merge an incoming transcript, verifying every contribution.
+    """Merge an incoming transcript, verifying its contributions in one call.
 
     A context mismatch drops the whole message; an invalid contribution is
     dropped and its carrier flagged, while valid entries still merge.
     """
     if incoming.context_hash != node.transcript.context_hash:
         return
+    rejected = node.verifier.verify(incoming.contributions)
+    if rejected:
+        node.flagged.add(sender)
     mine = node.transcript.contributions
     for member in sorted(incoming.contributions):
-        z = incoming.contributions[member]
-        if node.verifier.verify(member, z):
-            mine[member] = z
-        else:
-            node.flagged.add(sender)
+        if member not in rejected:
+            mine[member] = incoming.contributions[member]
 
 
 def gossip_maybe_terminate(node: GossipNode, rng) -> Optional[Transcript]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -810,3 +810,34 @@ def hash_to_scalar(backend: GroupBackend, domain_tag: str, parts: Sequence[bytes
 def id_bytes(participant_id: int) -> bytes:
     """Canonical 4-byte big-endian participant id used in transcripts."""
     return participant_id.to_bytes(4, "big")
+
+
+# ---------------------------------------------------------------------------
+# Random-weight batch checks
+# ---------------------------------------------------------------------------
+
+
+def batches(backend: GroupBackend) -> bool:
+    """Whether ``backend`` may test many equations with one random-weight sum.
+
+    A random-weight test (Bellare, Garay and Rabin, EUROCRYPT 1998) weights
+    each equation by a nonzero 128-bit value.  Mod an order of at most 2^128
+    a weight can vanish and drop its equation from the sum, so such groups
+    (toy) check one equation at a time.
+    """
+    return backend.order > 1 << 128
+
+
+def batch_weights(
+    domain_tag: str, context: Sequence[bytes], entries: Mapping[int, Sequence[bytes]]
+) -> dict[int, int]:
+    """Nonzero 128-bit weight per id for one random-weight test.
+
+    The weights hash ``context`` and every (id, entry parts) in id order, so
+    no entry can be chosen knowing its weight, and no rng is drawn.
+    """
+    ids = sorted(entries)
+    seed = hash_bytes(domain_tag, list(context) + [
+        part for i in ids for part in (id_bytes(i), *entries[i])
+    ])
+    return {i: int.from_bytes(hash_bytes(domain_tag, [seed, id_bytes(i)])[:16], "big") or 1 for i in ids}

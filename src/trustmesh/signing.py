@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import NonceReuseError, ProtocolAbort
-from .groups import GroupBackend, GroupElement, Scalar, hash_bytes, hash_to_scalar, id_bytes
+from .groups import (
+    GroupBackend, GroupElement, Scalar, batch_weights, batches, hash_bytes, hash_to_scalar, id_bytes,
+)
 from .polynomials import lagrange_coefficient
 
 
@@ -248,15 +250,23 @@ class Signer:
 # ---------------------------------------------------------------------------
 
 
+_PARTIAL_BATCH_TAG = "trustmesh/partial-batch"
+
+
 class PartialVerifier:
     """One node's signing session: the one holder of its package and keys.
 
-    Building it derives the session once: the binding values beta_i, the
-    group commitment R and the challenge c.  A partial z_i is valid iff
-    z_i*G - beta_i*B_i - (c*lambda_i)*pk_i = A_i, which ``verify`` checks with
-    one three-term multi-scalar mul, so z_i*G shares the chain.  Each
-    accepted partial is remembered, and asking again about it costs no group
-    operation; a rejected one is never remembered.
+    Building it derives the session once: the binding values beta_m, the
+    group commitment R and the challenge c.  A partial z_m is valid iff
+    A_m + beta_m*B_m + (c*lambda_m)*pk_m - z_m*G = 0.  ``verify`` tests a
+    set of partials with one multi-scalar mul of the weighted sum of their
+    equations: on a group that batches (``groups.batches``) two or more
+    partials take random 128-bit weights (Bellare, Garay and Rabin,
+    EUROCRYPT 1998), and when that sum fails, or on toy, each partial is
+    tested alone with weight 1, so a bad partial is named as FROST (Komlo
+    and Goldberg, SAC 2020) names it.  Each accepted partial is remembered,
+    and asking again about it costs no group operation; a rejected one is
+    never remembered.
     """
 
     def __init__(
@@ -275,23 +285,52 @@ class PartialVerifier:
         self.challenge = challenge_scalar(backend, self.R, group_pk, package.message)
         self._accepted: dict[int, Scalar] = {}
 
-    def verify(self, member: int, z: Scalar) -> bool:
-        held = self._accepted.get(member)
-        if held is not None and held == z:
-            return True
+    def verify(self, partials: Mapping[int, Scalar]) -> list[int]:
+        """Check ``partials`` (member -> z); return the sorted members rejected.
+
+        A partial already accepted with the same value costs nothing, and a
+        member outside the coalition is rejected without group work.
+        """
         coalition = self.package.coalition
-        if member not in coalition:
-            return False
-        backend = self.backend
-        a, b = self.package.pair(member)
-        c_lam = self.challenge * lagrange_coefficient(member, coalition, backend.scalar(0))
-        lhs = backend.multi_mul(
-            [z, -self.betas[member], -c_lam], [backend.generator(), b, self.pk_shares[member]]
+        rejected = [m for m in partials if m not in coalition]
+        pending = {
+            m: partials[m] for m in sorted(partials)
+            if m in coalition and self._accepted.get(m) != partials[m]
+        }
+        if len(pending) > 1 and batches(self.backend) and self._holds(pending, self.weights(pending)):
+            self._accepted.update(pending)
+            pending = {}
+        for m, z in pending.items():
+            if self._holds({m: z}, {m: 1}):
+                self._accepted[m] = z
+            else:
+                rejected.append(m)
+        return sorted(rejected)
+
+    def weights(self, partials: Mapping[int, Scalar]) -> dict[int, int]:
+        """Nonzero 128-bit weight per member for one random-weight sum over ``partials``.
+
+        They hash the session's context hash, the group key and every
+        (member, z) in member order.
+        """
+        return batch_weights(
+            _PARTIAL_BATCH_TAG,
+            [self.package.context_hash(), self.group_pk.encode()],
+            {m: (self.backend.encode_scalar(z),) for m, z in partials.items()},
         )
-        if lhs != a:
-            return False
-        self._accepted[member] = z
-        return True
+
+    def _holds(self, partials: Mapping[int, Scalar], weights: Mapping[int, int]) -> bool:
+        """sum_m w_m*(A_m + beta_m*B_m + (c*lambda_m)*pk_m) - (sum_m w_m*z_m)*G == 0."""
+        backend = self.backend
+        zero = backend.scalar(0)
+        scalars = [-sum(w * partials[m].value for m, w in weights.items())]
+        elements = [backend.generator()]
+        for m, w in weights.items():
+            a, b = self.package.pair(m)
+            c_lam = self.challenge * lagrange_coefficient(m, self.package.coalition, zero)
+            scalars += [w, w * self.betas[m].value, w * c_lam.value]
+            elements += [a, b, self.pk_shares[m]]
+        return backend.multi_mul(scalars, elements).is_identity()
 
 
 def _session_verifier(
@@ -325,9 +364,7 @@ def aggregate(
     if missing:
         raise ValueError(f"incomplete session: missing partials from {missing}")
     verifier = _session_verifier(verifier, package, pk_shares, group_pk)
-    faulty = sorted(
-        member for member in package.coalition if not verifier.verify(member, partials[member])
-    )
+    faulty = verifier.verify({member: partials[member] for member in package.coalition})
     if faulty:
         raise ProtocolAbort(f"partial verification failed for {faulty}", faulty)
     backend = group_pk.backend

@@ -6,8 +6,8 @@ verifiable-sharing and asynchronous-sharing scenarios.  Time advances in
 ticks; each tick delivers due messages (FIFO by send sequence) and then lets
 every live node act, so a run is a pure function of its configuration,
 including the seed.  Adversary hooks mutate a node's outbound payloads
-(corrupt_shares), split its view of the world (equivocate), silence it, or
-crash it at a chosen tick.
+(corrupt_shares, forge_partial), split its view of the world (equivocate),
+silence it, or crash it at a chosen tick.
 
 The report separates a deterministic core (keys, signatures, verdicts, tick
 spans, message counts, trace hash) from wall-clock CPU timings, which are
@@ -38,7 +38,7 @@ from .rng import SeededRng
 # Configuration
 # ---------------------------------------------------------------------------
 
-_BEHAVIORS = ("crash", "corrupt_shares", "equivocate", "silent")
+_BEHAVIORS = ("crash", "corrupt_shares", "equivocate", "forge_partial", "silent")
 _PROTOCOLS = ("dkg_sign", "pedersen_vss", "avss")
 
 
@@ -561,6 +561,11 @@ class DkgSignEngine(_DomainEngine):
         if gnode is not None and not gnode.stopped:
             grng = self.rng("gossip", node)
             for peer_local, transcript in gossip_mod.gossip_round(gnode, grng):
+                if self.sim.behavior(node) == "forge_partial":
+                    # one contribution plus one: the lowest-id one not its own, if any
+                    held = transcript.contributions
+                    forged = min(held, key=lambda m: (m == gnode.node_id, m))
+                    held[forged] = held[forged] + 1
                 peer = self.globl[peer_local]
                 self.send(tick, node, peer, "gossip", transcript,
                           transcript.to_bytes(self.backend))

@@ -190,9 +190,9 @@ def test_toy_group_oracle_equivalence(toy):
             ) % TOY_P
             for z in range(TOY_Q):
                 expected = pow(TOY_G, z, TOY_P) == target
-                if verifier.verify(member, toy.scalar(z)) != expected:
+                if (verifier.verify({member: toy.scalar(z)}) == []) != expected:
                     mismatches += 1
-            if not verifier.verify(member, partials[member]):
+            if verifier.verify({member: partials[member]}) != []:
                 mismatches += 1
 
         assert mismatches == 0

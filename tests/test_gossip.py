@@ -251,3 +251,48 @@ class TestSessionFromVerifier:
         observe_broadcast(node, Transcript(ctx, extra))
         assert calls == []
         assert node.finalized is signature
+
+
+class TestBlame:
+    """A transcript is checked in one verify call; its carrier is flagged and good entries merge."""
+
+    # tamper(partials) -> the members rejected, for a 3-of-5 session signed by (1, 2, 3)
+    TAMPERS = {
+        "one bad partial": (lambda p: {**p, 2: p[2] + 1}, [2]),
+        "two bad partials": (lambda p: {**p, 1: p[1] + 1, 3: p[3] + 2}, [1, 3]),
+        "cancelling pair": (lambda p: {**p, 1: p[1] + 7, 2: p[2] - 7}, [1, 2]),
+        "partial under another member's id": (lambda p: {**p, 2: p[1]}, [2]),
+        "non-coalition id": (lambda p: {**p, 5: p[1]}, [5]),
+        "good entries with one bad": (lambda p: {1: p[1], 3: p[3] + 1}, [3]),
+    }
+
+    @pytest.fixture
+    def session(self, backend):
+        parts = run_dkg(backend, 3, 5, SeededRng(61))
+        keys = {p.id: KeyShare.from_participant(p) for p in parts}
+        signers = {i: Signer(keys[i]) for i in (1, 2, 3)}
+        rng = SeededRng(62)
+        lists = {i: s.round1(rng.fork(str(i))) for i, s in signers.items()}
+        package = SigningPackage.build(b"blame", {i: lists[i].pairs[0] for i in signers})
+        partials = {i: s.round2_partial(package) for i, s in signers.items()}
+        return keys, package, partials
+
+    @pytest.mark.parametrize("case", TAMPERS)
+    def test_sender_flagged_and_good_entries_merged(self, session, case, monkeypatch):
+        keys, package, partials = session
+        tamper, rejected = self.TAMPERS[case]
+        node = make_node(keys, package, 5, n=5)
+        calls = []
+        check = node.verifier.verify
+
+        def recording(contributions):
+            calls.append(dict(contributions))
+            return check(contributions)
+        monkeypatch.setattr(node.verifier, "verify", recording)
+        incoming = tamper(partials)
+        gossip_receive(node, 4, Transcript(node.transcript.context_hash, incoming))
+        assert calls == [incoming]
+        assert node.flagged == {4}
+        assert node.transcript.contributions == {
+            m: z for m, z in incoming.items() if m not in rejected
+        }

@@ -221,7 +221,7 @@ class TestAggregate:
         for member in coalition:
             for z in range(TOY_Q):
                 expected = z == partials[member].value
-                assert verifier.verify(member, toy.scalar(z)) == expected
+                assert verifier.verify({member: toy.scalar(z)}) == ([] if expected else [member])
 
     def test_two_coalitions_same_key_both_accept(self, toy):
         keys, signers = make_signers(toy, 2, 4, seed=10)
@@ -288,8 +288,8 @@ class TestEd25519SessionEquivalence:
                 lam = lagrange_coefficient(m, coalition, zero)
                 lhs = partials[m] * ed25519.generator()
                 assert lhs == per_signer[m] + (c * lam) * keys[m].pk_shares[m]
-                assert verifier.verify(m, partials[m])
-                assert not verifier.verify(m, partials[m] + 1)
+                assert verifier.verify({m: partials[m]}) == []
+                assert verifier.verify({m: partials[m] + 1}) == [m]
 
     def test_corrupted_partial_aborts_naming_exactly_the_culprit(self, ed25519, keys):
         coalition = (1, 3, 4)
@@ -512,21 +512,21 @@ class TestPartialVerifierChecksOnce:
             calls.append(len(scalars))
             return multi_mul(scalars, elements)
         monkeypatch.setattr(backend, "multi_mul", counting)
-        assert verifier.verify(3, partials[3])
-        assert calls == [3]
-        assert verifier.verify(3, partials[3]) and verifier.verify(3, partials[3])
-        assert calls == [3]
+        assert verifier.verify({3: partials[3]}) == []
+        assert calls == [4]
+        assert verifier.verify({3: partials[3]}) == [] and verifier.verify({3: partials[3]}) == []
+        assert calls == [4]
 
     def test_rejected_partial_is_never_remembered(self, backend):
         verifier, partials = self.session(backend)
         z = partials[1]
-        checks = [verifier.verify(1, w) for w in (z + 1, z + 1, z, z + 1)]
-        assert checks == [False, False, True, False]
+        checks = [verifier.verify({1: w}) for w in (z + 1, z + 1, z, z + 1)]
+        assert checks == [[1], [1], [], [1]]
 
     def test_non_member_is_rejected(self, backend):
         verifier, partials = self.session(backend)
-        assert not verifier.verify(2, partials[3])
-        assert not verifier.verify(9, partials[3])
+        assert verifier.verify({2: partials[3]}) == [2]
+        assert verifier.verify({9: partials[3]}) == [9]
 
 
 class TestRound2WithVerifier:
@@ -546,7 +546,7 @@ class TestRound2WithVerifier:
         verifier = PartialVerifier(package, keys[3].pk_shares, keys[3].group_pk)
         z = reusing.round2_partial(package, verifier)
         assert z == plain.round2_partial(package)
-        assert verifier.verify(3, z)
+        assert verifier.verify({3: z}) == []
 
     def test_verifier_for_another_package_is_rejected(self, backend):
         keys, (signer, _), package = self.setup_session(backend)
@@ -563,3 +563,125 @@ class TestRound2WithVerifier:
         verifier = PartialVerifier(package, other_keys[3].pk_shares, other_keys[3].group_pk)
         with pytest.raises(ValueError, match="group key"):
             signer.round2_partial(package, verifier)
+
+
+# a 3-of-5 session signed by (1, 2, 3): tamper(partials) -> the members verify rejects
+TAMPERS = {
+    "one bad partial": (lambda p: {**p, 2: p[2] + 1}, [2]),
+    "two bad partials": (lambda p: {**p, 1: p[1] + 1, 3: p[3] + 2}, [1, 3]),
+    # the unweighted sum of these equations still holds
+    "cancelling pair": (lambda p: {**p, 1: p[1] + 7, 2: p[2] - 7}, [1, 2]),
+    "partial under another member's id": (lambda p: {**p, 2: p[1]}, [2]),
+    "non-coalition id": (lambda p: {**p, 5: p[1]}, [5]),
+}
+
+
+class TestBatchedPartialCheck:
+    """verify tests a session's partials in one weighted sum and still names each bad one."""
+
+    @pytest.fixture
+    def session(self, backend):
+        keys, signers = make_signers(backend, t=3, n=5, seed=51)
+        package, partials, _ = run_session(backend, keys, signers, (1, 2, 3), b"batch")
+        return keys, package, partials
+
+    def count_multi_muls(self, backend, monkeypatch):
+        calls = []
+        multi_mul = backend.multi_mul
+
+        def counting(scalars, elements):
+            calls.append(len(scalars))
+            return multi_mul(scalars, elements)
+        monkeypatch.setattr(backend, "multi_mul", counting)
+        return calls
+
+    @pytest.mark.parametrize("case", TAMPERS)
+    def test_aggregate_names_exactly_the_bad_partials(self, session, case):
+        keys, package, partials = session
+        tamper, rejected = TAMPERS[case]
+        bad = tamper(partials)
+        if rejected == [5]:
+            # aggregate reads only the coalition's partials
+            sig = aggregate(package, bad, keys[5].pk_shares, keys[5].group_pk)
+            assert verify(keys[5].group_pk, b"batch", sig)
+            return
+        with pytest.raises(ProtocolAbort) as exc:
+            aggregate(package, bad, keys[5].pk_shares, keys[5].group_pk)
+        assert str(exc.value) == f"partial verification failed for {rejected}"
+        assert exc.value.faulty_ids == tuple(rejected)
+
+    @pytest.mark.parametrize("case", TAMPERS)
+    def test_good_partials_of_a_failed_sum_are_remembered(self, session, case, backend, monkeypatch):
+        keys, package, partials = session
+        tamper, rejected = TAMPERS[case]
+        verifier = PartialVerifier(package, keys[4].pk_shares, keys[4].group_pk)
+        assert verifier.verify(tamper(partials)) == rejected
+        calls = self.count_multi_muls(backend, monkeypatch)
+        good = {m: z for m, z in partials.items() if m not in rejected}
+        assert verifier.verify(good) == []
+        assert calls == []
+
+    def test_honest_aggregate_is_one_sum_on_ed25519(self, session, backend, monkeypatch):
+        keys, package, partials = session
+        verifier = PartialVerifier(package, keys[5].pk_shares, keys[5].group_pk)
+        calls = self.count_multi_muls(backend, monkeypatch)
+        aggregate(package, partials, keys[5].pk_shares, keys[5].group_pk, verifier=verifier)
+        # G plus A, B and pk per member; toy, where a weight can vanish, checks one by one
+        assert calls == ([1 + 3 * 3] if backend.name == "ed25519" else [4, 4, 4])
+
+    def test_non_member_costs_no_group_work(self, session, backend, monkeypatch):
+        keys, package, partials = session
+        verifier = PartialVerifier(package, keys[5].pk_shares, keys[5].group_pk)
+        calls = self.count_multi_muls(backend, monkeypatch)
+        assert verifier.verify({4: partials[1], 9: partials[2]}) == [4, 9]
+        assert calls == []
+
+    def test_partial_weights_are_a_pure_function_of_the_inputs(self, ed25519):
+        keys, signers = make_signers(ed25519, t=3, n=5, seed=51)
+        package, partials, _ = run_session(ed25519, keys, signers, (1, 2, 3), b"batch")
+        verifier = PartialVerifier(package, keys[5].pk_shares, keys[5].group_pk)
+        weights = verifier.weights(partials)
+        copied = {m: ed25519.scalar(z.value) for m, z in reversed(partials.items())}
+        assert PartialVerifier(package, keys[4].pk_shares, keys[4].group_pk).weights(copied) == weights
+        assert sorted(weights) == [1, 2, 3]
+        assert all(0 < w < 1 << 128 for w in weights.values())
+        assert len(set(weights.values())) == len(weights)
+        for m in partials:
+            assert verifier.weights({**partials, m: partials[m] + 1}) != weights
+        other = SigningPackage.build(b"another message", {m: package.pair(m) for m in package.coalition})
+        assert PartialVerifier(other, keys[5].pk_shares, keys[5].group_pk).weights(partials) != weights
+
+    def test_verify_matches_an_independent_oracle(self, session, backend):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        keys, package, partials = session
+        pk_shares, group_pk = keys[5].pk_shares, keys[5].group_pk
+        g, zero, q = backend.generator(), backend.scalar(0), backend.order
+        betas = binding_values(backend, package)
+        c = challenge_scalar(backend, bound_commitments(backend, package, betas), group_pk, b"batch")
+
+        def oracle_accepts(m, z):
+            if m not in package.coalition:
+                return False
+            a, b = package.pair(m)
+            lam = lagrange_coefficient(m, package.coalition, zero)
+            return z * g == a + betas[m] * b + (c * lam) * pk_shares[m]
+
+        # one verifier for every example, so remembered partials are exercised too
+        verifier = PartialVerifier(package, pk_shares, group_pk)
+        offset = st.one_of(st.just(0), st.integers(1, q - 1))
+
+        @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.tuples(offset, offset, offset), st.booleans(),
+            st.dictionaries(st.sampled_from([4, 5, 9]), st.integers(0, q - 1), max_size=2),
+        )
+        def check(offsets, cancel, outsiders):
+            if cancel:
+                offsets = (offsets[0], offsets[1], -offsets[0] - offsets[1])
+            tampered = {m: partials[m] + d for m, d in zip((1, 2, 3), offsets)}
+            tampered.update({m: backend.scalar(z) for m, z in outsiders.items()})
+            expected = sorted(m for m, z in tampered.items() if not oracle_accepts(m, z))
+            assert verifier.verify(tampered) == expected
+
+        check()

@@ -232,6 +232,34 @@ class TestAdversaries:
         assert dom["ok"]
         assert 4 not in dom["completed_members"]
 
+    @pytest.mark.parametrize("backend", ["toy", "ed25519"])
+    def test_forged_partial_is_flagged_during_gossip(self, backend, monkeypatch):
+        # node 2 passes key generation honestly, then every transcript it
+        # gossips carries one forged partial; on ed25519 a receiver given two
+        # new partials tests them in one weighted sum, which the forged one
+        # fails, so each is then checked alone
+        sums = []
+        holds = PartialVerifier._holds
+
+        def recording(self, partials, weights):
+            ok = holds(self, partials, weights)
+            sums.append((len(weights), ok))
+            return ok
+        monkeypatch.setattr(PartialVerifier, "_holds", recording)
+        config = SimConfig(
+            seed=0, nodes=5, backend=backend,
+            domains=(DomainSpec("d", (1, 2, 3, 4, 5), 3),),
+            adversaries=(AdversarySpec(2, "forge_partial"),),
+        )
+        dom = run_simulation(config).domain("d")
+        assert dom["ok"]
+        assert dom["verdicts"] == [
+            "key generation complete: group keys agree",
+            "signature agreement and verification succeeded",
+            *(f"node {n} flagged [2] during gossip" for n in (1, 3, 4, 5)),
+        ]
+        assert (2, False) in sums if backend == "ed25519" else {n for n, _ in sums} == {1}
+
     def test_forged_partial_never_merges_and_blocks_termination(self):
         # corrupt_shares corrupts node 2's round-2 shares, so key generation
         # aborts naming it and gossip never starts; an adversary that forges
