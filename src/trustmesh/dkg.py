@@ -13,12 +13,12 @@ run_round2) or message by message through the per-node intake
 (dkg_receive_broadcast, dkg_receive_share), which the simulator uses.
 
 Each node checks only its peers' inputs: its own proof and share come from
-its own polynomial.  On a group of order above 2^128 a node checks all its
-received shares at once, with one random-weight test (Bellare, Garay and
-Rabin, EUROCRYPT 1998), and repeats the per-dealer Feldman checks only when
-that test fails, to name the culprits.  Verification shares are stepped by
-forward differences (Knuth, TAOCP Vol. 2, 4.6.4) rather than evaluated one
-by one.
+its own polynomial.  A node hands the Feldman checks of all its received
+shares to ``groups.failed_equations`` in one call: on a group of order above
+2^128 they are tested as one random-weight sum (Bellare, Garay and Rabin,
+EUROCRYPT 1998), and dealer by dealer only when that sum fails, or on toy,
+to name the culprits.  Verification shares are stepped by forward
+differences (Knuth, TAOCP Vol. 2, 4.6.4) rather than evaluated one by one.
 
 Here the threshold t is the signing coalition size: each dealt polynomial has
 degree t-1 and commitment vectors carry t entries.  Any verification failure
@@ -34,7 +34,8 @@ from typing import Mapping, Optional
 
 from .errors import ProtocolAbort
 from .groups import (
-    GroupBackend, GroupElement, Scalar, batch_weights, batches, hash_bytes, hash_to_scalar, id_bytes,
+    GroupBackend, GroupElement, Scalar, batch_weights, failed_equations, hash_bytes, hash_to_scalar,
+    id_bytes,
 )
 from .polynomials import Polynomial, interpolate_at, random_polynomial
 from .sharing import CommitmentVector, commit_polynomial
@@ -210,30 +211,6 @@ def dkg_round2_send(state: Participant) -> list[tuple[int, Scalar]]:
 _SHARE_BATCH_TAG = "trustmesh/dkg-share-batch"
 
 
-def share_batch_weights(
-    backend: GroupBackend, node: int, shares: Mapping[int, Scalar],
-    broadcasts: Mapping[int, Round1Broadcast],
-) -> dict[int, int]:
-    """Nonzero 128-bit weight per sender for ``node``'s batched share check.
-
-    The weights hash every checked share and commitment, in sender order, so
-    a dealer cannot choose its share knowing its weight.
-    """
-    return batch_weights(_SHARE_BATCH_TAG, [id_bytes(node)], {
-        s: (backend.encode_scalar(v), broadcasts[s].commitment.to_bytes()) for s, v in shares.items()
-    })
-
-
-def _shares_batch_valid(
-    state: Participant, shares: Mapping[int, Scalar], expected: Mapping[int, GroupElement],
-) -> bool:
-    """(sum w_j*s_j)*G == sum w_j*C_j(id) over the senders j of ``shares``."""
-    backend = state.backend
-    weights = share_batch_weights(backend, state.id, shares, state.received_broadcasts)
-    lhs = backend.scalar(sum(w * shares[s].value for s, w in weights.items())) * backend.generator()
-    return lhs == backend.multi_mul(list(weights.values()), [expected[s] for s in weights])
-
-
 def committed_evaluations(vector: CommitmentVector, n: int) -> dict[int, GroupElement]:
     """The committed values at ids 1..n, for n >= len(vector).
 
@@ -272,13 +249,15 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
         state._abort(f"missing round-2 shares from {missing}", missing)
 
     backend = state.backend
-    # C_j(id) once per dealer j, for the batch and, if it fails, for blame
-    expected = {s: broadcasts[s].commitment.share_commitment(state.id) for s in peer_shares}
-    if not batches(backend) or not _shares_batch_valid(state, peer_shares, expected):
-        g = backend.generator()
-        faulty = sorted(s for s, value in peer_shares.items() if value * g != expected[s])
-        if faulty:
-            state._abort(f"share verification failed for {faulty}", faulty)
+    # s_j*G == C_j(id), C_j(id) evaluated once per dealer j; the weights hash
+    # every share and commitment, so no dealer picks its share knowing its weight
+    faulty = failed_equations(backend, {
+        s: (v, [(1, broadcasts[s].commitment.share_commitment(state.id))]) for s, v in peer_shares.items()
+    }, lambda: batch_weights(_SHARE_BATCH_TAG, [id_bytes(state.id)], {
+        s: (backend.encode_scalar(v), broadcasts[s].commitment.to_bytes()) for s, v in peer_shares.items()
+    }))
+    if faulty:
+        state._abort(f"share verification failed for {faulty}", faulty)
 
     all_shares = {**peer_shares, state.id: state.self_share}
     sk = backend.scalar(sum(v.value for v in all_shares.values()))
@@ -304,16 +283,18 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
 
 
 # Per-node intake: a node that has dealt takes its peers' messages one at a
-# time, in any order.  The first message from each peer counts; messages for a
-# node that finished or aborted are dropped.  The node finalizes once round 1
-# is accepted and every share is in, whichever comes last, and raises
-# ProtocolAbort as dkg_accept_round1 and dkg_round2_finalize do.
+# time, in any order.  The first message from each peer counts; messages under
+# an id outside 1..n, or for a node that finished or aborted, are dropped.
+# The node finalizes once round 1 is accepted and every share is in,
+# whichever comes last, and raises ProtocolAbort as dkg_accept_round1 and
+# dkg_round2_finalize do.
 
 
 def _first_from_peer(state: Participant, sender: int, received: Mapping) -> bool:
     if state.phase is Phase.INIT:
         raise ValueError("cannot receive before dealing round 1")
-    return state.phase is Phase.ROUND1_DONE and sender != state.id and sender not in received
+    return (state.phase is Phase.ROUND1_DONE and 1 <= sender <= state.n and sender != state.id
+            and sender not in received)
 
 
 def _finalize_when_complete(state: Participant) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -817,15 +817,35 @@ def id_bytes(participant_id: int) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def batches(backend: GroupBackend) -> bool:
-    """Whether ``backend`` may test many equations with one random-weight sum.
+def failed_equations(
+    backend: GroupBackend,
+    equations: Mapping[int, tuple],
+    weights: Callable[[], Mapping[int, int]],
+) -> list[int]:
+    """The sorted ids whose equation s*G == sum k*P fails.
 
-    A random-weight test (Bellare, Garay and Rabin, EUROCRYPT 1998) weights
-    each equation by a nonzero 128-bit value.  Mod an order of at most 2^128
-    a weight can vanish and drop its equation from the sum, so such groups
-    (toy) check one equation at a time.
+    ``equations`` maps each id to (s, terms), terms a list of (k, P) pairs,
+    each k a Scalar or int.  On a group of order above 2^128 two or more
+    equations are first tested as one random-weight sum (Bellare, Garay and
+    Rabin, EUROCRYPT 1998), one multi_mul weighted by the nonzero 128-bit
+    values ``weights()`` returns per id; ``weights`` runs only then.  When
+    that sum fails, or on toy, where a weight can vanish mod the order and
+    drop its equation, each equation is tested alone to name the failing ones.
     """
-    return backend.order > 1 << 128
+    if len(equations) > 1 and backend.order > 1 << 128 and _sum_is_zero(backend, equations, weights()):
+        return []
+    return sorted(i for i in equations if not _sum_is_zero(backend, equations, {i: 1}))
+
+
+def _sum_is_zero(backend: GroupBackend, equations, weights: Mapping[int, int]) -> bool:
+    """sum_i w_i*(sum k*P) - (sum_i w_i*s_i)*G == 0 over the ids of ``weights``."""
+    scalars = [-sum(w * backend._reduce(equations[i][0]) for i, w in weights.items())]
+    elements = [backend.generator()]
+    for i, w in weights.items():
+        for k, point in equations[i][1]:
+            scalars.append(w * backend._reduce(k))
+            elements.append(point)
+    return backend.multi_mul(scalars, elements).is_identity()
 
 
 def batch_weights(

@@ -17,7 +17,8 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import NonceReuseError, ProtocolAbort
 from .groups import (
-    GroupBackend, GroupElement, Scalar, batch_weights, batches, hash_bytes, hash_to_scalar, id_bytes,
+    GroupBackend, GroupElement, Scalar, batch_weights, failed_equations, hash_bytes, hash_to_scalar,
+    id_bytes,
 )
 from .polynomials import lagrange_coefficient
 
@@ -258,15 +259,13 @@ class PartialVerifier:
 
     Building it derives the session once: the binding values beta_m, the
     group commitment R and the challenge c.  A partial z_m is valid iff
-    A_m + beta_m*B_m + (c*lambda_m)*pk_m - z_m*G = 0.  ``verify`` tests a
-    set of partials with one multi-scalar mul of the weighted sum of their
-    equations: on a group that batches (``groups.batches``) two or more
-    partials take random 128-bit weights (Bellare, Garay and Rabin,
-    EUROCRYPT 1998), and when that sum fails, or on toy, each partial is
-    tested alone with weight 1, so a bad partial is named as FROST (Komlo
-    and Goldberg, SAC 2020) names it.  Each accepted partial is remembered,
-    and asking again about it costs no group operation; a rejected one is
-    never remembered.
+    z_m*G == A_m + beta_m*B_m + (c*lambda_m)*pk_m.  ``verify`` hands these
+    equations to ``groups.failed_equations`` in one call: on ed25519 two or
+    more partials are tested as one random-weight sum (Bellare, Garay and
+    Rabin, EUROCRYPT 1998), and when that sum fails, or on toy, each partial
+    alone, so a bad partial is named as FROST (Komlo and Goldberg, SAC 2020)
+    names it.  Each accepted partial is remembered, and asking again about
+    it costs no group operation; a rejected one is never remembered.
     """
 
     def __init__(
@@ -297,40 +296,20 @@ class PartialVerifier:
             m: partials[m] for m in sorted(partials)
             if m in coalition and self._accepted.get(m) != partials[m]
         }
-        if len(pending) > 1 and batches(self.backend) and self._holds(pending, self.weights(pending)):
-            self._accepted.update(pending)
-            pending = {}
+        zero = self.backend.scalar(0)
+        equations = {}
         for m, z in pending.items():
-            if self._holds({m: z}, {m: 1}):
-                self._accepted[m] = z
-            else:
-                rejected.append(m)
-        return sorted(rejected)
-
-    def weights(self, partials: Mapping[int, Scalar]) -> dict[int, int]:
-        """Nonzero 128-bit weight per member for one random-weight sum over ``partials``.
-
-        They hash the session's context hash, the group key and every
-        (member, z) in member order.
-        """
-        return batch_weights(
+            a, b = self.package.pair(m)
+            c_lam = self.challenge * lagrange_coefficient(m, coalition, zero)
+            equations[m] = (z, [(1, a), (self.betas[m], b), (c_lam, self.pk_shares[m])])
+        # weights from the session's context hash, the group key and each (member, z)
+        failed = failed_equations(self.backend, equations, lambda: batch_weights(
             _PARTIAL_BATCH_TAG,
             [self.package.context_hash(), self.group_pk.encode()],
-            {m: (self.backend.encode_scalar(z),) for m, z in partials.items()},
-        )
-
-    def _holds(self, partials: Mapping[int, Scalar], weights: Mapping[int, int]) -> bool:
-        """sum_m w_m*(A_m + beta_m*B_m + (c*lambda_m)*pk_m) - (sum_m w_m*z_m)*G == 0."""
-        backend = self.backend
-        zero = backend.scalar(0)
-        scalars = [-sum(w * partials[m].value for m, w in weights.items())]
-        elements = [backend.generator()]
-        for m, w in weights.items():
-            a, b = self.package.pair(m)
-            c_lam = self.challenge * lagrange_coefficient(m, self.package.coalition, zero)
-            scalars += [w, w * self.betas[m].value, w * c_lam.value]
-            elements += [a, b, self.pk_shares[m]]
-        return backend.multi_mul(scalars, elements).is_identity()
+            {m: (self.backend.encode_scalar(z),) for m, z in pending.items()},
+        ))
+        self._accepted.update((m, z) for m, z in pending.items() if m not in failed)
+        return sorted(rejected + failed)
 
 
 def _session_verifier(

@@ -519,7 +519,7 @@ class DkgSignEngine(_DomainEngine):
                 if shares:
                     self._send_shares(node, shares, tick)
             else:
-                dkg_mod.dkg_receive_share(p, msg.payload.id, msg.payload.value)
+                dkg_mod.dkg_receive_share(p, self.local[msg.src], msg.payload.value)
         except ProtocolAbort as abort:
             culprits = self.globals_of(abort.faulty_ids)
             self.verdicts.append(f"node {node} aborted key generation blaming {culprits}")

@@ -23,11 +23,10 @@ from trustmesh.dkg import (
     pok_verify,
     run_dkg,
     run_round2,
-    share_batch_weights,
     transcript_jsonl,
 )
 from trustmesh.errors import ProtocolAbort
-from trustmesh.groups import GroupElement, hash_to_scalar, id_bytes
+from trustmesh.groups import batch_weights, hash_to_scalar, id_bytes
 from trustmesh.rng import SeededRng
 from trustmesh.sharing import CommitmentVector
 
@@ -291,6 +290,31 @@ class TestIntake:
         dkg_receive_share(node1, 1, backend.scalar(3))
         assert node1.pending_shares == {}
 
+    def test_broadcast_under_an_id_outside_1_to_n_is_dropped(self, backend):
+        # node 1 holds 2's and 3's broadcasts when one arrives under id 99:
+        # counted, it would complete round 1 and blame node 4, merely slow
+        parts, bcs = self._dealt(backend)
+        node1 = parts[0]
+        assert broadcasts_to(node1, bcs, skip={4}) == {}
+        for sender in (99, 5, 0, -1):
+            assert dkg_receive_broadcast(node1, sender, bcs[4]) == []
+        assert sorted(node1.received_broadcasts) == [1, 2, 3]
+        assert node1.phase is Phase.ROUND1_DONE
+        assert sorted(dict(dkg_receive_broadcast(node1, 4, bcs[4]))) == [2, 3, 4]
+
+    def test_share_under_an_id_outside_1_to_n_is_dropped(self, backend):
+        parts, bcs = self._dealt(backend)
+        outbound = {p.id: broadcasts_to(p, bcs) for p in parts}
+        node1 = parts[0]
+        dkg_receive_share(node1, 2, outbound[2][1])
+        dkg_receive_share(node1, 3, outbound[3][1])
+        for sender in (99, 5, 0, -1):
+            dkg_receive_share(node1, sender, outbound[4][1])
+        assert sorted(node1.pending_shares) == [2, 3]
+        assert node1.phase is Phase.ROUND1_DONE
+        dkg_receive_share(node1, 4, outbound[4][1])
+        assert node1.phase is Phase.ROUND2_DONE
+
     def test_bad_share_aborts_and_later_messages_are_dropped(self, backend):
         parts, bcs = self._dealt(backend)
         outbound = {p.id: broadcasts_to(p, bcs) for p in parts}
@@ -402,18 +426,38 @@ def evaluations(monkeypatch):
     return calls
 
 
-def generator_multiples(monkeypatch, backend):
-    """Record k for each k*G computed, G the backend's generator."""
-    calls = []
-    original = GroupElement.mul
+def check_sums(monkeypatch, backend):
+    """Record (G's scalar, term count) for each multi_mul dkg.failed_equations makes."""
+    calls, checking = [], []
+    multi_mul, failed_equations = backend.multi_mul, dkg_mod.failed_equations
     g = backend.generator()
 
-    def wrapper(self, k):
-        if self.rep is g.rep:
-            calls.append(k)
-        return original(self, k)
-    monkeypatch.setattr(GroupElement, "mul", wrapper)
-    monkeypatch.setattr(GroupElement, "__rmul__", wrapper)
+    def recording_mul(scalars, elements):
+        if checking:
+            assert elements[0].rep is g.rep
+            calls.append((backend.scalar(scalars[0]), len(elements)))
+        return multi_mul(scalars, elements)
+
+    def recording_check(*args):
+        checking.append(True)
+        try:
+            return failed_equations(*args)
+        finally:
+            checking.pop()
+    monkeypatch.setattr(backend, "multi_mul", recording_mul)
+    monkeypatch.setattr(dkg_mod, "failed_equations", recording_check)
+    return calls
+
+
+def recorded_weights(monkeypatch):
+    """Record (arguments, weights) for each dkg.batch_weights call."""
+    calls = []
+    original = dkg_mod.batch_weights
+
+    def wrapper(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(dkg_mod, "batch_weights", wrapper)
     return calls
 
 
@@ -451,11 +495,11 @@ class TestBatchedShareCheck:
 
     def test_honest_shares_pass_the_batch_without_per_dealer_checks(self, ed25519, monkeypatch):
         parts, outbound = dealt_and_accepted(ed25519)
-        muls = generator_multiples(monkeypatch, ed25519)
+        sums = check_sums(monkeypatch, ed25519)
         for p in parts:
             dkg_round2_finalize(p, inbound_for(p, outbound))
-        # one k*G per node, the batch's left-hand side
-        assert len(muls) == len(parts)
+        # one sum per node, the batch: G plus the four peer commitments
+        assert [n for _, n in sums] == [5] * len(parts)
         assert len({p.group_pk.encode() for p in parts}) == 1
 
     def test_a_failed_batch_checks_each_peer_dealer_once(self, ed25519, monkeypatch):
@@ -464,19 +508,20 @@ class TestBatchedShareCheck:
         inbound = inbound_for(receiver, outbound)
         inbound[3] = inbound[3] + 1
         evaluated = evaluations(monkeypatch)
-        muls = generator_multiples(monkeypatch, ed25519)
+        sums = check_sums(monkeypatch, ed25519)
         with pytest.raises(ProtocolAbort):
             dkg_round2_finalize(receiver, inbound)
         assert checked_dealers(receiver, evaluated) == [2, 3, 4, 5]
-        # the batch's k*G, then value*G for each peer dealer
-        assert sorted(k.value for k in muls[1:]) == sorted(v.value for v in inbound.values())
+        # the batch, then -value*G + C_j(id) for each peer dealer
+        assert [n for _, n in sums] == [5, 2, 2, 2, 2]
+        assert sorted((-k).value for k, _ in sums[1:]) == sorted(v.value for v in inbound.values())
 
     def test_a_failed_check_evaluates_each_commitment_once(self, backend, monkeypatch):
         parts, outbound = dealt_and_accepted(backend, t=3, n=6)
         receiver = parts[0]
         inbound = inbound_for(receiver, outbound)
         inbound[4] = inbound[4] + 1
-        weights = counting(monkeypatch, "share_batch_weights")
+        weights = counting(monkeypatch, "batch_weights")
         evaluated = evaluations(monkeypatch)
         with pytest.raises(ProtocolAbort) as exc:
             dkg_round2_finalize(receiver, inbound)
@@ -490,28 +535,37 @@ class TestBatchedShareCheck:
     def test_toy_checks_dealer_by_dealer(self, toy, monkeypatch):
         # a weight can vanish mod 11, so the toy group never batches
         parts, outbound = dealt_and_accepted(toy, t=2, n=4)
-        weights = counting(monkeypatch, "share_batch_weights")
-        muls = generator_multiples(monkeypatch, toy)
+        weights = counting(monkeypatch, "batch_weights")
+        sums = check_sums(monkeypatch, toy)
         inbound = inbound_for(parts[0], outbound)
         dkg_round2_finalize(parts[0], inbound)
         assert weights == []
-        assert sorted(k.value for k in muls) == sorted(v.value for v in inbound.values())
+        assert [n for _, n in sums] == [2, 2, 2]
+        assert sorted((-k).value for k, _ in sums) == sorted(v.value for v in inbound.values())
 
-    def test_weights_are_a_pure_function_of_the_inputs(self, ed25519):
-        parts, outbound = dealt_and_accepted(ed25519)
-        receiver = parts[0]
-        inbound = inbound_for(receiver, outbound)
-        bcs = receiver.received_broadcasts
-        weights = share_batch_weights(ed25519, receiver.id, inbound, bcs)
-        copied = {s: ed25519.scalar(v.value) for s, v in reversed(inbound.items())}
-        assert share_batch_weights(ed25519, receiver.id, copied, dict(bcs)) == weights
-        assert sorted(weights) == [2, 3, 4, 5]
-        assert all(0 < w < 1 << 128 for w in weights.values())
-        assert len(set(weights.values())) == len(weights)
-        changed = dict(inbound)
-        changed[3] = changed[3] + 1
-        assert share_batch_weights(ed25519, receiver.id, changed, bcs) != weights
-        assert share_batch_weights(ed25519, 6, inbound, bcs) != weights
+    def test_weights_are_a_pure_function_of_the_inputs(self, ed25519, monkeypatch):
+        calls = recorded_weights(monkeypatch)
+
+        def weights(tamper=dict):
+            # node 1 of a fresh run of the same seeded dealings each time
+            parts, outbound = dealt_and_accepted(ed25519)
+            try:
+                dkg_round2_finalize(parts[0], tamper(inbound_for(parts[0], outbound)))
+            except ProtocolAbort:
+                pass
+            return calls[-1][1]
+
+        honest = weights()
+        copied = weights(lambda inbound: {s: ed25519.scalar(v.value) for s, v in reversed(inbound.items())})
+        assert copied == honest
+        assert sorted(honest) == [2, 3, 4, 5]
+        assert all(0 < w < 1 << 128 for w in honest.values())
+        assert len(set(honest.values())) == len(honest)
+        assert weights(lambda inbound: {**inbound, 3: inbound[3] + 1}) != honest
+        # the same shares and commitments checked by node 6
+        (tag, context, entries), _ = calls[0]
+        assert context == [id_bytes(1)]
+        assert batch_weights(tag, [id_bytes(6)], entries) != honest
 
 
 class TestNoSelfChecks:

@@ -689,6 +689,65 @@ class TestAffineOracle:
         check()
 
 
+class TestFailedEquations:
+    """failed_equations names exactly the equations s*G == sum k*P that fail."""
+
+    def test_matches_a_one_by_one_oracle(self, backend):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        q, g = backend.order, backend.generator()
+        logs = [1, 2, q - 1] + [backend.random_scalar(SeededRng(f"logs/{i}")).value for i in range(3)]
+        points = [r * g for r in logs]
+        scalar = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+        offset = st.one_of(st.just(0), st.integers(1, q - 1))
+        terms = st.lists(st.tuples(scalar, st.integers(0, len(points) - 1)), min_size=1, max_size=3)
+
+        @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            st.integers(1, 5).flatmap(lambda n: st.lists(st.tuples(terms, offset), min_size=n, max_size=n)),
+            st.booleans(),
+        )
+        def check(drawn, cancel):
+            if cancel and len(drawn) > 1:
+                # offsets d and -d: the unweighted sum of the two still holds
+                drawn[1] = (drawn[1][0], -drawn[0][1] % q)
+            equations = {}
+            for n, (pairs, d) in enumerate(drawn):
+                s = backend.scalar(sum(k * logs[i] for k, i in pairs) + d)
+                equations[3 * n + 1] = (s, [(k, points[i]) for k, i in pairs])
+
+            def holds(s, pairs):
+                total = backend.identity()
+                for k, point in pairs:
+                    total = total + k * point
+                return s * g == total
+
+            def weights():
+                return groups.batch_weights("test/failed-equations", [], {
+                    i: (backend.encode_scalar(s),) for i, (s, _) in equations.items()
+                })
+            expected = sorted(i for i, (s, pairs) in equations.items() if not holds(s, pairs))
+            assert groups.failed_equations(backend, equations, weights) == expected
+
+        check()
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_weights_run_only_when_a_sum_is_tested(self, backend, count, monkeypatch):
+        hashed, ran = [], []
+        monkeypatch.setattr(groups, "hash_bytes", lambda *args: hashed.append(args) or hash_bytes(*args))
+        g = backend.generator()
+        equations = {i: (backend.scalar(3 * i), [(3, i * g)]) for i in range(1, count + 1)}
+
+        def weights():
+            ran.append(True)
+            return groups.batch_weights("test/failed-equations", [], {i: (b"",) for i in equations})
+        assert groups.failed_equations(backend, equations, weights) == []
+        # toy, where a weight can vanish mod 11, and a lone equation never batch
+        batched = backend.name == "ed25519" and count > 1
+        assert len(ran) == batched
+        assert len(hashed) == (count + 1 if batched else 0)
+
+
 def test_fixed_base_matches_the_cryptography_package(ed25519):
     """RFC 8032 public keys from the comb path and encode, against code we did not write."""
     ed = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ed25519")

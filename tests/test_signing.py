@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from trustmesh import signing as signing_mod
 from trustmesh.dkg import run_dkg
 from trustmesh.errors import NonceReuseError, ProtocolAbort
 from trustmesh.polynomials import lagrange_coefficient
@@ -636,20 +637,31 @@ class TestBatchedPartialCheck:
         assert verifier.verify({4: partials[1], 9: partials[2]}) == [4, 9]
         assert calls == []
 
-    def test_partial_weights_are_a_pure_function_of_the_inputs(self, ed25519):
+    def test_partial_weights_are_a_pure_function_of_the_inputs(self, ed25519, monkeypatch):
         keys, signers = make_signers(ed25519, t=3, n=5, seed=51)
         package, partials, _ = run_session(ed25519, keys, signers, (1, 2, 3), b"batch")
-        verifier = PartialVerifier(package, keys[5].pk_shares, keys[5].group_pk)
-        weights = verifier.weights(partials)
-        copied = {m: ed25519.scalar(z.value) for m, z in reversed(partials.items())}
-        assert PartialVerifier(package, keys[4].pk_shares, keys[4].group_pk).weights(copied) == weights
-        assert sorted(weights) == [1, 2, 3]
-        assert all(0 < w < 1 << 128 for w in weights.values())
-        assert len(set(weights.values())) == len(weights)
+        returned = []
+        original = signing_mod.batch_weights
+
+        def recording(*args):
+            returned.append(original(*args))
+            return returned[-1]
+        monkeypatch.setattr(signing_mod, "batch_weights", recording)
+
+        def weights(checked, node=5, session=package):
+            # a fresh verifier, so every partial is new to it
+            PartialVerifier(session, keys[node].pk_shares, keys[node].group_pk).verify(checked)
+            return returned[-1]
+
+        honest = weights(partials)
+        assert weights({m: ed25519.scalar(z.value) for m, z in reversed(partials.items())}, node=4) == honest
+        assert sorted(honest) == [1, 2, 3]
+        assert all(0 < w < 1 << 128 for w in honest.values())
+        assert len(set(honest.values())) == len(honest)
         for m in partials:
-            assert verifier.weights({**partials, m: partials[m] + 1}) != weights
+            assert weights({**partials, m: partials[m] + 1}) != honest
         other = SigningPackage.build(b"another message", {m: package.pair(m) for m in package.coalition})
-        assert PartialVerifier(other, keys[5].pk_shares, keys[5].group_pk).weights(partials) != weights
+        assert weights(partials, session=other) != honest
 
     def test_verify_matches_an_independent_oracle(self, session, backend):
         hypothesis = pytest.importorskip("hypothesis")

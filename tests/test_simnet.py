@@ -7,17 +7,20 @@ from pathlib import Path
 
 import pytest
 
+from trustmesh import groups as groups_mod
 from trustmesh import signing as signing_mod
 from trustmesh.errors import ConfigError
 from trustmesh.groups import get_backend
 from trustmesh.polynomials import interpolate_at
 from trustmesh.rng import SeededRng
+from trustmesh.sharing import SharePacket
 from trustmesh.signing import PartialVerifier, Signature, Signer, verify
 from trustmesh.simnet import (
     AdversarySpec,
     DelaySpec,
     DomainSpec,
     GossipSpec,
+    Message,
     SimConfig,
     Simulator,
     load_scenario,
@@ -239,13 +242,13 @@ class TestAdversaries:
         # new partials tests them in one weighted sum, which the forged one
         # fails, so each is then checked alone
         sums = []
-        holds = PartialVerifier._holds
+        is_zero = groups_mod._sum_is_zero
 
-        def recording(self, partials, weights):
-            ok = holds(self, partials, weights)
+        def recording(backend, equations, weights):
+            ok = is_zero(backend, equations, weights)
             sums.append((len(weights), ok))
             return ok
-        monkeypatch.setattr(PartialVerifier, "_holds", recording)
+        monkeypatch.setattr(groups_mod, "_sum_is_zero", recording)
         config = SimConfig(
             seed=0, nodes=5, backend=backend,
             domains=(DomainSpec("d", (1, 2, 3, 4, 5), 3),),
@@ -294,6 +297,24 @@ class TestMessageOrder:
         pk = toy.decode_element(bytes.fromhex(dom["group_pk"]))
         sig = Signature.from_bytes(bytes.fromhex(dom["signature"]), toy)
         assert verify(pk, bytes.fromhex(report.core["message"]), sig)
+
+    @pytest.mark.parametrize("backend", ["toy", "ed25519"])
+    def test_round2_share_sender_is_the_channel_not_the_packet(self, backend, monkeypatch):
+        # node 3 sends node 1 its own share labelled with id 2: it counts as
+        # node 3's share (its later copy is a repeat), not as node 2's
+        config = SimConfig(seed=1, nodes=4, backend=backend, domains=(dkg_domain(),))
+        sim = Simulator(config)
+        engine = sim.engines["d"]
+        start = engine.start
+
+        def start_then_inject():
+            start()
+            value = engine.participants[3].own_polynomial.evaluate(1)
+            engine.on_message(1, Message("d", 3, 1, "dkg-round2", SharePacket(2, value)), 0)
+        monkeypatch.setattr(engine, "start", start_then_inject)
+        report = sim.run()
+        assert report.domain("d")["verdicts"][0] == "key generation complete: group keys agree"
+        assert report.canonical_json() == run_simulation(config).canonical_json()
 
     def test_pedersen_waits_for_live_nodes_after_a_completed_node_crashes(self):
         # node 3 verifies its share, then crashes before nodes 2 and 4 hear
