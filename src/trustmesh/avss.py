@@ -70,10 +70,6 @@ class CommitmentMatrix:
 
     entries: tuple[tuple[GroupElement, ...], ...]
 
-    @property
-    def side(self) -> int:
-        return len(self.entries)
-
     def share_vector(self) -> CommitmentVector:
         """Row 0 commits to the main shares: f(m, 0) is its evaluation at m."""
         return CommitmentVector(self.entries[0])

@@ -135,7 +135,7 @@ def _load_group(path: str):
 
 def _cmd_sign(args) -> int:
     backend, t, n, group_pk, pk_shares = _load_group(args.group)
-    coalition = sorted(_int_list(args.coalition))
+    coalition = sorted(set(_int_list(args.coalition)))
     if len(coalition) < t:
         print(f"refusing to sign: coalition of {len(coalition)} is below the threshold {t}",
               file=sys.stderr)

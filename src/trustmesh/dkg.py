@@ -8,9 +8,9 @@ against the broadcast commitments, and derives the signing share as the sum
 of all received shares.  The group public key is the sum of the constant-term
 commitments, so no party ever holds the group secret.
 
-A node runs the rounds either through the in-process driver (run_round1,
-run_round2) or message by message through the per-node intake
-(dkg_receive_broadcast, dkg_receive_share), which the simulator uses.
+A node keeps its peers' messages in its own state by one rule, whether they
+come as whole rounds (dkg_accept_round1, dkg_round2_finalize, run by run_dkg)
+or one at a time (dkg_receive_broadcast, dkg_receive_share, by the simulator).
 
 Each node checks only its peers' inputs: its own proof and share come from
 its own polynomial.  A node hands the Feldman checks of all its received
@@ -140,6 +140,10 @@ class Participant:
         if self.phase is not expected:
             raise ValueError(f"cannot {action} in phase {self.phase.value}")
 
+    def missing(self, received: Mapping) -> list[int]:
+        """The peers other than this node, in id order, with no entry in ``received``."""
+        return [i for i in range(1, self.n + 1) if i != self.id and i not in received]
+
     def _abort(self, reason: str, faulty_ids) -> None:
         self.phase = Phase.ABORTED
         self.abort_reason = reason
@@ -186,16 +190,17 @@ def dkg_verify_round1(
 
 
 def dkg_accept_round1(state: Participant, broadcasts: Mapping[int, Round1Broadcast]) -> None:
-    """Store and verify all peers' round-1 broadcasts; abort on any bad proof."""
+    """Keep the peers' broadcasts by the intake's rule, then verify them; abort on any bad proof."""
     state._require_phase(Phase.ROUND1_DONE, "accept round 1 broadcasts")
-    missing = sorted(set(range(1, state.n + 1)) - set(broadcasts) - {state.id})
+    for sender, bc in broadcasts.items():
+        _keep(state, sender, bc, state.received_broadcasts)
+    missing = state.missing(state.received_broadcasts)
     if missing:
         state._abort(f"missing round-1 broadcasts from {missing}", missing)
-    peers = {sender: bc for sender, bc in broadcasts.items() if sender != state.id}
+    peers = {sender: bc for sender, bc in state.received_broadcasts.items() if sender != state.id}
     faulty = dkg_verify_round1(peers, state.crs, state.backend, state.t)
     if faulty:
         state._abort(f"invalid proof of knowledge from {faulty}", faulty)
-    state.received_broadcasts = {**peers, state.id: state.received_broadcasts[state.id]}
 
 
 def dkg_round2_send(state: Participant) -> list[tuple[int, Scalar]]:
@@ -233,18 +238,20 @@ def committed_evaluations(vector: CommitmentVector, n: int) -> dict[int, GroupEl
 
 
 def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
-    """Verify the peers' shares, then derive key material.
+    """Keep the peers' shares by the intake's rule, verify them, then derive key material.
 
     Returns (sk_share, pk_share, group_pk).  Received share values are
     dropped from the state once the signing share is derived.
     """
     state._require_phase(Phase.ROUND1_DONE, "finalize round 2")
     broadcasts = state.received_broadcasts
-    if len(broadcasts) != state.n:
+    if state.missing(broadcasts):
         raise ValueError("round-1 broadcasts must be accepted before finalizing")
 
-    peer_shares = {s: v for s, v in shares.items() if s != state.id}
-    missing = sorted(set(range(1, state.n + 1)) - set(peer_shares) - {state.id})
+    pending = state.pending_shares
+    for sender, value in shares.items():
+        _keep(state, sender, value, pending)
+    missing = state.missing(pending)
     if missing:
         state._abort(f"missing round-2 shares from {missing}", missing)
 
@@ -252,14 +259,14 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
     # s_j*G == C_j(id), C_j(id) evaluated once per dealer j; the weights hash
     # every share and commitment, so no dealer picks its share knowing its weight
     faulty = failed_equations(backend, {
-        s: (v, [(1, broadcasts[s].commitment.share_commitment(state.id))]) for s, v in peer_shares.items()
+        s: (v, [(1, broadcasts[s].commitment.share_commitment(state.id))]) for s, v in pending.items()
     }, lambda: batch_weights(_SHARE_BATCH_TAG, [id_bytes(state.id)], {
-        s: (backend.encode_scalar(v), broadcasts[s].commitment.to_bytes()) for s, v in peer_shares.items()
+        s: (backend.encode_scalar(v), broadcasts[s].commitment.to_bytes()) for s, v in pending.items()
     }))
     if faulty:
         state._abort(f"share verification failed for {faulty}", faulty)
 
-    all_shares = {**peer_shares, state.id: state.self_share}
+    all_shares = {**pending, state.id: state.self_share}
     sk = backend.scalar(sum(v.value for v in all_shares.values()))
     state.sk_share = sk
 
@@ -283,33 +290,33 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
 
 
 # Per-node intake: a node that has dealt takes its peers' messages one at a
-# time, in any order.  The first message from each peer counts; messages under
-# an id outside 1..n, or for a node that finished or aborted, are dropped.
-# The node finalizes once round 1 is accepted and every share is in,
-# whichever comes last, and raises ProtocolAbort as dkg_accept_round1 and
-# dkg_round2_finalize do.
+# time, in any order.  _keep is its one rule, for the round functions' mappings
+# too: the first message from each peer in 1..n counts while the node is in
+# round 1.  The node finalizes once round 1 is accepted and every share is in,
+# whichever comes last, raising ProtocolAbort as the round functions do.
 
 
-def _first_from_peer(state: Participant, sender: int, received: Mapping) -> bool:
+def _keep(state: Participant, sender: int, message, received: dict) -> bool:
     if state.phase is Phase.INIT:
         raise ValueError("cannot receive before dealing round 1")
-    return (state.phase is Phase.ROUND1_DONE and 1 <= sender <= state.n and sender != state.id
+    kept = (state.phase is Phase.ROUND1_DONE and 1 <= sender <= state.n and sender != state.id
             and sender not in received)
+    if kept:
+        received[sender] = message
+    return kept
 
 
 def _finalize_when_complete(state: Participant) -> None:
-    if len(state.received_broadcasts) == state.n and len(state.pending_shares) == state.n - 1:
+    if not (state.missing(state.received_broadcasts) or state.missing(state.pending_shares)):
         dkg_round2_finalize(state, state.pending_shares)
 
 
 def dkg_receive_broadcast(state: Participant, sender: int, broadcast: Round1Broadcast) -> list:
     """Take one round-1 broadcast; the last one returns the round-2 shares to send."""
-    if not _first_from_peer(state, sender, state.received_broadcasts):
+    received = state.received_broadcasts
+    if not _keep(state, sender, broadcast, received) or state.missing(received):
         return []
-    state.received_broadcasts[sender] = broadcast
-    if len(state.received_broadcasts) < state.n:
-        return []
-    dkg_accept_round1(state, state.received_broadcasts)
+    dkg_accept_round1(state, received)
     shares = dkg_round2_send(state)
     _finalize_when_complete(state)
     return shares
@@ -317,8 +324,7 @@ def dkg_receive_broadcast(state: Participant, sender: int, broadcast: Round1Broa
 
 def dkg_receive_share(state: Participant, sender: int, value: Scalar) -> None:
     """Take one round-2 share into ``pending_shares``."""
-    if _first_from_peer(state, sender, state.pending_shares):
-        state.pending_shares[sender] = value
+    if _keep(state, sender, value, state.pending_shares):
         _finalize_when_complete(state)
 
 

@@ -396,7 +396,7 @@ def run_session(keys: Mapping[int, KeyShare], message: bytes, rng) -> Signature:
     intake = NonceIntake(message, signers)
     for i, s in signers.items():
         intake.receive(i, s.round1(rng.fork(f"nonce/{i}/{message_tag}")))
-    package = intake.package
-    partials = {i: s.round2_partial(package) for i, s in signers.items()}
     key = next(iter(keys.values()))
-    return aggregate(package, partials, key.pk_shares, key.group_pk)
+    verifier = PartialVerifier(intake.package, key.pk_shares, key.group_pk)
+    partials = {i: s.round2_partial(intake.package, verifier) for i, s in signers.items()}
+    return aggregate(intake.package, partials, key.pk_shares, key.group_pk, verifier=verifier)

@@ -457,9 +457,7 @@ class DkgSignEngine(_DomainEngine):
         if self.sign_start is None:
             if p.phase is dkg_mod.Phase.ROUND2_DONE:
                 return None
-            peers = set(range(1, len(self.members) + 1)) - {p.id}
-            return "", (self.globals_of(peers - set(p.received_broadcasts))
-                        or self.globals_of(peers - set(p.pending_shares)))
+            return "", self.globals_of(p.missing(p.received_broadcasts) or p.missing(p.pending_shares))
         gnode = self.gnodes.get(node)
         if gnode is None:
             return "nonce lists from ", self.globals_of(self.intakes[node].missing())

@@ -88,7 +88,7 @@ class TestDeal:
     def test_degenerate_threshold_one(self, backend, rng):
         secret = backend.scalar(5)
         commitment, deals = avss_deal(secret, 1, 3, rng, backend)
-        assert commitment.side == 1
+        assert len(commitment.entries) == 1
         g, h = backend.generator(), backend.second_generator()
         assert all(len(d.a.coefficients) == 1 for d in deals)
         assert all(d.share() == secret for d in deals)

@@ -204,6 +204,18 @@ class TestSignVerifyCommands:
         assert f"share file {foreign} (member 2) is not a share" in capsys.readouterr().err
         assert published == []
 
+    def test_repeated_coalition_id_counts_once(self, tmp_path, capsys, published):
+        # 1,1,2 names two members of a t=3 key: refused before any nonce is drawn
+        keys = tmp_path / "t3"
+        assert run_cli("dkg", "--t", 3, "--n", 4, "--backend", "toy",
+                       "--seed", 3, "--out", keys) == 0
+        capsys.readouterr()
+        assert run_cli("sign", "--group", keys / "group.json",
+                       "--share", keys / "share_1.bin", "--share", keys / "share_2.bin",
+                       "--coalition", "1,1,2", "--message", "m", "--seed", 2) == 4
+        assert "refusing to sign: coalition of 2 is below the threshold 3" in capsys.readouterr().err
+        assert published == []
+
     def test_share_for_a_member_outside_the_group_refused(self, keydir, tmp_path, capsys,
                                                           published):
         toy = get_backend("toy")

@@ -1,6 +1,7 @@
 """Distributed key generation: proofs of knowledge, share checks, key derivation."""
 
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from trustmesh.dkg import (
     Participant,
     Phase,
     ProofOfKnowledge,
+    Round1Broadcast,
     combine_signing_shares,
     committed_evaluations,
     dkg_accept_round1,
@@ -566,6 +568,116 @@ class TestBatchedShareCheck:
         (tag, context, entries), _ = calls[0]
         assert context == [id_bytes(1)]
         assert batch_weights(tag, [id_bytes(6)], entries) != honest
+
+
+def dealt_and_sent(backend, t=3, n=5, seed=0):
+    """Participants that have dealt round 1, their broadcasts and each one's outbound shares."""
+    rng = SeededRng(seed)
+    parts = fresh(backend, t, n)
+    bcs = {p.id: dkg_round1(p, rng.fork(str(p.id))) for p in parts}
+    return parts, bcs, {p.id: dict(dkg_round2_send(p)) for p in parts}
+
+
+class TestOneIntakeRule:
+    """The round functions keep each mapping entry as the per-node intake keeps it."""
+
+    def test_finalize_drops_shares_outside_the_peers(self, backend):
+        parts, outbound = dealt_and_accepted(backend)
+        reference, ref_outbound = dealt_and_accepted(backend)
+        receiver, ref = parts[1], reference[1]
+        honest = inbound_for(receiver, outbound)
+        stray = honest[1] + 1
+        dkg_round2_finalize(receiver, {99: stray, 0: stray, -1: stray, receiver.id: stray, **honest})
+        dkg_round2_finalize(ref, inbound_for(ref, ref_outbound))
+        assert receiver.sk_share == ref.sk_share
+        assert receiver.peer_pk_shares == ref.peer_pk_shares
+        assert receiver.transcript == ref.transcript
+
+    def test_accept_round1_drops_a_broadcast_under_id_99(self, backend):
+        parts, bcs, _ = dealt_and_sent(backend, t=2, n=4)
+        reference, ref_bcs, _ = dealt_and_sent(backend, t=2, n=4)
+        dkg_accept_round1(parts[0], {**bcs, 99: bcs[3]})
+        dkg_accept_round1(reference[0], ref_bcs)
+        assert parts[0].phase is Phase.ROUND1_DONE
+        assert parts[0].received_broadcasts == reference[0].received_broadcasts
+
+    @staticmethod
+    def _both_routes(backend, tamper=lambda bcs, outbound: None, receiver=2, seed=0):
+        """One node given the same messages, plus strays, through the round
+        functions and, in shuffled order, through the intake: (node, abort) per route."""
+        routes = []
+        for through_intake in (False, True):
+            parts, bcs, outbound = dealt_and_sent(backend)
+            tamper(bcs, outbound)
+            node = parts[receiver - 1]
+            stray_bc, stray_share = bcs[1], outbound[1][receiver]
+            broadcasts = {**bcs, 99: stray_bc, receiver: stray_bc}
+            shares = {s: sent[receiver] for s, sent in outbound.items() if receiver in sent}
+            shares.update({99: stray_share, 0: stray_share, -1: stray_share, receiver: stray_share})
+            abort = None
+            try:
+                if through_intake:
+                    messages = ([(dkg_receive_broadcast, s, bc) for s, bc in broadcasts.items()]
+                                + [(dkg_receive_share, s, v) for s, v in shares.items()])
+                    random.Random(seed).shuffle(messages)
+                    for receive, sender, message in messages + messages:   # every message twice
+                        try:
+                            receive(node, sender, message)
+                        except ProtocolAbort as exc:
+                            assert abort is None
+                            abort = exc
+                    # a node still short of a peer is asked to finish as it stands
+                    if abort is None and node.phase is Phase.ROUND1_DONE:
+                        if node.missing(node.received_broadcasts):
+                            dkg_accept_round1(node, {})
+                        dkg_round2_finalize(node, {})
+                else:
+                    dkg_accept_round1(node, broadcasts)
+                    dkg_round2_finalize(node, shares)
+            except ProtocolAbort as exc:
+                abort = exc
+            routes.append((node, abort and (str(abort), abort.faulty_ids, node.abort_reason)))
+        return routes
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_honest_messages_end_in_identical_state(self, backend, seed):
+        (mapped, no_abort), (taken, none_either) = self._both_routes(backend, seed=seed)
+        assert no_abort is None and none_either is None
+        assert mapped.phase is Phase.ROUND2_DONE
+        assert taken == mapped
+
+    def test_bad_proof_aborts_alike(self, backend):
+        def tamper(bcs, outbound):
+            proof = bcs[4].proof
+            bcs[4] = Round1Broadcast(4, bcs[4].commitment,
+                                     ProofOfKnowledge(proof.commitment, proof.response + 1))
+        (_, mapped), (_, taken) = self._both_routes(backend, tamper)
+        assert mapped == taken == ("invalid proof of knowledge from [4]", (4,),
+                                   "invalid proof of knowledge from [4]")
+
+    def test_bad_share_aborts_alike(self, backend):
+        def tamper(bcs, outbound):
+            outbound[3][2] = outbound[3][2] + 1
+        (_, mapped), (_, taken) = self._both_routes(backend, tamper)
+        assert mapped == taken == ("share verification failed for [3]", (3,),
+                                   "share verification failed for [3]")
+
+    @pytest.mark.parametrize("lost", ["broadcast", "share"])
+    def test_missing_peer_aborts_alike(self, backend, lost):
+        def tamper(bcs, outbound):
+            if lost == "broadcast":
+                del bcs[5]
+            else:
+                del outbound[5][2]
+        (_, mapped), (_, taken) = self._both_routes(backend, tamper)
+        what = "round-1 broadcasts" if lost == "broadcast" else "round-2 shares"
+        assert mapped == taken == (f"missing {what} from [5]", (5,), f"missing {what} from [5]")
+
+    def test_missing_names_the_lacking_peers_in_id_order(self, toy):
+        node = fresh(toy, t=2, n=5)[2]
+        assert node.missing({}) == [1, 2, 4, 5]
+        assert node.missing({5: None, 3: None, 99: None, 1: None}) == [2, 4]
+        assert node.missing(dict.fromkeys(range(1, 6))) == []
 
 
 class TestNoSelfChecks:

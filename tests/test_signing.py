@@ -402,6 +402,21 @@ class TestRunSession:
         assert len(set(published[:4])) == 4 and published[4:] == published[:2]
 
 
+    def test_the_session_is_derived_once(self, backend, monkeypatch):
+        keys, _ = make_signers(backend, t=3, n=5, seed=9)
+        built = []
+        init = PartialVerifier.__init__
+
+        def counting_init(verifier, *args):
+            built.append(args[0])
+            init(verifier, *args)
+
+        monkeypatch.setattr(PartialVerifier, "__init__", counting_init)
+        sig = signing_session({i: keys[i] for i in (1, 2, 4)}, b"once", SeededRng(3))
+        assert len(built) == 1 and built[0].coalition == (1, 2, 4)
+        assert verify(keys[1].group_pk, b"once", sig)
+
+
 class TestIntake:
     """One node's nonce-list intake, fed one list at a time."""
 
