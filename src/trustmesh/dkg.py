@@ -1,12 +1,14 @@
 """Two-round leaderless distributed key generation.
 
 Every participant simultaneously deals a threshold sharing of its own random
-secret: round 1 broadcasts per-coefficient commitments plus a Schnorr proof of
-knowledge of the dealt secret (bound to a common reference string against
-replay); round 2 privately distributes shares, verifies everything received
-against the broadcast commitments, and derives the signing share as the sum
-of all received shares.  The group public key is the sum of the constant-term
-commitments, so no party ever holds the group secret.
+secret: round 1 broadcasts per-coefficient commitments plus a proof of
+knowledge of the dealt secret, a Schnorr ``signing.Signature`` whose challenge
+is bound to a common reference string against replay (as in FROST's key
+generation, Komlo and Goldberg, SAC 2020); round 2 privately distributes
+shares, verifies everything received against the broadcast commitments, and
+derives the signing share as the sum of all received shares.  The group
+public key is the sum of the constant-term commitments, so no party ever
+holds the group secret.
 
 A node keeps its peers' messages in its own state by one rule, whether they
 come as whole rounds (dkg_accept_round1, dkg_round2_finalize, run by run_dkg)
@@ -39,6 +41,7 @@ from .groups import (
 )
 from .polynomials import Polynomial, interpolate_at, random_polynomial
 from .sharing import CommitmentVector, commit_polynomial
+from .signing import Signature, schnorr_holds
 
 
 EPOCH_LIMIT = 1 << 64   # CRS epochs are encoded in 8 bytes
@@ -47,17 +50,6 @@ EPOCH_LIMIT = 1 << 64   # CRS epochs are encoded in 8 bytes
 def make_crs(domain_id: str, epoch: int = 0) -> bytes:
     """Run-scoped common reference string from a domain label and epoch."""
     return hash_bytes("trustmesh/crs", [domain_id.encode("utf-8"), epoch.to_bytes(8, "big")])[:32]
-
-
-@dataclass(frozen=True, slots=True)
-class ProofOfKnowledge:
-    """Schnorr proof that the broadcaster knows its committed secret."""
-
-    commitment: GroupElement   # k * G
-    response: Scalar           # k + secret * challenge
-
-    def to_bytes(self, backend: GroupBackend) -> bytes:
-        return self.commitment.encode() + backend.encode_scalar(self.response)
 
 
 def _pok_challenge(
@@ -70,20 +62,18 @@ def _pok_challenge(
 
 def pok_prove(
     backend: GroupBackend, sender: int, crs: bytes, secret: Scalar, public_secret: GroupElement, rng
-) -> ProofOfKnowledge:
-    """Prove knowledge of ``secret``, whose public value secret*G the caller already holds."""
+) -> Signature:
+    """Prove ``secret`` (public value secret*G) by the signature (k*G, k + secret*c)."""
     k = backend.random_scalar(rng)
-    commitment = k * backend.generator()
-    challenge = _pok_challenge(backend, sender, crs, public_secret, commitment)
-    return ProofOfKnowledge(commitment, k + secret * challenge)
+    R = k * backend.generator()
+    return Signature(R, k + secret * _pok_challenge(backend, sender, crs, public_secret, R))
 
 
 def pok_verify(
-    backend: GroupBackend, sender: int, crs: bytes, public_secret: GroupElement, proof: ProofOfKnowledge
+    backend: GroupBackend, sender: int, crs: bytes, public_secret: GroupElement, proof: Signature
 ) -> bool:
-    challenge = _pok_challenge(backend, sender, crs, public_secret, proof.commitment)
-    lhs = proof.response * backend.generator()
-    return lhs == proof.commitment + challenge * public_secret
+    challenge = _pok_challenge(backend, sender, crs, public_secret, proof.R)
+    return schnorr_holds(proof, challenge, public_secret)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +82,7 @@ class Round1Broadcast:
 
     sender: int
     commitment: CommitmentVector
-    proof: ProofOfKnowledge
+    proof: Signature
 
     def to_bytes(self, backend: GroupBackend) -> bytes:
         return id_bytes(self.sender) + self.commitment.to_bytes() + self.proof.to_bytes(backend)

@@ -43,13 +43,16 @@ def challenge_scalar(backend: GroupBackend, R: GroupElement, pk: GroupElement, m
     return hash_to_scalar(backend, "H2", [R.encode(), pk.encode(), message])
 
 
+def schnorr_holds(sig: Signature, challenge: Scalar, pk: GroupElement) -> bool:
+    """The Schnorr equation z*G == R + c*pk, for signatures and DKG proofs of knowledge."""
+    return sig.z * pk.backend.generator() == sig.R + challenge * pk
+
+
 def verify(pk: GroupElement, message: bytes, sig: Signature) -> bool:
     """Accept iff z*G = R + H2(R || pk || m)*pk."""
-    backend = pk.backend
     if not sig.R.is_valid():
         return False
-    c = challenge_scalar(backend, sig.R, pk, message)
-    return sig.z * backend.generator() == sig.R + c * pk
+    return schnorr_holds(sig, challenge_scalar(pk.backend, sig.R, pk, message), pk)
 
 
 def sign_with_nonce(sk: Scalar, message: bytes, nonce: Scalar, backend: GroupBackend) -> Signature:

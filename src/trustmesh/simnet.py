@@ -425,6 +425,7 @@ class DkgSignEngine(_DomainEngine):
         self.participants: dict[int, dkg_mod.Participant] = {}
         self.shadows = {}      # equivocators' second dealing
         self.gnodes: dict[int, gossip_mod.GossipNode] = {}
+        self.aborted: dict[int, str] = {}   # node -> abort reason in global ids
         self.sign_start: Optional[int] = None
         coalition = spec.coalition or self.members[: spec.threshold]
         self.coalition = tuple(sorted(coalition))
@@ -521,6 +522,9 @@ class DkgSignEngine(_DomainEngine):
         except ProtocolAbort as abort:
             culprits = self.globals_of(abort.faulty_ids)
             self.verdicts.append(f"node {node} aborted key generation blaming {culprits}")
+            # every dkg abort text ends with its culprits in domain-local ids
+            what = str(abort).removesuffix(str(list(abort.faulty_ids)))
+            self.aborted[node] = f"{what}{culprits}"
             self.finish(failed=True)
 
     def _dkg_complete(self, tick: int) -> None:
@@ -641,10 +645,7 @@ class DkgSignEngine(_DomainEngine):
             "group_pk_agreement": pk is not None,
             "signature": sigs.pop().hex() if len(sigs) == 1 else None,
             "completed_members": list(self._signed()),
-            "aborted": {
-                str(node): p.abort_reason
-                for node, p in self._in_phase(dkg_mod.Phase.ABORTED).items()
-            },
+            "aborted": {str(node): reason for node, reason in sorted(self.aborted.items())},
             "flagged": {str(node): flagged for node, flagged in self._flagged().items()},
             "gossip_rounds": rounds,
         }

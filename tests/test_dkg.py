@@ -9,7 +9,6 @@ from trustmesh import dkg as dkg_mod
 from trustmesh.dkg import (
     Participant,
     Phase,
-    ProofOfKnowledge,
     Round1Broadcast,
     combine_signing_shares,
     committed_evaluations,
@@ -31,6 +30,7 @@ from trustmesh.errors import ProtocolAbort
 from trustmesh.groups import batch_weights, hash_to_scalar, id_bytes
 from trustmesh.rng import SeededRng
 from trustmesh.sharing import CommitmentVector
+from trustmesh.signing import Signature
 
 TOY_P, TOY_Q, TOY_G = 23, 11, 2
 
@@ -58,14 +58,14 @@ class TestProofOfKnowledge:
         crs = make_crs("pok-scan")
         secret = toy.scalar(4)
         proof = pok_prove(toy, 2, crs, secret, secret * toy.generator(), rng)
-        r_rep = proof.commitment.rep
+        r_rep = proof.R.rep
         for candidate_dlog in range(TOY_Q):
             candidate = toy.scalar(candidate_dlog) * toy.generator()
             challenge = hash_to_scalar(
-                toy, "H", [id_bytes(2), crs, candidate.encode(), proof.commitment.encode()]
+                toy, "H", [id_bytes(2), crs, candidate.encode(), proof.R.encode()]
             )
             # oracle: g^response == R * candidate^challenge  (mod 23)
-            lhs = pow(TOY_G, proof.response.value, TOY_P)
+            lhs = pow(TOY_G, proof.z.value, TOY_P)
             rhs = r_rep * pow(candidate.rep, challenge.value, TOY_P) % TOY_P
             assert pok_verify(toy, 2, crs, candidate, proof) == (lhs == rhs)
         assert pok_verify(toy, 2, crs, secret * toy.generator(), proof)
@@ -80,6 +80,18 @@ class TestProofOfKnowledge:
         crs = make_crs("sender")
         proof = pok_prove(backend, 1, crs, secret, secret * backend.generator(), rng)
         assert not pok_verify(backend, 2, crs, secret * backend.generator(), proof)
+
+    def test_round1_proof_is_a_signature_on_the_wire(self, backend, rng):
+        p = fresh(backend)[1]
+        bc = dkg_round1(p, rng)
+        public = bc.commitment.entries[0]
+        data = bc.proof.to_bytes(backend)
+        assert bc.to_bytes(backend).endswith(data)
+        decoded = Signature.from_bytes(data, backend)
+        assert decoded == bc.proof
+        assert pok_verify(backend, 2, p.crs, public, decoded)
+        assert not pok_verify(backend, 2, p.crs, public, Signature(decoded.R, decoded.z + 1))
+        assert not pok_verify(backend, 3, p.crs, public, decoded)
 
 
 class TestRound1:
@@ -114,7 +126,7 @@ class TestRound1:
         bad = bcs[3]
         bcs[3] = type(bad)(
             bad.sender, bad.commitment,
-            ProofOfKnowledge(bad.proof.commitment, bad.proof.response + 1),
+            Signature(bad.proof.R, bad.proof.z + 1),
         )
         assert dkg_verify_round1(bcs, parts[0].crs, backend, 2) == [3]
         with pytest.raises(ProtocolAbort) as exc:
@@ -650,7 +662,7 @@ class TestOneIntakeRule:
         def tamper(bcs, outbound):
             proof = bcs[4].proof
             bcs[4] = Round1Broadcast(4, bcs[4].commitment,
-                                     ProofOfKnowledge(proof.commitment, proof.response + 1))
+                                     Signature(proof.R, proof.z + 1))
         (_, mapped), (_, taken) = self._both_routes(backend, tamper)
         assert mapped == taken == ("invalid proof of knowledge from [4]", (4,),
                                    "invalid proof of knowledge from [4]")

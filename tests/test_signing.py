@@ -21,6 +21,7 @@ from trustmesh.signing import (
     bound_commitments,
     challenge_scalar,
     run_session as signing_session,
+    schnorr_holds,
     sign_with_nonce,
     single_party_sign,
     verify,
@@ -366,6 +367,24 @@ class TestSinglePartyEquivalence:
         plain = sign_with_nonce(sk, b"solo", effective, backend)
         assert sig.to_bytes(backend) == plain.to_bytes(backend)
         assert verify(key.group_pk, b"solo", sig)
+
+
+class TestSchnorrEquation:
+    def test_exhaustive_toy_oracle(self, toy):
+        # z*G == R + c*pk against g^z == R * pk^c (mod 23), over every z, c and pk
+        R = toy.scalar(3) * toy.generator()
+        for pk_dlog, c, z in itertools.product(range(TOY_Q), repeat=3):
+            pk = toy.scalar(pk_dlog) * toy.generator()
+            expected = pow(TOY_G, z, TOY_P) == R.rep * pow(pk.rep, c, TOY_P) % TOY_P
+            assert schnorr_holds(Signature(R, toy.scalar(z)), toy.scalar(c), pk) == expected
+
+    def test_verify_is_the_equation_under_the_message_challenge(self, backend, rng):
+        sk = backend.random_scalar(rng)
+        pk = sk * backend.generator()
+        sig = single_party_sign(sk, b"eq", rng, backend)
+        c = challenge_scalar(backend, sig.R, pk, b"eq")
+        assert schnorr_holds(sig, c, pk) and verify(pk, b"eq", sig)
+        assert not schnorr_holds(sig, c + 1, pk)
 
 
 class TestSignatureSerialization:

@@ -81,7 +81,7 @@ GOLDEN = {
     # the benchmark's 14-node ed25519 scenario at its own seed 0: pins the
     # simulator on the curve, not only on the toy group
     "sim-mesh": (
-        "5456fdd883c245a457e8cfb9f61a1bfd208ee1ca05c80ef6ef738fa4b5f2d6ac",
+        "49c3eb207f5deab5e37392e401ded301b62d9b4cafd603f21b1f8aa3e38c0e80",
         "07b1cce41650b1f385ad6ad264a51b568518e3efd4c44d6df1ace1e095dcb00b",
     ),
 }
@@ -278,6 +278,32 @@ class TestAdversaries:
         assert dom["completed_members"] == []
         assert dom["flagged"] == {}
         assert dom["verdicts"] == ["node 3 aborted key generation blaming [2]"]
+
+
+class TestReportIds:
+    @pytest.mark.parametrize("backend", ["toy", "ed25519"])
+    def test_every_id_in_a_dkg_sign_report_is_a_member(self, backend):
+        # members are not 1..n, so a domain-local id (node 10 is local id 5)
+        # would show in the report
+        members = (2, 4, 6, 8, 10)
+        config = SimConfig(
+            seed=1, nodes=10, backend=backend,
+            domains=(DomainSpec("d", members, 3),),
+            adversaries=(AdversarySpec(10, "corrupt_shares"),),
+        )
+        dom = run_simulation(config).domain("d")
+        assert not dom["ok"] and dom["aborted"]
+        # ids in "[..]" lists and after "node" in every text, plus the keys
+        # and lists of aborted and flagged
+        texts = " ".join([*dom["aborted"].values(), *dom["verdicts"]])
+        lists = re.findall(r"\[([\d, ]*)\]", texts)
+        named = {int(i) for i in re.findall(r"\d+", " ".join(lists))}
+        named |= {int(i) for i in re.findall(r"node (\d+)", texts)}
+        named |= {int(node) for node in (*dom["aborted"], *dom["flagged"])}
+        named |= {i for flagged in dom["flagged"].values() for i in flagged}
+        assert named <= set(members)
+        assert all(reason.endswith("[10]") for reason in dom["aborted"].values())
+        assert any("blaming [10]" in v for v in dom["verdicts"])
 
 
 class TestMessageOrder:
