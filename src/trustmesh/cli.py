@@ -24,7 +24,8 @@ from . import bench as bench_mod
 from . import dkg as dkg_mod
 from . import signing as signing_mod
 from .errors import ConfigError, ProtocolAbort
-from .groups import get_backend
+from .groups import BACKENDS, Ed25519Group, get_backend
+from .polynomials import lagrange_coefficient
 from .rng import SeededRng
 from .sharing import SharePacket
 from .simnet import load_scenario, run_simulation
@@ -140,6 +141,12 @@ def _cmd_sign(args) -> int:
         print(f"refusing to sign: coalition of {len(coalition)} is below the threshold {t}",
               file=sys.stderr)
         return EXIT_CONFIG
+    # t wrong in the file would give a signature that does not verify
+    ids, zero = range(1, t + 1), backend.scalar(0)
+    if any(i not in pk_shares for i in ids) or group_pk != backend.multi_mul(
+            [lagrange_coefficient(i, ids, zero) for i in ids], [pk_shares[i] for i in ids]):
+        raise ConfigError(f"group file {args.group}: the verification shares of members "
+                          f"1..{t} do not interpolate to group_pk")
 
     shares = {}
     for path in args.share:
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dkg", help="run distributed key generation")
     p.add_argument("--t", type=int, required=True, help="signing threshold (coalition size)")
     p.add_argument("--n", type=int, required=True, help="number of participants")
-    p.add_argument("--backend", choices=["toy", "ed25519"], default="ed25519")
+    p.add_argument("--backend", choices=BACKENDS, default=Ed25519Group.name)
     p.add_argument("--seed", type=_seed, default=None,
                    help="derive key material and CRS from this seed (default: OS randomness)")
     p.add_argument("--out", help="directory for group.json and share files")
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--n-list", default="4,8,16,32,64")
     p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--backend", choices=["toy", "ed25519"], default="ed25519")
+    p.add_argument("--backend", choices=BACKENDS, default=Ed25519Group.name)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--csv", help="CSV output path")
     p.set_defaults(func=_cmd_bench)
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secret", type=int, default=5)
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--backend", choices=["toy", "ed25519"], default="ed25519")
+    p.add_argument("--backend", choices=BACKENDS, default=Ed25519Group.name)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_avss_demo)
 

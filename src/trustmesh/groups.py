@@ -771,21 +771,15 @@ class Ed25519Group(GroupBackend):
 # Backend registry
 # ---------------------------------------------------------------------------
 
-_BACKENDS: dict[str, GroupBackend] = {}
+BACKENDS = {cls.name: cls for cls in (ToyGroup, Ed25519Group)}
 
 
+@functools.cache
 def get_backend(name: str) -> GroupBackend:
-    """Return the shared backend instance for "toy" or "ed25519"."""
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        if name == "toy":
-            backend = ToyGroup()
-        elif name == "ed25519":
-            backend = Ed25519Group()
-        else:
-            raise ValueError(f"unknown backend {name!r} (expected 'toy' or 'ed25519')")
-        _BACKENDS[name] = backend
-    return backend
+    """Return the shared instance of the backend class named in BACKENDS."""
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r} (expected {' or '.join(map(repr, BACKENDS))})")
+    return BACKENDS[name]()
 
 
 # ---------------------------------------------------------------------------

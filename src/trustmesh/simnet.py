@@ -16,14 +16,15 @@ excluded from the canonical serialization.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
 import time
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import avss as avss_mod
 from . import dkg as dkg_mod
@@ -31,7 +32,7 @@ from . import gossip as gossip_mod
 from . import sharing as sharing_mod
 from . import signing as signing_mod
 from .errors import ConfigError, ProtocolAbort
-from .groups import get_backend
+from .groups import ToyGroup, get_backend
 from .rng import SeededRng
 
 # ---------------------------------------------------------------------------
@@ -39,7 +40,6 @@ from .rng import SeededRng
 # ---------------------------------------------------------------------------
 
 _BEHAVIORS = ("crash", "corrupt_shares", "equivocate", "forge_partial", "silent")
-_PROTOCOLS = ("dkg_sign", "pedersen_vss", "avss")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class DomainSpec:
     def validate(self, index: int, nodes: int, q: int) -> None:
         """Check domain ``index`` of the scenario against the node count and the group order q."""
         prefix = f"domains[{index}]"
-        if self.protocol not in _PROTOCOLS:
+        if self.protocol not in _ENGINES:
             raise ConfigError(f"{prefix}.protocol: unknown protocol {self.protocol!r}")
         if len(set(self.members)) != len(self.members):
             raise ConfigError(f"{prefix}.members: duplicate node ids")
@@ -141,7 +141,7 @@ class SimConfig:
     seed: int
     nodes: int
     domains: tuple[DomainSpec, ...]
-    backend: str = "toy"
+    backend: str = ToyGroup.name
     message: bytes = b"agree"
     delay: DelaySpec = DelaySpec()
     adversaries: tuple[AdversarySpec, ...] = ()
@@ -183,66 +183,61 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        """A validated config from a parsed scenario file (keys in _SCENARIO)."""
-        config = _SCENARIO.read(data, "scenario", prefix="")
+        """A validated config from a parsed scenario file: its keys are the spec fields."""
+        config = _read_fields(cls, data, "scenario", prefix="")
         config.validate()
         return config
 
 
-class _Section:
-    """A JSON object read into dataclass cls.  types maps each key to its JSON
-    type; a key names the field of the same name unless renamed.  A key that
-    is absent or null takes the field's default."""
+_JSON_KEY = {"domain_id": "id"}   # fields whose scenario key is not their name
 
-    def __init__(self, cls, types: dict, renamed: Optional[dict] = None):
-        self.cls, self.types = cls, types
-        self.field = {key: key for key in types} | (renamed or {})
-        required = {f.name for f in fields(cls) if f.default is MISSING}
-        self.required = [key for key in types if self.field[key] in required]
 
-    def read(self, value, name: str, prefix: Optional[str] = None):
-        obj = _read(dict, value, name)
-        unknown = sorted(obj.keys() - self.types.keys())
-        if unknown:
-            raise ConfigError(f"{name}: unknown keys {unknown}")
-        prefix = f"{name}." if prefix is None else prefix
-        for key in self.required:
-            if obj.get(key) is None:
-                raise ConfigError(f"{prefix}{key}: missing")
-        return self.cls(**{self.field[key]: _read(self.types[key], v, prefix + key)
-                           for key, v in obj.items() if v is not None})
+@functools.cache
+def _keys(cls) -> dict:
+    """Spec dataclass cls's scenario keys: key -> (field name, type, required)."""
+    types = get_type_hints(cls)
+    return {_JSON_KEY.get(f.name, f.name): (f.name, types[f.name], f.default is MISSING)
+            for f in fields(cls)}
+
+
+def _read_fields(cls, value, name: str, prefix: str):
+    """A JSON object read into spec dataclass cls.  A key that is absent or
+    null takes the field's default; a field without one is required."""
+    if type(value) is not dict:
+        raise ConfigError(f"{name}: expected dict")
+    keys = _keys(cls)
+    unknown = sorted(value.keys() - keys.keys())
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {unknown}")
+    for key, (_, _, required) in keys.items():
+        if required and value.get(key) is None:
+            raise ConfigError(f"{prefix}{key}: missing")
+    return cls(**{keys[key][0]: _read(keys[key][1], v, prefix + key)
+                  for key, v in value.items() if v is not None})
 
 
 def _read(typ, value, name: str):
-    """value, which must have JSON type typ: exactly int (no bool), str, dict,
-    bytes (a string, read as UTF-8), a _Section, or [t] (a list of t)."""
+    """value read as a field of type typ: exactly int (no bool) or str, bytes
+    from a UTF-8 string, tuple[t, ...] from a list of t, Optional[t] as t, and
+    a spec dataclass from an object."""
     if typ is bytes:
         return _read(str, value, name).encode("utf-8")
-    if isinstance(typ, type):
+    if typ is int or typ is str:
         if type(value) is not typ:
             raise ConfigError(f"{name}: expected {typ.__name__}")
         return value
-    if isinstance(typ, _Section):
-        return typ.read(value, name)
-    items = _read(list, value, name)
-    if isinstance(typ[0], _Section):
-        return tuple(typ[0].read(item, f"{name}[{i}]") for i, item in enumerate(items))
-    if any(type(item) is not typ[0] for item in items):
-        raise ConfigError(f"{name}: expected a list of {typ[0].__name__}")
-    return tuple(items)
-
-
-_SCENARIO = _Section(SimConfig, {
-    "seed": int, "nodes": int, "backend": str, "message": bytes,
-    "domains": [_Section(DomainSpec, {
-        "id": str, "members": [int], "threshold": int, "protocol": str,
-        "coalition": [int], "secret": int, "deliver_to": [int],
-    }, renamed={"id": "domain_id"})],
-    "delay": _Section(DelaySpec, {"model": str, "ticks": int, "lo": int, "hi": int}),
-    "adversaries": [_Section(AdversarySpec, {"node": int, "behavior": str, "at_tick": int})],
-    "gossip": _Section(GossipSpec, {"c": int, "broadcast_prob_num": int}),
-    "max_ticks": int, "timeout_ticks": int, "exfiltrate_domains": [str],
-})
+    if is_dataclass(typ):
+        return _read_fields(typ, value, name, f"{name}.")
+    item = get_args(typ)[0]
+    if get_origin(typ) is Union:
+        return _read(item, value, name)
+    if type(value) is not list:
+        raise ConfigError(f"{name}: expected list")
+    if is_dataclass(item):
+        return tuple(_read(item, v, f"{name}[{i}]") for i, v in enumerate(value))
+    if any(type(v) is not item for v in value):
+        raise ConfigError(f"{name}: expected a list of {item.__name__}")
+    return tuple(value)
 
 
 def _unique_keys(pairs: list) -> dict:

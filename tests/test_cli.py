@@ -227,6 +227,35 @@ class TestSignVerifyCommands:
         assert f"share file {stray} (member 9) is not a share" in capsys.readouterr().err
         assert published == []
 
+    def test_lowered_threshold_in_the_group_file_refused_before_any_nonce(
+            self, tmp_path, capsys, published):
+        # a 3-of-4 key whose group.json says t=2: two shares would make a
+        # signature that does not verify
+        keys = tmp_path / "ed"
+        assert run_cli("dkg", "--t", 3, "--n", 4, "--backend", "ed25519",
+                       "--seed", 1, "--out", keys) == 0
+        group = keys / "group.json"
+        group.write_text(json.dumps(dict(json.loads(group.read_text()), t=2)))
+        capsys.readouterr()
+        assert run_cli("sign", "--group", group,
+                       "--share", keys / "share_1.bin", "--share", keys / "share_2.bin",
+                       "--coalition", "1,2", "--message", "m", "--seed", 2) == 4
+        err = capsys.readouterr().err
+        assert f"group file {group}: the verification shares of members 1..2" in err
+        assert published == []
+
+    def test_group_file_missing_a_low_verification_share_refused(self, keydir, tmp_path,
+                                                                 capsys, published):
+        group = json.loads((keydir / "group.json").read_text())
+        del group["pk_shares"]["1"]
+        bad = tmp_path / "group.json"
+        bad.write_text(json.dumps(group))
+        assert run_cli("sign", "--group", bad,
+                       "--share", keydir / "share_2.bin", "--share", keydir / "share_3.bin",
+                       "--coalition", "2,3", "--message", "m", "--seed", 2) == 4
+        assert f"group file {bad}: the verification shares" in capsys.readouterr().err
+        assert published == []
+
     def test_ed25519_round_trip(self, tmp_path):
         out = tmp_path / "ed"
         assert run_cli("dkg", "--t", 2, "--n", 3, "--backend", "ed25519",

@@ -12,6 +12,8 @@ import pytest
 from trustmesh import groups
 from trustmesh.groups import GroupElement, Scalar, get_backend, hash_bytes, hash_to_scalar
 from trustmesh.rng import SeededRng
+from trustmesh.sharing import CommitmentVector, SharePacket
+from trustmesh.signing import Signature
 
 TOY_P = 23
 TOY_Q = 11
@@ -759,3 +761,49 @@ def test_fixed_base_matches_the_cryptography_package(ed25519):
         a = a & (2**254 - 8) | 2**254  # clamp (RFC 8032, section 5.1.5)
         want = ed.Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
         assert g.mul(a).encode() == want
+
+
+class TestWireDecoders:
+    """Each wire decoder rejects random and mutated bytes with ValueError and
+    no other exception, and what it accepts re-encodes to the same bytes."""
+
+    def test_random_and_mutated_bytes(self, backend):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        k = backend.scalar(7)
+        points = (k * backend.generator(), backend.second_generator())
+        decoders = {
+            "decode_scalar": (backend.decode_scalar, backend.encode_scalar, k),
+            "decode_element": (backend.decode_element, GroupElement.encode, points[0]),
+            "SharePacket": (lambda data: SharePacket.from_bytes(data, backend),
+                            lambda packet: packet.to_bytes(backend), SharePacket(3, k, k + 1)),
+            "CommitmentVector": (lambda data: CommitmentVector.from_bytes(data, backend),
+                                 CommitmentVector.to_bytes, CommitmentVector(points)),
+            "Signature": (lambda data: Signature.from_bytes(data, backend),
+                          lambda sig: sig.to_bytes(backend), Signature(points[1], k)),
+        }
+
+        def mutations(good: bytes):
+            bits = 8 * len(good)
+            return st.one_of(
+                st.binary(max_size=2 * len(good) + 2),
+                st.integers(0, bits - 1).map(
+                    lambda b: (int.from_bytes(good, "little") ^ 1 << b).to_bytes(len(good), "little")),
+                st.tuples(st.integers(0, len(good) - 1), st.integers(0, 255)).map(
+                    lambda t: good[:t[0]] + bytes([t[1]]) + good[t[0] + 1:]),
+                st.integers(0, len(good) - 1).map(lambda n: good[:n]),
+                st.binary(min_size=1, max_size=4).map(lambda extra: good + extra),
+            )
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.sampled_from(sorted(decoders)), st.data())
+        def check(name, data):
+            decode, encode, value = decoders[name]
+            raw = data.draw(mutations(encode(value)))
+            try:
+                decoded = decode(raw)
+            except ValueError:
+                return
+            assert encode(decoded) == raw, name
+
+        check()

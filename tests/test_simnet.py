@@ -1,5 +1,6 @@
 """Simulator scenarios: determinism, trust overlays, adversaries, timeouts."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -793,3 +794,158 @@ class TestScenarioShapes:
         config = SimConfig.from_dict(json.loads(example))
         assert [d.domain_id for d in config.domains] == ["A", "vss", "async"]
         assert config.domains[2].deliver_to == (2, 3, 4)
+
+
+class TestScenarioSchema:
+    """The spec dataclasses are the scenario schema: from_dict reads every field."""
+
+    def test_every_field_read_from_its_key(self):
+        config = SimConfig(
+            seed=9, nodes=6, backend="ed25519", message=b"hello",
+            domains=(
+                DomainSpec("k", (1, 2, 3, 4), 3),
+                DomainSpec("a", (2, 3, 4, 5, 6), 2, protocol="avss", coalition=(2, 3),
+                           secret=7, deliver_to=(2, 4, 5)),
+            ),
+            delay=DelaySpec(model="uniform", ticks=2, lo=2, hi=4),
+            adversaries=(AdversarySpec(5, "crash", at_tick=3),),
+            gossip=GossipSpec(c=6, broadcast_prob_num=3),
+            max_ticks=200, timeout_ticks=40, exfiltrate_domains=("k",),
+        )
+        data = {
+            "seed": 9, "nodes": 6, "backend": "ed25519", "message": "hello",
+            "domains": [
+                {"id": "k", "members": [1, 2, 3, 4], "threshold": 3},
+                {"id": "a", "members": [2, 3, 4, 5, 6], "threshold": 2, "protocol": "avss",
+                 "coalition": [2, 3], "secret": 7, "deliver_to": [2, 4, 5]},
+            ],
+            "delay": {"model": "uniform", "ticks": 2, "lo": 2, "hi": 4},
+            "adversaries": [{"node": 5, "behavior": "crash", "at_tick": 3}],
+            "gossip": {"c": 6, "broadcast_prob_num": 3},
+            "max_ticks": 200, "timeout_ticks": 40, "exfiltrate_domains": ["k"],
+        }
+        # every field that has a default is set away from it somewhere above,
+        # so a field the reader skipped would leave the two configs unequal
+        moved = set()
+        for spec in (config, config.delay, config.gossip, *config.domains, *config.adversaries):
+            moved |= {(type(spec), f.name) for f in dataclasses.fields(spec)
+                      if f.default is not dataclasses.MISSING
+                      and getattr(spec, f.name) != f.default}
+        classes = (SimConfig, DelaySpec, GossipSpec, DomainSpec, AdversarySpec)
+        assert moved == {(cls, f.name) for cls in classes for f in dataclasses.fields(cls)
+                         if f.default is not dataclasses.MISSING}
+        assert SimConfig.from_dict(data) == config
+
+
+BEHAVIORS = ("crash", "corrupt_shares", "equivocate", "forge_partial", "silent")
+
+
+def scenario_dicts(st, backend: str, max_nodes: int):
+    """A hypothesis strategy of scenario dicts as a file would hold them.
+
+    It draws 1-3 domains of every protocol with their thresholds, coalitions,
+    secrets and AVSS delivery sets; up to three adversaries of every
+    behaviour, with crash ticks; and fixed or uniform delays of at most 5
+    ticks, far below the default 50-tick timeout.
+    """
+    @st.composite
+    def scenarios(draw):
+        nodes = draw(st.integers(3, max_nodes))
+        domains = []
+        for k in range(draw(st.integers(1, 3))):
+            protocol = draw(st.sampled_from(["dkg_sign", "pedersen_vss", "avss"]))
+            members = sorted(draw(st.sets(st.integers(1, nodes), min_size=3)))
+            low, high = {"dkg_sign": (2, len(members)), "pedersen_vss": (1, len(members) - 1),
+                         "avss": (1, len(members))}[protocol]
+            domain = {"id": f"d{k}", "members": members, "protocol": protocol,
+                      "threshold": draw(st.integers(low, high))}
+            if protocol == "dkg_sign":
+                if draw(st.booleans()):
+                    domain["coalition"] = sorted(draw(st.sets(
+                        st.sampled_from(members), min_size=domain["threshold"])))
+            else:
+                domain["secret"] = draw(st.integers(0, 10))
+            if protocol == "avss" and draw(st.booleans()):
+                domain["deliver_to"] = sorted(draw(st.sets(st.sampled_from(members))))
+            domains.append(domain)
+        adversaries = []
+        for node in sorted(draw(st.sets(st.integers(1, nodes), max_size=3))):
+            adversary = {"node": node, "behavior": draw(st.sampled_from(BEHAVIORS))}
+            if adversary["behavior"] == "crash":
+                adversary["at_tick"] = draw(st.integers(0, 12))
+            adversaries.append(adversary)
+        lo = draw(st.integers(1, 3))
+        delay = draw(st.sampled_from([
+            {"ticks": lo}, {"model": "uniform", "lo": lo, "hi": lo + draw(st.integers(0, 2))}]))
+        return {"seed": draw(st.integers(0, 2**64 - 1)), "nodes": nodes, "backend": backend,
+                "domains": domains, "adversaries": adversaries, "delay": delay}
+
+    return scenarios()
+
+
+def listed_ids(text: str) -> set[int]:
+    """The ids in every "[..]" list of a report text."""
+    return {int(i) for group in re.findall(r"\[([\d, ]*)\]", text) for i in re.findall(r"\d+", group)}
+
+
+class TestGeneratedScenarios:
+    """Blame properties of generated scenarios (ROADMAP item 10).
+
+    A domain's faulty members are its adversaries, plus an AVSS dealer told to
+    deliver to fewer than all members.  Per domain:
+    1. every id that an honest node's verdict, abort reason or flagged list
+       names is faulty; so is every id a verdict of no one node names;
+    2. a domain with no faulty member ends ok;
+    3. two runs give the same canonical report;
+    4. every id in the report is a member of the domain.
+    An AVSS timeout lists each member whose point has not arrived, and an
+    honest member that never completed sends none, so in AVSS reports
+    property 1 leaves out the members that never completed.
+    """
+
+    @pytest.mark.parametrize("backend, max_nodes, examples", [("toy", 8, 300), ("ed25519", 4, 4)])
+    def test_blame_properties(self, backend, max_nodes, examples):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=examples, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(scenario_dicts(hypothesis.strategies, backend, max_nodes))
+        def check(data):
+            config = SimConfig.from_dict(data)
+            report = run_simulation(config)
+            assert run_simulation(config).canonical_json() == report.canonical_json()
+            adversaries = {a["node"] for a in data["adversaries"]}
+            for domain in data["domains"]:
+                members = set(domain["members"])
+                faulty = adversaries & members
+                if domain.get("deliver_to", domain["members"]) != domain["members"]:
+                    faulty.add(domain["members"][0])
+                dom = report.domain(domain["id"])
+                texts = [*dom["verdicts"], *dom.get("aborted", {}).values()]
+                named = {i for text in texts for i in listed_ids(text)}
+                named |= {int(i) for text in texts for i in re.findall(r"node (\d+)", text)}
+                for key in ("aborted", "flagged", "share_results", "complaint_verdicts",
+                            "exfiltrated_sk_shares"):
+                    named |= {int(node) for node in dom.get(key, {})}
+                named |= {i for flagged in dom.get("flagged", {}).values() for i in flagged}
+                named |= {*dom.get("coalition", ()), *dom.get("completed_members", ())}
+                named |= {dom["dealer"]} if "dealer" in dom else set()
+                assert named <= members, texts
+                assert dom["ok"] or faulty, dom["verdicts"]
+
+                blamed = set()
+                for text in dom["verdicts"]:
+                    who = re.match(r"node (\d+) ", text)
+                    if who is None or int(who.group(1)) not in faulty:
+                        blamed |= listed_ids(text)
+                for node, reason in dom.get("aborted", {}).items():
+                    if int(node) not in faulty:
+                        blamed |= listed_ids(reason)
+                for node, flagged in dom.get("flagged", {}).items():
+                    if int(node) not in faulty:
+                        blamed |= set(flagged)
+                if domain["protocol"] == "avss":
+                    blamed &= set(dom["completed_members"]) | faulty
+                assert blamed <= faulty, dom["verdicts"]
+
+        check()
