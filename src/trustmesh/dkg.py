@@ -113,7 +113,6 @@ class Participant:
     pk_share: Optional[GroupElement] = None
     group_pk: Optional[GroupElement] = None
     peer_pk_shares: dict[int, GroupElement] = field(default_factory=dict)
-    abort_reason: Optional[str] = None
     transcript: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
@@ -136,7 +135,6 @@ class Participant:
 
     def _abort(self, reason: str, faulty_ids) -> None:
         self.phase = Phase.ABORTED
-        self.abort_reason = reason
         raise ProtocolAbort(reason, faulty_ids)
 
     def _record(self, round_no: int, payload: bytes) -> None:

@@ -1,19 +1,19 @@
 """Gossip-based signature aggregation without a distinguished aggregator.
 
-Signers seed per-node transcripts with their own verified partial response.
-Each round a node forwards its transcript to a logarithmic fan-out of random
-peers; receivers check every contribution against the session context before
-merging, so forged partials never spread.  The node's PartialVerifier holds
-the session (package, key shares, group key) and checks an incoming
-transcript with one call: its new contributions in one random-weight sum on
-ed25519, member by member when that sum fails.  The verifier remembers each
-accepted partial, so a contribution seen again, or aggregated later, costs
-no group work.  Once a node's transcript holds the whole coalition, it
-broadcasts the full transcript with small probability; everyone who observes
-a broadcast aggregates it into the final signature and stops gossiping.  A
-node keeps the first broadcast that aggregates: each coalition member has
-exactly one valid partial, so every broadcast that aggregates yields the
-same signature.
+Each signer holds its own partial response from the start.  Each round a
+node forwards its transcript to a logarithmic fan-out of random peers;
+receivers check every contribution against the session context, so forged
+partials never spread.  The node's PartialVerifier holds the session
+(package, key shares, group key) and is the one store of the partials the
+node holds: it checks an incoming transcript with one call (its new
+contributions in one random-weight sum on ed25519, member by member when
+that sum fails) and keeps each partial it accepts, so a contribution seen
+again, or aggregated later, costs no group work.  A node's transcript is a
+view of those accepted partials.  Once it holds the whole coalition, a node
+broadcasts it with small probability; everyone who observes a broadcast
+aggregates it into the final signature and stops gossiping.  A node keeps
+the first broadcast that aggregates: each coalition member has exactly one
+valid partial, so every broadcast that aggregates yields the same signature.
 """
 
 from __future__ import annotations
@@ -36,13 +36,10 @@ def fan_out(n: int, c: int) -> int:
 
 @dataclass
 class Transcript:
-    """A mergeable set of verified partial responses for one session."""
+    """A set of partial responses for one session, as gossip carries it."""
 
     context_hash: bytes
-    contributions: dict[int, Scalar] = field(default_factory=dict)
-
-    def copy(self) -> "Transcript":
-        return Transcript(self.context_hash, dict(self.contributions))
+    contributions: dict[int, Scalar]
 
     def to_bytes(self, backend: GroupBackend) -> bytes:
         body = b"".join(
@@ -61,56 +58,49 @@ class GossipNode:
     verifier: PartialVerifier
     c: int = 4
     broadcast_prob_num: int = 2       # broadcast probability = num / (peers+1)
-    transcript: Transcript = field(init=False)
     flagged: set[int] = field(default_factory=set)
     stopped: bool = False
     finalized: Optional[Signature] = None
-
-    def __post_init__(self):
-        self.transcript = Transcript(self.verifier.package.context_hash())
 
     @property
     def n(self) -> int:
         return len(self.peers) + 1
 
-    def seed_own_partial(self, z: Scalar) -> bool:
-        """Self-check this node's own partial, then install it."""
-        if self.verifier.verify({self.node_id: z}):
-            return False
-        self.transcript.contributions[self.node_id] = z
-        return True
+    @property
+    def transcript(self) -> Transcript:
+        """A fresh transcript of the partials the verifier holds, the caller's to keep."""
+        return Transcript(self.verifier.context_hash, dict(self.verifier.accepted))
+
+    def seed_own_partial(self, z: Scalar) -> None:
+        """Hold this node's own partial, which it computed and does not check."""
+        self.verifier.accepted[self.node_id] = z
 
     def is_complete(self) -> bool:
         # only coalition members' partials pass the verifier
-        return len(self.transcript.contributions) >= len(self.verifier.package.coalition)
+        return len(self.verifier.accepted) >= len(self.verifier.package.coalition)
 
 
 def gossip_round(node: GossipNode, rng) -> list[tuple[int, Transcript]]:
-    """Pick this round's fan-out peers and address them a transcript copy."""
-    if node.stopped or not node.transcript.contributions:
+    """Pick this round's fan-out peers and address each its own transcript."""
+    if node.stopped or not node.verifier.accepted:
         return []
     k = fan_out(node.n, node.c)
     if k == 0:
         return []
     targets = sorted(rng.sample(list(node.peers), k))
-    return [(peer, node.transcript.copy()) for peer in targets]
+    return [(peer, node.transcript) for peer in targets]
 
 
 def gossip_receive(node: GossipNode, sender: int, incoming: Transcript) -> None:
-    """Merge an incoming transcript, verifying its contributions in one call.
+    """Check an incoming transcript's contributions in one verify call.
 
-    A context mismatch drops the whole message; an invalid contribution is
-    dropped and its carrier flagged, while valid entries still merge.
+    A context mismatch drops the whole message; the verifier keeps every
+    valid contribution, and an invalid one flags its carrier.
     """
-    if incoming.context_hash != node.transcript.context_hash:
+    if incoming.context_hash != node.verifier.context_hash:
         return
-    rejected = node.verifier.verify(incoming.contributions)
-    if rejected:
+    if node.verifier.verify(incoming.contributions):
         node.flagged.add(sender)
-    mine = node.transcript.contributions
-    for member in sorted(incoming.contributions):
-        if member not in rejected:
-            mine[member] = incoming.contributions[member]
 
 
 def gossip_maybe_terminate(node: GossipNode, rng) -> Optional[Transcript]:
@@ -119,7 +109,7 @@ def gossip_maybe_terminate(node: GossipNode, rng) -> Optional[Transcript]:
         return None
     if rng.randbelow(node.n) < node.broadcast_prob_num:
         node.stopped = True
-        return node.transcript.copy()
+        return node.transcript
     return None
 
 
@@ -132,7 +122,7 @@ def observe_broadcast(node: GossipNode, transcript: Transcript) -> None:
     aggregated (wrong context, missing or invalid partials) are ignored.  The
     verifier holds the key shares and group key.
     """
-    if node.finalized is not None or transcript.context_hash != node.transcript.context_hash:
+    if node.finalized is not None or transcript.context_hash != node.verifier.context_hash:
         return
     coalition = set(node.verifier.package.coalition)
     if not coalition <= set(transcript.contributions):

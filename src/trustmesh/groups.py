@@ -617,11 +617,12 @@ def _in_prime_subgroup(x: int, y: int) -> bool:
     """
     if x == 0:
         return y == 1  # the identity; (0, -1) has order 2
-    s = _sqrt_ratio(1 + y, 1 - y)
-    if s is None:
+    r = _sqrt_ratio(1 + y, (1 - y) * x * x)  # sqrt(u)/x; x^2 is a nonzero square
+    if r is None:
         return False  # P is not in 2E
+    s = r * x % _P
     u = s * s % _P
-    t = _SQRT_MINUS_A2 * s % _P * pow(x, -1, _P) % _P  # v/sqrt(u)
+    t = _SQRT_MINUS_A2 * r % _P  # v/sqrt(u)
     h = (u + t) % _P  # w/2
     if _legendre(2 * h + _MONT_A) != 1:
         h = (u - t) % _P

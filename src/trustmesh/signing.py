@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import NonceReuseError, ProtocolAbort
@@ -267,8 +268,9 @@ class PartialVerifier:
     more partials are tested as one random-weight sum (Bellare, Garay and
     Rabin, EUROCRYPT 1998), and when that sum fails, or on toy, each partial
     alone, so a bad partial is named as FROST (Komlo and Goldberg, SAC 2020)
-    names it.  Each accepted partial is remembered, and asking again about
-    it costs no group operation; a rejected one is never remembered.
+    names it.  ``accepted``, the node's one store of the partials it holds,
+    keeps each partial that passed, and the node's own; asking again about
+    one costs no group operation, and a rejected one is never stored.
     """
 
     def __init__(
@@ -285,7 +287,12 @@ class PartialVerifier:
         self.betas = binding_values(backend, package)
         self.R = bound_commitments(backend, package, self.betas)
         self.challenge = challenge_scalar(backend, self.R, group_pk, package.message)
-        self._accepted: dict[int, Scalar] = {}
+        self.accepted: dict[int, Scalar] = {}
+
+    @cached_property
+    def context_hash(self) -> bytes:
+        """The session's context hash, derived once, on first use."""
+        return self.package.context_hash()
 
     def verify(self, partials: Mapping[int, Scalar]) -> list[int]:
         """Check ``partials`` (member -> z); return the sorted members rejected.
@@ -297,7 +304,7 @@ class PartialVerifier:
         rejected = [m for m in partials if m not in coalition]
         pending = {
             m: partials[m] for m in sorted(partials)
-            if m in coalition and self._accepted.get(m) != partials[m]
+            if m in coalition and self.accepted.get(m) != partials[m]
         }
         zero = self.backend.scalar(0)
         equations = {}
@@ -308,10 +315,10 @@ class PartialVerifier:
         # weights from the session's context hash, the group key and each (member, z)
         failed = failed_equations(self.backend, equations, lambda: batch_weights(
             _PARTIAL_BATCH_TAG,
-            [self.package.context_hash(), self.group_pk.encode()],
+            [self.context_hash, self.group_pk.encode()],
             {m: (self.backend.encode_scalar(z),) for m, z in pending.items()},
         ))
-        self._accepted.update((m, z) for m, z in pending.items() if m not in failed)
+        self.accepted.update((m, z) for m, z in pending.items() if m not in failed)
         return sorted(rejected + failed)
 
 

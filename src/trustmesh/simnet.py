@@ -459,7 +459,7 @@ class DkgSignEngine(_DomainEngine):
             return "nonce lists from ", self.globals_of(self.intakes[node].missing())
         if gnode.finalized is not None:
             return None
-        held = gnode.transcript.contributions
+        held = gnode.verifier.accepted
         return "partials from ", [m for m in self.coalition if self.local[m] not in held]
 
     def phase_done(self, tick: int) -> None:
@@ -589,9 +589,7 @@ class DkgSignEngine(_DomainEngine):
             broadcast_prob_num=self.sim.config.gossip.broadcast_prob_num,
         )
         if intake.signer is not None:
-            z = intake.signer.round2_partial(package, verifier)
-            if not gnode.seed_own_partial(z):
-                self.verdicts.append(f"node {node} computed an invalid own partial")
+            gnode.seed_own_partial(intake.signer.round2_partial(package, verifier))
         self.gnodes[node] = gnode
 
     def _observe(self, node: int, transcript) -> None:
@@ -750,8 +748,13 @@ class AvssEngine(_DomainEngine):
             return "a deal from ", [self.dealer]
         if recovery.complete:
             return None
-        return "points from ", [m for m in self.members
-                                if m != node and self.local[m] not in recovery.points]
+        # points come only from members that hold their polynomials (the node
+        # itself does not); once none is left, only the dealer can complete it
+        senders = [m for m in self.members
+                   if self.nodes[self.local[m]].complete and self.local[m] not in recovery.points]
+        if senders:
+            return "points from ", senders
+        return "a deal from ", [self.dealer]
 
     def on_message(self, node: int, msg: Message, tick: int) -> None:
         recovery = self.nodes[self.local[node]]

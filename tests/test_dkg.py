@@ -494,7 +494,7 @@ class TestBatchedShareCheck:
         with pytest.raises(ProtocolAbort) as exc:
             dkg_round2_finalize(receiver, inbound)
         assert exc.value.faulty_ids == (2, 4)
-        assert receiver.abort_reason == "share verification failed for [2, 4]"
+        assert str(exc.value) == "share verification failed for [2, 4]"
 
     def test_one_corrupt_dealer_is_named_alone(self, ed25519):
         parts, outbound = dealt_and_accepted(ed25519)
@@ -504,7 +504,7 @@ class TestBatchedShareCheck:
         with pytest.raises(ProtocolAbort) as exc:
             dkg_round2_finalize(receiver, inbound)
         assert exc.value.faulty_ids == (5,)
-        assert receiver.abort_reason == "share verification failed for [5]"
+        assert str(exc.value) == "share verification failed for [5]"
         assert receiver.phase is Phase.ABORTED
 
     def test_honest_shares_pass_the_batch_without_per_dealer_checks(self, ed25519, monkeypatch):
@@ -544,7 +544,7 @@ class TestBatchedShareCheck:
         assert len(evaluated) == 5
         assert checked_dealers(receiver, evaluated) == [2, 3, 4, 5, 6]
         assert exc.value.faulty_ids == (4,)
-        assert receiver.abort_reason == "share verification failed for [4]"
+        assert str(exc.value) == "share verification failed for [4]"
 
     def test_toy_checks_dealer_by_dealer(self, toy, monkeypatch):
         # a weight can vanish mod 11, so the toy group never batches
@@ -648,7 +648,7 @@ class TestOneIntakeRule:
                     dkg_round2_finalize(node, shares)
             except ProtocolAbort as exc:
                 abort = exc
-            routes.append((node, abort and (str(abort), abort.faulty_ids, node.abort_reason)))
+            routes.append((node, abort and (str(abort), abort.faulty_ids, node.phase)))
         return routes
 
     @pytest.mark.parametrize("seed", range(4))
@@ -664,15 +664,13 @@ class TestOneIntakeRule:
             bcs[4] = Round1Broadcast(4, bcs[4].commitment,
                                      Signature(proof.R, proof.z + 1))
         (_, mapped), (_, taken) = self._both_routes(backend, tamper)
-        assert mapped == taken == ("invalid proof of knowledge from [4]", (4,),
-                                   "invalid proof of knowledge from [4]")
+        assert mapped == taken == ("invalid proof of knowledge from [4]", (4,), Phase.ABORTED)
 
     def test_bad_share_aborts_alike(self, backend):
         def tamper(bcs, outbound):
             outbound[3][2] = outbound[3][2] + 1
         (_, mapped), (_, taken) = self._both_routes(backend, tamper)
-        assert mapped == taken == ("share verification failed for [3]", (3,),
-                                   "share verification failed for [3]")
+        assert mapped == taken == ("share verification failed for [3]", (3,), Phase.ABORTED)
 
     @pytest.mark.parametrize("lost", ["broadcast", "share"])
     def test_missing_peer_aborts_alike(self, backend, lost):
@@ -683,7 +681,7 @@ class TestOneIntakeRule:
                 del outbound[5][2]
         (_, mapped), (_, taken) = self._both_routes(backend, tamper)
         what = "round-1 broadcasts" if lost == "broadcast" else "round-2 shares"
-        assert mapped == taken == (f"missing {what} from [5]", (5,), f"missing {what} from [5]")
+        assert mapped == taken == (f"missing {what} from [5]", (5,), Phase.ABORTED)
 
     def test_missing_names_the_lacking_peers_in_id_order(self, toy):
         node = fresh(toy, t=2, n=5)[2]

@@ -198,7 +198,7 @@ class TestSessionFromVerifier:
     def test_held_contribution_costs_no_group_work(self, session, backend, monkeypatch):
         keys, package, partials = session
         node = make_node(keys, package, 1)
-        assert node.seed_own_partial(partials[1])
+        node.seed_own_partial(partials[1])
         ctx = node.transcript.context_hash
         gossip_receive(node, 2, Transcript(ctx, {2: partials[2]}))
         calls = []
@@ -212,6 +212,34 @@ class TestSessionFromVerifier:
         assert calls == []
         assert node.flagged == set()
         assert node.transcript.contributions == {1: partials[1], 2: partials[2]}
+
+    def test_own_partial_is_held_without_group_work(self, session, backend, monkeypatch):
+        keys, package, partials = session
+        node = make_node(keys, package, 1)
+        calls = []
+        multi_mul = backend.multi_mul
+
+        def counting(scalars, elements):
+            calls.append(len(scalars))
+            return multi_mul(scalars, elements)
+        monkeypatch.setattr(backend, "multi_mul", counting)
+        node.seed_own_partial(partials[1])
+        assert calls == []
+        assert node.verifier.accepted == {1: partials[1]}
+        assert node.transcript.contributions == {1: partials[1]}
+
+    def test_each_peer_gets_its_own_transcript(self, session):
+        keys, package, partials = session
+        node = make_node(keys, package, 1)
+        node.seed_own_partial(partials[1])
+        gossip_receive(node, 2, Transcript(node.transcript.context_hash, {2: partials[2]}))
+        sent = gossip_round(node, SeededRng(5))
+        assert len(sent) == 3
+        # raise one entry as the forge_partial adversary does
+        held = sent[0][1].contributions
+        held[2] = held[2] + 1
+        assert node.transcript.contributions == {1: partials[1], 2: partials[2]}
+        assert all(t.contributions == {1: partials[1], 2: partials[2]} for _, t in sent[1:])
 
     def test_complete_once_the_whole_coalition_is_held(self, session):
         keys, package, partials = session
