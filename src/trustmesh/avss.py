@@ -235,10 +235,13 @@ class NodeRecovery:
     def receive(self, msg: PointExchange) -> bool:
         """Take one overlap point; True when it completes the node.
 
-        An invalid point flags its sender, also after completion; a repeated
-        sender is dropped; the first t valid senders' points are interpolated
-        into the node's deal.
+        A point for another node is dropped unflagged, as the network may have
+        misrouted it; an invalid point flags its sender, also after completion;
+        a repeated sender is dropped; the first t valid senders' points are
+        interpolated into the node's deal.
         """
+        if msg.recipient != self.node:
+            return False
         if not exchange_message_valid(self.commitment, msg):
             self.flagged.add(msg.sender)
             return False

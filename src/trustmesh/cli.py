@@ -7,7 +7,8 @@ signatures), ``bench`` (scaling benchmark with CSV output), ``simulate``
 ``avss-demo`` (print a full asynchronous-sharing dealing).
 
 Exit codes: 0 success, 2 protocol abort, 3 verification failure, 4 bad
-configuration or usage.
+configuration or usage, or a file that cannot be read or written; ``main``
+alone maps exceptions to them.
 """
 
 from __future__ import annotations
@@ -80,12 +81,7 @@ def _cmd_dkg(args) -> int:
         _refuse_existing_key(Path(args.out))
     epoch = secrets.randbits(64) if args.seed is None else args.seed
     crs = dkg_mod.make_crs("cli", epoch=epoch)
-    try:
-        participants = dkg_mod.run_dkg(backend, args.t, args.n, _rng(args.seed), crs)
-    except ProtocolAbort as abort:
-        print(f"key generation aborted: {abort} (faulty: {list(abort.faulty_ids)})", file=sys.stderr)
-        return EXIT_ABORT
-
+    participants = dkg_mod.run_dkg(backend, args.t, args.n, _rng(args.seed), crs)
     group_pk = participants[0].group_pk
     print(f"group public key: {group_pk.encode().hex()}")
     if args.out:
@@ -170,12 +166,7 @@ def _cmd_sign(args) -> int:
         )
         for i in coalition
     }
-    try:
-        sig = signing_mod.run_session(keys, args.message.encode("utf-8"), _rng(args.seed))
-    except ProtocolAbort as abort:
-        print(f"signing aborted: {abort} (faulty: {list(abort.faulty_ids)})", file=sys.stderr)
-        return EXIT_ABORT
-
+    sig = signing_mod.run_session(keys, args.message.encode("utf-8"), _rng(args.seed))
     sig_hex = sig.to_bytes(backend).hex()
     print(f"signature: {sig_hex}")
     if args.out:
@@ -343,7 +334,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ProtocolAbort as abort:

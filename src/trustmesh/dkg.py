@@ -40,7 +40,7 @@ from .groups import (
     id_bytes,
 )
 from .polynomials import Polynomial, interpolate_at, random_polynomial
-from .sharing import CommitmentVector, commit_polynomial
+from .sharing import CommitmentVector, SharePacket, commit_polynomial, share_equation
 from .signing import Signature, schnorr_holds
 
 
@@ -184,11 +184,11 @@ def dkg_accept_round1(state: Participant, broadcasts: Mapping[int, Round1Broadca
         _keep(state, sender, bc, state.received_broadcasts)
     missing = state.missing(state.received_broadcasts)
     if missing:
-        state._abort(f"missing round-1 broadcasts from {missing}", missing)
+        state._abort("missing round-1 broadcasts from ", missing)
     peers = {sender: bc for sender, bc in state.received_broadcasts.items() if sender != state.id}
     faulty = dkg_verify_round1(peers, state.crs, state.backend, state.t)
     if faulty:
-        state._abort(f"invalid proof of knowledge from {faulty}", faulty)
+        state._abort("invalid proof of knowledge from ", faulty)
 
 
 def dkg_round2_send(state: Participant) -> list[tuple[int, Scalar]]:
@@ -241,18 +241,18 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
         _keep(state, sender, value, pending)
     missing = state.missing(pending)
     if missing:
-        state._abort(f"missing round-2 shares from {missing}", missing)
+        state._abort("missing round-2 shares from ", missing)
 
     backend = state.backend
-    # s_j*G == C_j(id), C_j(id) evaluated once per dealer j; the weights hash
-    # every share and commitment, so no dealer picks its share knowing its weight
+    # dealer j's share equation, C_j(id) evaluated once; the weights hash every
+    # share and commitment, so no dealer picks its share knowing its weight
     faulty = failed_equations(backend, {
-        s: (v, [(1, broadcasts[s].commitment.share_commitment(state.id))]) for s, v in pending.items()
+        s: share_equation(SharePacket(state.id, v), broadcasts[s].commitment) for s, v in pending.items()
     }, lambda: batch_weights(_SHARE_BATCH_TAG, [id_bytes(state.id)], {
         s: (backend.encode_scalar(v), broadcasts[s].commitment.to_bytes()) for s, v in pending.items()
     }))
     if faulty:
-        state._abort(f"share verification failed for {faulty}", faulty)
+        state._abort("share verification failed for ", faulty)
 
     all_shares = {**pending, state.id: state.self_share}
     sk = backend.scalar(sum(v.value for v in all_shares.values()))

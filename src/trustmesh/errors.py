@@ -8,12 +8,14 @@ class TrustmeshError(Exception):
 class ProtocolAbort(TrustmeshError):
     """A protocol run aborted after identifying misbehaving participants.
 
-    ``faulty_ids`` names the participants whose messages failed verification.
+    ``faulty_ids`` names the participants whose messages failed verification;
+    the message is ``reason`` followed by their sorted id list.
     """
 
-    def __init__(self, message: str, faulty_ids=()):
-        super().__init__(message)
+    def __init__(self, reason: str, faulty_ids=()):
+        self.reason = reason
         self.faulty_ids = tuple(sorted(faulty_ids))
+        super().__init__(f"{reason}{list(self.faulty_ids)}")
 
 
 class NonceReuseError(TrustmeshError):

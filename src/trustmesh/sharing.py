@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import GroupBackend, GroupElement, Scalar, id_bytes
+from .groups import GroupBackend, GroupElement, Scalar, failed_equations, id_bytes
 from .polynomials import Polynomial, interpolate_at, random_polynomial
 
 
@@ -165,11 +165,23 @@ def feldman_split(secret: Scalar, t: int, n: int, rng, backend: GroupBackend):
     return commit_polynomial(backend, poly), shares_from_polynomial(poly, n)
 
 
+def share_equation(share: SharePacket, commitments: CommitmentVector) -> tuple:
+    """The one share check, value*G == C(id) (less blinding*H for a blinded
+    share), in the (s, terms) form that groups.failed_equations takes."""
+    terms = [(1, commitments.share_commitment(share.id))]
+    if share.blinding is not None:
+        terms.append((-share.blinding, commitments.backend.second_generator()))
+    return share.value, terms
+
+
+def _share_holds(share: SharePacket, commitments: CommitmentVector) -> bool:
+    # a single equation is tested alone, so it draws no weights
+    return not failed_equations(commitments.backend, {share.id: share_equation(share, commitments)}, dict)
+
+
 def feldman_verify(share: SharePacket, commitments: CommitmentVector) -> bool:
     """Check share.value * G against the committed evaluation at share.id."""
-    backend = commitments.backend
-    lhs = share.value * backend.generator()
-    return lhs == commitments.share_commitment(share.id)
+    return _share_holds(SharePacket(share.id, share.value), commitments)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +219,7 @@ def pedersen_verify(share: SharePacket, commitments: CommitmentVector) -> bool:
     """Check value*G + blinding*H against the committed evaluation at share.id."""
     if share.blinding is None:
         raise ValueError("pedersen verification needs a blinded share")
-    backend = commitments.backend
-    lhs = backend.multi_mul(
-        [share.value, share.blinding], [backend.generator(), backend.second_generator()]
-    )
-    return lhs == commitments.share_commitment(share.id)
+    return _share_holds(share, commitments)
 
 
 def adjudicate_complaint(complaint: Complaint) -> Verdict:
@@ -220,9 +228,5 @@ def adjudicate_complaint(complaint: Complaint) -> Verdict:
     The revealed share is re-checked against the dealer's commitments: if it
     fails, the dealer cheated; if it passes, the accusation was baseless.
     """
-    share = complaint.share
-    if share.blinding is not None:
-        ok = pedersen_verify(share, complaint.commitments)
-    else:
-        ok = feldman_verify(share, complaint.commitments)
+    ok = _share_holds(complaint.share, complaint.commitments)
     return Verdict.ACCUSER_FAULTY if ok else Verdict.DEALER_FAULTY

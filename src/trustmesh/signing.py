@@ -355,7 +355,7 @@ def aggregate(
     verifier = _session_verifier(verifier, package, pk_shares, group_pk)
     faulty = verifier.verify({member: partials[member] for member in package.coalition})
     if faulty:
-        raise ProtocolAbort(f"partial verification failed for {faulty}", faulty)
+        raise ProtocolAbort("partial verification failed for ", faulty)
     backend = group_pk.backend
     z = backend.scalar(sum(partials[m].value for m in package.coalition))
     return Signature(verifier.R, z)

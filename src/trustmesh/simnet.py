@@ -517,9 +517,7 @@ class DkgSignEngine(_DomainEngine):
         except ProtocolAbort as abort:
             culprits = self.globals_of(abort.faulty_ids)
             self.verdicts.append(f"node {node} aborted key generation blaming {culprits}")
-            # every dkg abort text ends with its culprits in domain-local ids
-            what = str(abort).removesuffix(str(list(abort.faulty_ids)))
-            self.aborted[node] = f"{what}{culprits}"
+            self.aborted[node] = f"{abort.reason}{culprits}"
             self.finish(failed=True)
 
     def _dkg_complete(self, tick: int) -> None:

@@ -287,7 +287,7 @@ class TestRecovery:
 
 
 class TestNodeRecovery:
-    """One node's intake, fed one message at a time (toy backend)."""
+    """One node's intake, fed one message at a time (toy backend unless a test takes ``backend``)."""
 
     T, N = 3, 5
 
@@ -336,6 +336,18 @@ class TestNodeRecovery:
         assert [node.receive(self.point(deals, s, 4)) for s in (1, 2, 5)] == [False, False, True]
         assert node.share() == honest.share()
         assert node.accept_deal(honest)
+
+    def test_point_for_another_node_is_dropped_without_a_flag(self, backend, rng):
+        # two valid points meant for node 3 would rebuild node 3's deal at node 5
+        commitment, deals = avss_deal(backend.scalar(5), 2, 5, rng, backend)
+        deals = {d.recipient: d for d in deals}
+        node = NodeRecovery(5, commitment, 2)
+        misrouted = [self.point(deals, s, 3) for s in (1, 2)]
+        assert all(exchange_message_valid(commitment, m) for m in misrouted)
+        assert [node.receive(m) for m in misrouted] == [False, False]
+        assert not node.complete and not node.points and not node.flagged
+        assert [node.receive(self.point(deals, s, 5)) for s in (1, 2)] == [False, True]
+        assert node.share() == deals[5].share()
 
     def test_first_t_distinct_valid_senders_rebuild_the_deal(self, dealt):
         commitment, deals = dealt

@@ -322,6 +322,13 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--scenario", bad) == 4
         assert run_cli("simulate", "--scenario", "missing-name") == 4
 
+    @pytest.mark.parametrize("args", [["--scenario", "{tmp}"],
+                                      ["--scenario", "three-domains", "--out", "{tmp}/missing/r.json"]],
+                             ids=["scenario-is-a-directory", "out-in-a-missing-directory"])
+    def test_file_error_is_config_error(self, tmp_path, capsys, args):
+        assert run_cli("simulate", *(a.format(tmp=tmp_path) for a in args)) == 4
+        assert "configuration error: " in capsys.readouterr().err
+
     def test_custom_scenario_file(self, tmp_path):
         scenario = tmp_path / "custom.json"
         scenario.write_text(json.dumps({

@@ -132,6 +132,7 @@ class TestRound1:
         with pytest.raises(ProtocolAbort) as exc:
             dkg_accept_round1(parts[0], {i: bc for i, bc in bcs.items() if i != 1})
         assert exc.value.faulty_ids == (3,)
+        assert exc.value.reason == "invalid proof of knowledge from "
         assert parts[0].phase is Phase.ABORTED
 
     def test_replayed_proof_under_other_crs_aborts(self, backend, rng):
@@ -147,6 +148,7 @@ class TestRound1:
         with pytest.raises(ProtocolAbort) as exc:
             dkg_accept_round1(parts[0], {i: bc for i, bc in bcs.items() if i != 1})
         assert exc.value.faulty_ids == (2,)
+        assert exc.value.reason == "missing round-1 broadcasts from "
 
 
 class TestRound2:
@@ -200,6 +202,7 @@ class TestRound2:
         with pytest.raises(ProtocolAbort) as exc:
             dkg_round2_finalize(receiver, inbound)
         assert exc.value.faulty_ids == (3,)
+        assert exc.value.reason == "share verification failed for "
         assert receiver.phase is Phase.ABORTED
 
     def test_share_commitment_soundness_exhaustive_toy(self, toy):
@@ -247,6 +250,7 @@ class TestRound2:
         with pytest.raises(ProtocolAbort) as exc:
             dkg_round2_finalize(receiver, inbound)
         assert exc.value.faulty_ids == (4,)
+        assert exc.value.reason == "missing round-2 shares from "
 
 
 def broadcasts_to(p, bcs, skip=()):

@@ -188,6 +188,7 @@ class TestAggregate:
         with pytest.raises(ProtocolAbort) as exc:
             aggregate(package, partials, keys[1].pk_shares, keys[1].group_pk)
         assert exc.value.faulty_ids == (2,)
+        assert exc.value.reason == "partial verification failed for "
 
     def test_order_independent_signature_bytes(self, toy):
         keys, signers = make_signers(toy, 2, 4, seed=8)
@@ -305,6 +306,7 @@ class TestEd25519SessionEquivalence:
             with pytest.raises(ProtocolAbort) as exc:
                 aggregate(package, partials, keys[1].pk_shares, keys[1].group_pk)
             assert exc.value.faulty_ids == (culprit,)
+            assert exc.value.reason == "partial verification failed for "
 
 
 class TestBinding:
