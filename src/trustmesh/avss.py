@@ -118,12 +118,17 @@ class AvssDeal:
         return self.a_prime.evaluate(0)
 
 
-def avss_deal(secret: Scalar, t: int, n: int, rng, backend: GroupBackend):
-    """Dealer side: commitment matrix plus one deal per node id 1..n."""
+def check_deal_parameters(t: int, n: int, q: int) -> None:
+    """A dealing's rule: 1 <= t <= n, and n < q so that the node ids 1..n are distinct mod q."""
     if t < 1 or t > n:
         raise ValueError(f"threshold must satisfy 1 <= t <= n (t={t}, n={n})")
-    if n >= secret.q:
-        raise ValueError(f"cannot deal to {n} distinct nodes modulo {secret.q}")
+    if n >= q:
+        raise ValueError(f"cannot deal to {n} distinct nodes modulo {q}")
+
+
+def avss_deal(secret: Scalar, t: int, n: int, rng, backend: GroupBackend):
+    """Dealer side: commitment matrix plus one deal per node id 1..n."""
+    check_deal_parameters(t, n, secret.q)
     f = random_bivariate(secret, t, rng)
     f_prime = random_bivariate(backend.random_scalar(rng), t, rng)
     commitment = commitment_matrix(backend, f, f_prime)

@@ -29,8 +29,6 @@ class BenchRow:
     round1_ms: float
     round2_ms: float
     sign_ms: float
-    backend: str
-    repetitions: int
     dispersion: float   # relative std-dev of the round-2 samples
 
 
@@ -89,8 +87,6 @@ def run_benchmark(backend_name: str, t: int, n_list, repetitions: int = 5, seed:
             round1_ms=statistics.median(r1_samples) * 1000,
             round2_ms=med_r2 * 1000,
             sign_ms=statistics.median(sign_samples) * 1000,
-            backend=backend_name,
-            repetitions=repetitions,
             dispersion=dispersion,
         ))
     return rows

@@ -130,19 +130,23 @@ def _load_group(path: str):
         raise ConfigError(f"cannot load group file {path}: {exc}")
 
 
+def _require_interpolation(path: str, group_pk, pk_shares, ids, members: str) -> None:
+    """Stop unless the verification shares of ``ids`` interpolate to ``group_pk``."""
+    zero = group_pk.backend.scalar(0)
+    if any(i not in pk_shares for i in ids) or group_pk != group_pk.backend.multi_mul(
+            [lagrange_coefficient(i, ids, zero) for i in ids], [pk_shares[i] for i in ids]):
+        raise ConfigError(f"group file {path}: the verification shares of {members} "
+                          f"do not interpolate to group_pk")
+
+
 def _cmd_sign(args) -> int:
-    backend, t, n, group_pk, pk_shares = _load_group(args.group)
+    backend, t, _, group_pk, pk_shares = _load_group(args.group)
     coalition = sorted(set(_int_list(args.coalition)))
     if len(coalition) < t:
-        print(f"refusing to sign: coalition of {len(coalition)} is below the threshold {t}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"refusing to sign: coalition of {len(coalition)} is below the "
+                          f"threshold {t}")
     # t wrong in the file would give a signature that does not verify
-    ids, zero = range(1, t + 1), backend.scalar(0)
-    if any(i not in pk_shares for i in ids) or group_pk != backend.multi_mul(
-            [lagrange_coefficient(i, ids, zero) for i in ids], [pk_shares[i] for i in ids]):
-        raise ConfigError(f"group file {args.group}: the verification shares of members "
-                          f"1..{t} do not interpolate to group_pk")
+    _require_interpolation(args.group, group_pk, pk_shares, range(1, t + 1), f"members 1..{t}")
 
     shares = {}
     for path in args.share:
@@ -158,10 +162,14 @@ def _cmd_sign(args) -> int:
     missing = sorted(set(coalition) - set(shares))
     if missing:
         raise ConfigError(f"no share files given for coalition members {missing}")
+    # a forged verification share above t passes the checks above, with a
+    # share file to match, and would give a signature that does not verify
+    _require_interpolation(args.group, group_pk, pk_shares, coalition,
+                           f"coalition members {coalition}")
 
     keys = {
         i: signing_mod.KeyShare(
-            backend=backend, id=i, t=t, n=n,
+            backend=backend, id=i, t=t,
             sk_share=shares[i], group_pk=group_pk, pk_shares=pk_shares,
         )
         for i in coalition
@@ -242,6 +250,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_avss_demo(args) -> int:
     backend = get_backend(args.backend)
+    avss_mod.check_deal_parameters(args.t, args.n, backend.order)
     rng = SeededRng(args.seed)
     secret = backend.scalar(args.secret)
     print(f"Secret={args.secret}, threshold={args.t}, nodes={args.n}")
@@ -262,7 +271,7 @@ def _cmd_avss_demo(args) -> int:
 
     sigma = f.row_polynomial(args.t).evaluate(0)
     sigma_prime = f_prime.row_polynomial(args.t).evaluate(0)
-    print(f"1st share: sigma={sigma.value}, sigma'={sigma_prime.value}")
+    print(f"share of node {args.t}: sigma={sigma.value}, sigma'={sigma_prime.value}")
     ok = avss_mod.avss_verify_share(commitment, args.t, sigma, sigma_prime)
     print(f"Verified share: {str(ok).lower()}")
     return EXIT_OK if ok else EXIT_VERIFY

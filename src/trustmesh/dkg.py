@@ -225,11 +225,11 @@ def committed_evaluations(vector: CommitmentVector, n: int) -> dict[int, GroupEl
     return values
 
 
-def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
+def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]) -> None:
     """Keep the peers' shares by the intake's rule, verify them, then derive key material.
 
-    Returns (sk_share, pk_share, group_pk).  Received share values are
-    dropped from the state once the signing share is derived.
+    Received share values are dropped from the state once the signing share
+    is derived.
     """
     state._require_phase(Phase.ROUND1_DONE, "finalize round 2")
     broadcasts = state.received_broadcasts
@@ -274,7 +274,6 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]):
     state.phase = Phase.ROUND2_DONE
     state._record(2, b"".join(backend.encode_scalar(all_shares[s]) for s in sorted(all_shares)))
     state._record(3, state.group_pk.encode())
-    return sk, state.pk_share, state.group_pk
 
 
 # Per-node intake: a node that has dealt takes its peers' messages one at a

@@ -69,7 +69,7 @@ class GossipNode:
     @property
     def transcript(self) -> Transcript:
         """A fresh transcript of the partials the verifier holds, the caller's to keep."""
-        return Transcript(self.verifier.context_hash, dict(self.verifier.accepted))
+        return Transcript(self.verifier.package.context_hash, dict(self.verifier.accepted))
 
     def seed_own_partial(self, z: Scalar) -> None:
         """Hold this node's own partial, which it computed and does not check."""
@@ -97,7 +97,7 @@ def gossip_receive(node: GossipNode, sender: int, incoming: Transcript) -> None:
     A context mismatch drops the whole message; the verifier keeps every
     valid contribution, and an invalid one flags its carrier.
     """
-    if incoming.context_hash != node.verifier.context_hash:
+    if incoming.context_hash != node.verifier.package.context_hash:
         return
     if node.verifier.verify(incoming.contributions):
         node.flagged.add(sender)
@@ -122,7 +122,7 @@ def observe_broadcast(node: GossipNode, transcript: Transcript) -> None:
     aggregated (wrong context, missing or invalid partials) are ignored.  The
     verifier holds the key shares and group key.
     """
-    if node.finalized is not None or transcript.context_hash != node.verifier.context_hash:
+    if node.finalized is not None or transcript.context_hash != node.verifier.package.context_hash:
         return
     coalition = set(node.verifier.package.coalition)
     if not coalition <= set(transcript.contributions):

@@ -59,12 +59,6 @@ class Scalar:
             return NotImplemented
         return Scalar((self.value - v) % self.q, self.q)
 
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar((v - self.value) % self.q, self.q)
-
     def __mul__(self, other):
         v = self._coerce(other)
         if v is NotImplemented:

@@ -26,8 +26,6 @@ class Polynomial:
         q = self.coefficients[0].q
         if any(c.q != q for c in self.coefficients):
             raise ValueError("mixed scalar fields in one polynomial")
-        if not isinstance(self.coefficients, tuple):
-            object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
     @property
     def degree(self) -> int:
@@ -37,10 +35,8 @@ class Polynomial:
     def q(self) -> int:
         return self.coefficients[0].q
 
-    def evaluate(self, x) -> Scalar:
-        """Horner evaluation at x (Scalar or int)."""
-        if isinstance(x, Scalar):
-            x = x.value
+    def evaluate(self, x: int) -> Scalar:
+        """Horner evaluation at the integer x."""
         acc = 0
         q = self.q
         for c in reversed(self.coefficients):

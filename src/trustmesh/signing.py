@@ -83,7 +83,6 @@ class KeyShare:
     backend: GroupBackend
     id: int
     t: int
-    n: int
     sk_share: Scalar
     group_pk: GroupElement
     pk_shares: Mapping[int, GroupElement]
@@ -96,7 +95,6 @@ class KeyShare:
             backend=participant.backend,
             id=participant.id,
             t=participant.t,
-            n=participant.n,
             sk_share=participant.sk_share,
             group_pk=participant.group_pk,
             pk_shares=dict(participant.peer_pk_shares),
@@ -165,7 +163,9 @@ class SigningPackage:
     def commitment_bytes(self) -> bytes:
         return b"".join(id_bytes(i) + a.encode() + b.encode() for i, a, b in self.commitments)
 
+    @cached_property
     def context_hash(self) -> bytes:
+        """The session's context hash, derived once, on first use."""
         return hash_bytes("sign-context", [self.message, self.commitment_bytes()])[:32]
 
 
@@ -289,11 +289,6 @@ class PartialVerifier:
         self.challenge = challenge_scalar(backend, self.R, group_pk, package.message)
         self.accepted: dict[int, Scalar] = {}
 
-    @cached_property
-    def context_hash(self) -> bytes:
-        """The session's context hash, derived once, on first use."""
-        return self.package.context_hash()
-
     def verify(self, partials: Mapping[int, Scalar]) -> list[int]:
         """Check ``partials`` (member -> z); return the sorted members rejected.
 
@@ -315,7 +310,7 @@ class PartialVerifier:
         # weights from the session's context hash, the group key and each (member, z)
         failed = failed_equations(self.backend, equations, lambda: batch_weights(
             _PARTIAL_BATCH_TAG,
-            [self.context_hash, self.group_pk.encode()],
+            [self.package.context_hash, self.group_pk.encode()],
             {m: (self.backend.encode_scalar(z),) for m, z in pending.items()},
         ))
         self.accepted.update((m, z) for m, z in pending.items() if m not in failed)

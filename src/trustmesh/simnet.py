@@ -870,8 +870,7 @@ class Simulator:
             while self.queue and self.queue[0][0] == tick:
                 _, _, msg = heapq.heappop(self.queue)
                 engine = self.engines[msg.domain]
-                dropped = engine.completed and msg.kind != "gossip-broadcast"
-                if dropped or not self.is_live(msg.dst, tick):
+                if engine.completed or not self.is_live(msg.dst, tick):
                     continue
                 label = f"{msg.domain}/{msg.kind}"
                 self._timed(label, engine.on_message, msg.dst, msg, tick)
@@ -888,10 +887,11 @@ class Simulator:
             if all(e.completed for e in self.engines.values()) and not self.queue:
                 break
             tick += 1
+        tick = min(tick, self.config.max_ticks)   # the last tick the loop ran
         for domain_id in sorted(self.engines):
             engine = self.engines[domain_id]
             if not engine.completed:
-                engine.time_out(min(tick, self.config.max_ticks))
+                engine.time_out(tick)
         return self._report(tick, time.perf_counter() - started)
 
     def _timed(self, label: str, fn, *args) -> None:

@@ -256,6 +256,29 @@ class TestSignVerifyCommands:
         assert f"group file {bad}: the verification shares" in capsys.readouterr().err
         assert published == []
 
+    @pytest.mark.parametrize("backend", ["toy", "ed25519"])
+    def test_forged_verification_share_above_t_refused_before_any_nonce(
+            self, backend, tmp_path, capsys, published):
+        # member 4's verification share and share file agree with each other
+        # but not with the key: members 1..t still interpolate to group_pk
+        keys = tmp_path / "k"
+        assert run_cli("dkg", "--t", 2, "--n", 4, "--backend", backend,
+                       "--seed", 1, "--out", keys) == 0
+        group_backend = get_backend(backend)
+        group = keys / "group.json"
+        data = json.loads(group.read_text())
+        data["pk_shares"]["4"] = (group_backend.scalar(7) * group_backend.generator()).encode().hex()
+        group.write_text(json.dumps(data))
+        forged = keys / "share_4.bin"
+        forged.write_bytes(SharePacket(4, group_backend.scalar(7)).to_bytes(group_backend))
+        capsys.readouterr()
+        assert run_cli("sign", "--group", group,
+                       "--share", keys / "share_1.bin", "--share", forged,
+                       "--coalition", "1,4", "--message", "m", "--seed", 1) == 4
+        err = capsys.readouterr().err
+        assert f"group file {group}: the verification shares of coalition members [1, 4]" in err
+        assert published == []
+
     def test_ed25519_round_trip(self, tmp_path):
         out = tmp_path / "ed"
         assert run_cli("dkg", "--t", 2, "--n", 3, "--backend", "ed25519",
@@ -347,6 +370,12 @@ class TestAvssDemoCommand:
         assert "coefficient matrix" in out
         assert "commitment matrix" in out
         assert "Verified share: true" in out
+
+    @pytest.mark.parametrize("t, n", [(6, 5), (3, 50), (11, 11)])
+    def test_threshold_and_node_count_checked(self, t, n, capsys):
+        # the toy group's order is 11: node ids 1..n must be distinct mod 11
+        assert run_cli("avss-demo", "--backend", "toy", "--t", t, "--n", n) == 4
+        assert "configuration error: " in capsys.readouterr().err
 
     def test_demo_on_curve(self, capsys):
         assert run_cli("avss-demo", "--backend", "ed25519", "--seed", 4) == 0

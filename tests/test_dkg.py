@@ -135,6 +135,26 @@ class TestRound1:
         assert exc.value.reason == "invalid proof of knowledge from "
         assert parts[0].phase is Phase.ABORTED
 
+    @pytest.mark.parametrize("fault", ["filed-under-another-id", "t-1-commitments",
+                                       "t+1-commitments"])
+    def test_malformed_broadcast_aborts_naming_the_id_it_is_filed_under(self, backend, rng,
+                                                                        fault):
+        # each keeps node 3's valid proof for its constant term, so only the
+        # sender and length checks can reject it
+        parts = fresh(backend, t=3, n=4)
+        bcs = {p.id: dkg_round1(p, rng.fork(str(p.id))) for p in parts}
+        bad = bcs[3]
+        entries = {
+            "filed-under-another-id": bad.commitment.entries,
+            "t-1-commitments": bad.commitment.entries[:-1],
+            "t+1-commitments": bad.commitment.entries + (backend.generator(),),
+        }[fault]
+        sender = 4 if fault == "filed-under-another-id" else 3
+        bcs[3] = Round1Broadcast(sender, CommitmentVector(entries), bad.proof)
+        with pytest.raises(ProtocolAbort) as exc:
+            dkg_accept_round1(parts[0], {i: bc for i, bc in bcs.items() if i != 1})
+        assert str(exc.value) == "invalid proof of knowledge from [3]"
+
     def test_replayed_proof_under_other_crs_aborts(self, backend, rng):
         crs_a, crs_b = make_crs("a"), make_crs("b")
         p_a = Participant(1, 2, 4, crs_a, backend)

@@ -353,7 +353,7 @@ class TestSinglePartyEquivalence:
         rng = SeededRng(14)
         sk = backend.random_scalar(rng)
         key = KeyShare(
-            backend=backend, id=1, t=1, n=1,
+            backend=backend, id=1, t=1,
             sk_share=sk,
             group_pk=sk * backend.generator(),
             pk_shares={1: sk * backend.generator()},

@@ -425,6 +425,40 @@ class TestDeadlines:
             "timeout at tick 53",
         ]
 
+    def test_end_of_run_timeout_reports_the_last_tick_run(self):
+        # the run stops at max_ticks, long before the domain's own deadline
+        config = SimConfig(
+            seed=0, nodes=3, domains=(dkg_domain(members=(1, 2, 3), t=2),),
+            adversaries=(AdversarySpec(3, "silent"),), max_ticks=5, timeout_ticks=50,
+        )
+        report = run_simulation(config)
+        assert report.core["final_tick"] == 5
+        assert report.domain("d")["verdicts"][-1] == "timeout at tick 5"
+
+    def test_a_domain_takes_no_messages_after_its_verdict(self):
+        # d1 times out with node 3 and node 4 waiting for partials; a gossip
+        # broadcast that arrives later must not finalize either of them
+        data = {
+            "seed": 2062458836, "nodes": 4, "backend": "toy", "timeout_ticks": 8,
+            "delay": {"model": "uniform", "lo": 1, "hi": 4},
+            "domains": [
+                {"id": "d0", "members": [1, 2, 4], "threshold": 3, "protocol": "avss",
+                 "deliver_to": [1, 2, 4]},
+                {"id": "d1", "members": [1, 3, 4], "threshold": 2},
+                {"id": "d2", "members": [1, 2, 3, 4], "threshold": 3},
+            ],
+            "adversaries": [{"node": 2, "behavior": "forge_partial"},
+                            {"node": 1, "behavior": "forge_partial"}],
+        }
+        dom = run_simulation(SimConfig.from_dict(data)).domain("d1")
+        assert dom["verdicts"] == [
+            "key generation complete: group keys agree",
+            "node 3 timed out waiting for partials from []",
+            "node 4 timed out waiting for partials from [1]",
+            "timeout at tick 18",
+        ]
+        assert dom["completed_members"] == [1]
+
 
 class TestWaitRule:
     """One rule for every protocol: a phase completes once no live member
@@ -896,7 +930,8 @@ class TestGeneratedScenarios:
        names is faulty; so is every id a verdict of no one node names;
     2. a domain with no faulty member ends ok;
     3. two runs give the same canonical report;
-    4. every id in the report is a member of the domain.
+    4. every id in the report is a member of the domain;
+    5. no node that a timeout verdict names is among the completed members.
     """
 
     @pytest.mark.parametrize("backend, max_nodes, examples", [("toy", 8, 300), ("ed25519", 4, 4)])
@@ -928,6 +963,9 @@ class TestGeneratedScenarios:
                 named |= {dom["dealer"]} if "dealer" in dom else set()
                 assert named <= members, texts
                 assert dom["ok"] or faulty, dom["verdicts"]
+                timed_out = {int(i) for text in dom["verdicts"]
+                             for i in re.findall(r"node (\d+) timed out", text)}
+                assert not timed_out & set(dom.get("completed_members", ())), dom
 
                 blamed = set()
                 for text in dom["verdicts"]:
