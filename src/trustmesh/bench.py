@@ -66,8 +66,6 @@ def run_benchmark(backend_name: str, t: int, n_list, repetitions: int = 5, seed:
     rng = SeededRng(seed)
     rows = []
     for n in n_list:
-        if t > n:
-            raise ValueError(f"threshold {t} exceeds n={n}")
         coalition = tuple(range(1, t + 1))
         r1_samples, r2_samples, sign_samples = [], [], []
         for rep in range(repetitions + 1):  # first iteration is the warm-up

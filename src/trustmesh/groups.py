@@ -75,12 +75,6 @@ class Scalar:
             raise ZeroDivisionError("no inverse for 0")
         return Scalar(pow(self.value, -1, self.q), self.q)
 
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * Scalar(v, self.q).inverse()
-
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self.value == other.value and self.q == other.q
@@ -135,16 +129,6 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return self.backend._eq(self.rep, self.backend._identity)
-
-    def is_valid(self) -> bool:
-        """Whether the representation is a group element.
-
-        On toy this is membership of the order-11 subgroup.  On ed25519 it
-        checks only the curve equation: ``decode_element`` is the subgroup
-        gate for every point that arrives as bytes, and elements built by
-        group operations from decoded ones stay in the subgroup.
-        """
-        return self.backend._is_valid(self.rep)
 
     def encode(self) -> bytes:
         # encoding normalizes projective coordinates (one field inversion);
@@ -259,9 +243,6 @@ class GroupBackend:
     def _eq(self, a, b) -> bool:
         raise NotImplementedError
 
-    def _is_valid(self, a) -> bool:
-        raise NotImplementedError
-
     def _encode(self, a) -> bytes:
         raise NotImplementedError
 
@@ -306,9 +287,6 @@ class ToyGroup(GroupBackend):
     def _eq(self, a, b):
         return a == b
 
-    def _is_valid(self, a):
-        return 0 < a < self.modulus and pow(a, self.order, self.modulus) == 1
-
     def _encode(self, a):
         return bytes([a])
 
@@ -316,7 +294,7 @@ class ToyGroup(GroupBackend):
         if len(data) != 1:
             raise ValueError("toy element encoding must be 1 byte")
         a = data[0]
-        if not self._is_valid(a):
+        if not (0 < a < self.modulus and pow(a, self.order, self.modulus) == 1):
             raise ValueError(f"{a} is not in the order-11 subgroup of Z_23*")
         return a
 
@@ -715,17 +693,6 @@ class Ed25519Group(GroupBackend):
         x1, y1, z1, _ = a
         x2, y2, z2, _ = b
         return (x1 * z2 - x2 * z1) % _P == 0 and (y1 * z2 - y2 * z1) % _P == 0
-
-    def _is_valid(self, a):
-        # projective curve check: -x^2 + y^2 = 1 + d x^2 y^2
-        x, y, z, t = a
-        if z % _P == 0:
-            return False
-        if (t * z - x * y) % _P != 0:
-            return False
-        lhs = (y * y - x * x) * (z * z) % _P
-        rhs = (z * z % _P * (z * z) + _D * x * x % _P * (y * y)) % _P
-        return lhs == rhs
 
     def _encode(self, a):
         x, y, z, _ = a

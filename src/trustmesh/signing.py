@@ -51,8 +51,6 @@ def schnorr_holds(sig: Signature, challenge: Scalar, pk: GroupElement) -> bool:
 
 def verify(pk: GroupElement, message: bytes, sig: Signature) -> bool:
     """Accept iff z*G = R + H2(R || pk || m)*pk."""
-    if not sig.R.is_valid():
-        return False
     return schnorr_holds(sig, challenge_scalar(pk.backend, sig.R, pk, message), pk)
 
 
@@ -146,13 +144,8 @@ class SigningPackage:
         coalition = tuple(sorted(commitments))
         if not coalition:
             raise ValueError("empty signing coalition")
-        packed = []
-        for member in coalition:
-            a, b = commitments[member]
-            if not (a.is_valid() and b.is_valid()):
-                raise ValueError(f"nonce commitment from {member} is not a valid group element")
-            packed.append((member, a, b))
-        return cls(message=message, coalition=coalition, commitments=tuple(packed))
+        packed = tuple((member, *commitments[member]) for member in coalition)
+        return cls(message=message, coalition=coalition, commitments=packed)
 
     def pair(self, member: int) -> tuple[GroupElement, GroupElement]:
         for owner, a, b in self.commitments:

@@ -148,7 +148,6 @@ class SimConfig:
     gossip: GossipSpec = GossipSpec()
     max_ticks: int = 300
     timeout_ticks: int = 50
-    exfiltrate_domains: tuple[str, ...] = ()
 
     def validate(self) -> None:
         if not 0 <= self.seed < dkg_mod.EPOCH_LIMIT:
@@ -165,19 +164,16 @@ class SimConfig:
             q = get_backend(self.backend).order
         except ValueError as exc:
             raise ConfigError(f"backend: {exc}") from None
-        protocols = {}
+        ids = set()
         for index, d in enumerate(self.domains):
-            if d.domain_id in protocols:
+            if d.domain_id in ids:
                 raise ConfigError(f"domains: duplicate id {d.domain_id!r}")
-            protocols[d.domain_id] = d.protocol
+            ids.add(d.domain_id)
             d.validate(index, self.nodes, q)
         for a in self.adversaries:
             a.validate(self.nodes)
             if sum(b.node == a.node for b in self.adversaries) > 1:
                 raise ConfigError(f"adversaries: node {a.node} listed twice")
-        for domain_id in self.exfiltrate_domains:
-            if protocols.get(domain_id) != "dkg_sign":
-                raise ConfigError(f"exfiltrate_domains: {domain_id!r} is not a dkg_sign domain")
         self.delay.validate()
         self.gossip.validate()
 
@@ -367,8 +363,8 @@ class _DomainEngine:
     def on_tick(self, node: int, tick: int) -> None:
         pass
 
-    def waiting_for(self, node: int) -> Optional[tuple[str, list[int]]]:
-        """(what, sender ids) this live node still waits for; None once it is done."""
+    def waiting_for(self, node: int) -> Optional[str]:
+        """What this live node still waits for, naming the senders; None once it is done."""
         raise NotImplementedError
 
     def phase_done(self, tick: int) -> None:
@@ -390,8 +386,7 @@ class _DomainEngine:
         for node in self.live_members(tick):
             waiting = self.waiting_for(node)
             if waiting is not None:
-                what, senders = waiting
-                self.verdicts.append(f"node {node} timed out waiting for {what}{senders}")
+                self.verdicts.append(f"node {node} timed out waiting for {waiting}")
         self.verdicts.append(f"timeout at tick {tick}")
         self.finish(failed=True)
 
@@ -448,19 +443,20 @@ class DkgSignEngine(_DomainEngine):
     def _flagged(self) -> dict[int, list[int]]:
         return {node: self.globals_of(g.flagged) for node, g in sorted(self.gnodes.items()) if g.flagged}
 
-    def waiting_for(self, node: int) -> Optional[tuple[str, list[int]]]:
+    def waiting_for(self, node: int) -> Optional[str]:
         p = self.participants[node]
         if self.sign_start is None:
             if p.phase is dkg_mod.Phase.ROUND2_DONE:
                 return None
-            return "", self.globals_of(p.missing(p.received_broadcasts) or p.missing(p.pending_shares))
+            return str(self.globals_of(p.missing(p.received_broadcasts) or p.missing(p.pending_shares)))
         gnode = self.gnodes.get(node)
         if gnode is None:
-            return "nonce lists from ", self.globals_of(self.intakes[node].missing())
+            return f"nonce lists from {self.globals_of(self.intakes[node].missing())}"
         if gnode.finalized is not None:
             return None
         held = gnode.verifier.accepted
-        return "partials from ", [m for m in self.coalition if self.local[m] not in held]
+        missing = [m for m in self.coalition if self.local[m] not in held]
+        return f"partials from {missing}" if missing else "an aggregating broadcast"
 
     def phase_done(self, tick: int) -> None:
         if self.sign_start is None:
@@ -629,7 +625,7 @@ class DkgSignEngine(_DomainEngine):
         rounds = None
         if "first_broadcast" in self.marks and "gossip_start" in self.marks:
             rounds = self.marks["first_broadcast"] - self.marks["gossip_start"] + 1
-        out = {
+        return {
             **super().report(),
             "coalition": list(self.coalition),
             "group_pk": pk,
@@ -640,13 +636,6 @@ class DkgSignEngine(_DomainEngine):
             "flagged": {str(node): flagged for node, flagged in self._flagged().items()},
             "gossip_rounds": rounds,
         }
-        if self.spec.domain_id in self.sim.config.exfiltrate_domains:
-            out["exfiltrated_sk_shares"] = {
-                str(node): self.backend.encode_scalar(p.sk_share).hex()
-                for node, p in sorted(self.participants.items())
-                if p.sk_share is not None
-            }
-        return out
 
 
 class PedersenVssEngine(_DomainEngine):
@@ -658,12 +647,12 @@ class PedersenVssEngine(_DomainEngine):
         self.share_results: dict[int, bool] = {}
         self.complaint_verdicts: dict[int, str] = {}
 
-    def waiting_for(self, node: int) -> Optional[tuple[str, list[int]]]:
+    def waiting_for(self, node: int) -> Optional[str]:
         if self.local[node] not in self.share_results:
-            return "a share from ", [self.dealer]
+            return f"a share from {[self.dealer]}"
         complainants = self.globals_of(i for i, ok in self.share_results.items() if not ok)
         if complainants and node not in self.complaint_verdicts:
-            return "complaints from ", complainants
+            return f"complaints from {complainants}"
         return None
 
     def start(self) -> None:
@@ -740,10 +729,10 @@ class AvssEngine(_DomainEngine):
             self.send(0, self.dealer, recipient, "avss-deal",
                       deal, self.backend.encode_scalar(deal.share()))
 
-    def waiting_for(self, node: int) -> Optional[tuple[str, list[int]]]:
+    def waiting_for(self, node: int) -> Optional[str]:
         recovery = self.nodes.get(self.local[node])
         if recovery is None:
-            return "a deal from ", [self.dealer]
+            return f"a deal from {[self.dealer]}"
         if recovery.complete:
             return None
         # points come only from members that hold their polynomials (the node
@@ -751,8 +740,8 @@ class AvssEngine(_DomainEngine):
         senders = [m for m in self.members
                    if self.nodes[self.local[m]].complete and self.local[m] not in recovery.points]
         if senders:
-            return "points from ", senders
-        return "a deal from ", [self.dealer]
+            return f"points from {senders}"
+        return f"a deal from {[self.dealer]}"
 
     def on_message(self, node: int, msg: Message, tick: int) -> None:
         recovery = self.nodes[self.local[node]]

@@ -346,9 +346,12 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--scenario", "missing-name") == 4
 
     @pytest.mark.parametrize("args", [["--scenario", "{tmp}"],
-                                      ["--scenario", "three-domains", "--out", "{tmp}/missing/r.json"]],
-                             ids=["scenario-is-a-directory", "out-in-a-missing-directory"])
+                                      ["--scenario", "three-domains", "--out", "{tmp}/missing/r.json"],
+                                      ["--scenario", "{tmp}/truncated.json"]],
+                             ids=["scenario-is-a-directory", "out-in-a-missing-directory",
+                                  "scenario-is-invalid-json"])
     def test_file_error_is_config_error(self, tmp_path, capsys, args):
+        (tmp_path / "truncated.json").write_text('{"seed": 1,')
         assert run_cli("simulate", *(a.format(tmp=tmp_path) for a in args)) == 4
         assert "configuration error: " in capsys.readouterr().err
 

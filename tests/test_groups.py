@@ -121,7 +121,7 @@ class TestScalarField:
         # (0 - 2) / (1 - 2) = 2 mod 11
         num = toy.scalar(0) - toy.scalar(2)
         den = toy.scalar(1) - toy.scalar(2)
-        assert (num / den).value == 2
+        assert (num * den.inverse()).value == 2
 
     def test_scalar_encoding_round_trip(self, backend):
         rng = SeededRng(f"scalar-enc-{backend.name}")
@@ -152,7 +152,7 @@ class TestEd25519:
         h = ed25519.second_generator()
         assert h != ed25519.generator()
         assert not h.is_identity()
-        assert h.is_valid()
+        assert ed25519.decode_element(h.encode()) == h
 
     def test_element_encoding_round_trip(self, ed25519):
         rng = SeededRng("ed-enc")

@@ -96,8 +96,9 @@ class TestRound1:
         nl = signers[1].round1(rng)
         assert nl.owner == 1
         assert len(nl.pairs) == 1
-        a_pub, b_pub = nl.pairs[0]
-        assert a_pub.is_valid() and b_pub.is_valid()
+        # each commitment survives the wire decoder, the one validity gate
+        for point in nl.pairs[0]:
+            assert backend.decode_element(point.encode()) == point
 
     def test_nonce_batch(self, backend, rng):
         _, signers = make_signers(backend)
@@ -337,13 +338,13 @@ class TestBinding:
         )
 
     def test_package_requires_valid_points(self, toy):
-        from trustmesh.groups import GroupElement
-
+        # a commitment arrives as bytes; decode_element refuses 5 (5^11 mod
+        # 23 != 1), so a point outside the subgroup never reaches build
         good = toy.generator()
-        outside_subgroup = GroupElement(toy, 5)  # 5^11 mod 23 != 1
-        assert not outside_subgroup.is_valid()
-        with pytest.raises(ValueError):
-            SigningPackage.build(b"m", {1: (good, good), 2: (good, outside_subgroup)})
+        with pytest.raises(ValueError, match="not in the order-11 subgroup"):
+            toy.decode_element(bytes([5]))
+        package = SigningPackage.build(b"m", {1: (good, good), 2: (good, toy.decode_element(bytes([4])))})
+        assert package.pair(2) == (good, good + good)
 
 
 class TestSinglePartyEquivalence:

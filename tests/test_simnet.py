@@ -119,33 +119,29 @@ class TestTrustOverlays:
                 dkg_domain("X", (1, 2, 3), 2),
                 dkg_domain("Y", (2, 3, 4), 2),
             ),
-            exfiltrate_domains=("X", "Y"),
         )
-        report = run_simulation(config)
-        x = report.domain("X")["exfiltrated_sk_shares"]
-        y = report.domain("Y")["exfiltrated_sk_shares"]
-        for shared in ("2", "3"):
-            assert shared in x and shared in y
+        sim = Simulator(config)
+        sim.run()
+        x, y = (sim.engines[d].participants for d in ("X", "Y"))
+        for shared in (2, 3):
+            assert x[shared].sk_share is not None and y[shared].sk_share is not None
 
     def test_domain_isolation_under_exfiltration(self, toy):
         config = SimConfig(
             seed=22, nodes=4,
             domains=(dkg_domain("X", (1, 2, 3), 2), dkg_domain("Y", (2, 3, 4), 2)),
-            exfiltrate_domains=("X",),
         )
-        baseline = run_simulation(SimConfig(
-            seed=22, nodes=4,
-            domains=(dkg_domain("X", (1, 2, 3), 2), dkg_domain("Y", (2, 3, 4), 2)),
-        ))
-        report = run_simulation(config)
-        # exfiltration is passive: identical traffic and identical domain keys
+        baseline = run_simulation(config)
+        sim = Simulator(config)
+        report = sim.run()
+        # reading a domain's shares is passive: identical traffic and identical domain keys
         assert report.trace_hash == baseline.trace_hash
         x, y = report.domain("X"), report.domain("Y")
         assert x["group_pk"] != y["group_pk"]
-        # the exfiltrated shares really do reconstruct X's group secret ...
+        # the shares X's members hold really do reconstruct X's group secret ...
         shares = [
-            (int(i), toy.decode_scalar(bytes.fromhex(h)))
-            for i, h in x["exfiltrated_sk_shares"].items()
+            (p.id, p.sk_share) for _, p in sorted(sim.engines["X"].participants.items())
+            if p.sk_share is not None
         ]
         secret = interpolate_at(shares[:2], toy.scalar(0))
         assert (secret * toy.generator()).encode().hex() == x["group_pk"]
@@ -453,7 +449,7 @@ class TestDeadlines:
         dom = run_simulation(SimConfig.from_dict(data)).domain("d1")
         assert dom["verdicts"] == [
             "key generation complete: group keys agree",
-            "node 3 timed out waiting for partials from []",
+            "node 3 timed out waiting for an aggregating broadcast",
             "node 4 timed out waiting for partials from [1]",
             "timeout at tick 18",
         ]
@@ -732,7 +728,7 @@ class TestScenarioShapes:
         ({"domains": [{"id": "d", "members": [1, 2], "threshold": 2, "coalition": 7}]},
          "domains[0].coalition"),
         ({"max_ticks": {}}, "max_ticks"),
-        ({"exfiltrate_domains": 5}, "exfiltrate_domains"),
+        ({"delay": {"model": "gamma"}}, "delay.model"),
         ({"nodes": "3"}, "nodes"),
         ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2.9}]}, "domains[0].threshold"),
         ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": "2"}]}, "domains[0].threshold"),
@@ -774,11 +770,20 @@ class TestScenarioShapes:
          "domains[1].coalition"),
         ({"adversaries": [{"node": 2, "behavior": "crash", "at_tick": 0},
                           {"node": 2, "behavior": "silent"}]}, "adversaries"),
-        ({"exfiltrate_domains": ["nope"]}, "exfiltrate_domains"),
-        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2},
-                      {"id": "v", "members": [1, 2, 3], "threshold": 2,
-                       "protocol": "pedersen_vss"}],
-          "exfiltrate_domains": ["v"]}, "exfiltrate_domains"),
+        ({"adversaries": [{"node": 4, "behavior": "silent"}]}, "adversaries"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2, "protocol": "raft"}]},
+         "domains[0].protocol"),
+        ({"domains": [{"id": "d", "members": [1, 2, 2], "threshold": 2}]}, "domains[0].members"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 1}]}, "domains[0].threshold"),
+        ({"domains": [{"id": "d", "members": [1, 2], "threshold": 2, "coalition": [1, 3]}]},
+         "domains[0].coalition"),
+        ({"domains": [{"id": "d", "members": [1, 2], "threshold": 2, "protocol": "avss",
+                       "deliver_to": [3]}]}, "domains[0].deliver_to"),
+        ({"gossip": {"broadcast_prob_num": 0}}, "gossip.broadcast_prob_num"),
+        ({"nodes": 0}, "nodes"),
+        ({"domains": []}, "domains"),
+        ({"domains": [{"id": "d", "members": [1, 2], "threshold": 2},
+                      {"id": "d", "members": [2, 3], "threshold": 2}]}, "domains"),
     ])
     def test_malformed_section_named(self, patch, section):
         with pytest.raises(ConfigError, match=f"^{re.escape(section)}:"):
@@ -789,11 +794,11 @@ class TestScenarioShapes:
             delay={"model": "uniform", "lo": 1, "hi": 3}, gossip={"c": 5},
             adversaries=[{"node": 2, "behavior": "crash", "at_tick": 4}],
             domains=[{"id": "d", "members": [1, 2, 3], "threshold": 2, "coalition": None}],
-            exfiltrate_domains=["d"], max_ticks=99))
+            max_ticks=99))
         assert config.delay == DelaySpec(model="uniform", lo=1, hi=3)
         assert config.gossip == GossipSpec(c=5)
         assert config.adversaries == (AdversarySpec(2, "crash", 4),)
-        assert config.exfiltrate_domains == ("d",) and config.max_ticks == 99
+        assert config.max_ticks == 99
         assert config.domains == (DomainSpec("d", (1, 2, 3), 2),)
         silent = SimConfig.from_dict(self.base(adversaries=[{"node": 3, "behavior": "silent",
                                                              "at_tick": None}]))
@@ -843,7 +848,7 @@ class TestScenarioSchema:
             delay=DelaySpec(model="uniform", ticks=2, lo=2, hi=4),
             adversaries=(AdversarySpec(5, "crash", at_tick=3),),
             gossip=GossipSpec(c=6, broadcast_prob_num=3),
-            max_ticks=200, timeout_ticks=40, exfiltrate_domains=("k",),
+            max_ticks=200, timeout_ticks=40,
         )
         data = {
             "seed": 9, "nodes": 6, "backend": "ed25519", "message": "hello",
@@ -855,7 +860,7 @@ class TestScenarioSchema:
             "delay": {"model": "uniform", "ticks": 2, "lo": 2, "hi": 4},
             "adversaries": [{"node": 5, "behavior": "crash", "at_tick": 3}],
             "gossip": {"c": 6, "broadcast_prob_num": 3},
-            "max_ticks": 200, "timeout_ticks": 40, "exfiltrate_domains": ["k"],
+            "max_ticks": 200, "timeout_ticks": 40,
         }
         # every field that has a default is set away from it somewhere above,
         # so a field the reader skipped would leave the two configs unequal
@@ -955,8 +960,7 @@ class TestGeneratedScenarios:
                 texts = [*dom["verdicts"], *dom.get("aborted", {}).values()]
                 named = {i for text in texts for i in listed_ids(text)}
                 named |= {int(i) for text in texts for i in re.findall(r"node (\d+)", text)}
-                for key in ("aborted", "flagged", "share_results", "complaint_verdicts",
-                            "exfiltrated_sk_shares"):
+                for key in ("aborted", "flagged", "share_results", "complaint_verdicts"):
                     named |= {int(node) for node in dom.get(key, {})}
                 named |= {i for flagged in dom.get("flagged", {}).values() for i in flagged}
                 named |= {*dom.get("coalition", ()), *dom.get("completed_members", ())}
