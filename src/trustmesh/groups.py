@@ -78,8 +78,6 @@ class Scalar:
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self.value == other.value and self.q == other.q
-        if isinstance(other, int):
-            return self.value == other % self.q
         return NotImplemented
 
     def __hash__(self):
@@ -322,7 +320,7 @@ _WNAF_WIDTH = 5  # odd digits up to +-15: a table of 8 points per term
 
 
 def _ed_add(p1, p2):
-    # the folds follow the rule in _ed_straus
+    # the products fold as in _ed_straus; the coordinates returned are reduced
     x1, y1, z1, t1 = p1
     x2, y2, z2, t2 = p2
     a = (y1 - x1) * (y2 - x2)
@@ -343,7 +341,7 @@ def _ed_add(p1, p2):
 
 
 def _ed_double(p):
-    # the folds follow the rule in _ed_straus
+    # the products fold as in _ed_straus; the coordinates returned are reduced
     x1, y1, z1, _ = p
     s = x1 + y1
     a = x1 * x1
@@ -453,16 +451,20 @@ def _ed_straus(terms, extra=()) -> tuple:
     Revisited").  T is formed only before an addition: the loop carries E
     and H of the last step, whose product is T, and doublings never use it.
 
-    Reduction is lazy.  A product that is only added or subtracted before
-    the next multiplication (a, b, c and d of an addition, where c's two
-    products are folded one by one; a, b, c and e of a doubling) is folded
-    once, v = (v & M) + 19*(v >> 255) with M = 2^255 - 1, which keeps its
-    residue mod P but not its size.  x, y and z are fully reduced after
-    every step, and so is every value the function returns, so nothing
-    grows from one step to the next: a, b, d, E and H stay below 2^262 in
-    absolute value, c and so f and g below 2^276, and each product below
-    2^552.  ``>>`` floors, so negative differences fold correctly too.
-    _ed_add and _ed_double follow the same rule.
+    Reduction is lazy.  A fold, v = (v & M) + 19*(v >> 255) with
+    M = 2^255 - 1, keeps v's residue mod P but not its size; ``>>`` floors,
+    so negative values fold correctly too.  A product that is only added
+    or subtracted before the next multiplication (a, b, c and d of an
+    addition, where c's two products are folded one by one; a, b, c and e
+    of a doubling) is folded once.  x, y and z are folded twice after every
+    step.  One fold takes |v| < 2^(255+k) below 2^255 + 19*2^k, so with x,
+    y and z below 2^256 in absolute value, a, b, d and H stay below 2^263, E
+    below 2^265, c and so f and g below 2^284, and each product below
+    2^570.  Two folds take any |v| < 2^570 into (-2^70, 2^255 + 2^70), so
+    x, y and z are again below 2^256 and nothing grows from one step to
+    the next.  A folded value can still be at or above P, or below 0, so
+    every coordinate the function returns is reduced with % P.  _ed_add
+    and _ed_double fold their products the same way.
     """
     adds: dict[int, list] = {}
     for pos, p in extra:
@@ -498,7 +500,9 @@ def _ed_straus(terms, extra=()) -> tuple:
             f = d - c
             g = d + c
             h = b + a
-            x, y, z = e * f % P, g * h % P, f * g % P
+            x, y, z = e * f, g * h, f * g
+            x, y, z = (x & M) + 19 * (x >> 255), (y & M) + 19 * (y >> 255), (z & M) + 19 * (z >> 255)
+            x, y, z = (x & M) + 19 * (x >> 255), (y & M) + 19 * (y >> 255), (z & M) + 19 * (z >> 255)
         for _ in range(pos - (positions[i + 1] if i + 1 < len(positions) else 0)):
             # s * s and z * z square one int object, which CPython does
             # faster than (x + y) * (x + y) or (2 * z) * z
@@ -514,8 +518,10 @@ def _ed_straus(terms, extra=()) -> tuple:
             e = (e & M) + 19 * (e >> 255)
             g = a - b
             f = c + g
-            x, y, z = e * f % P, g * h % P, f * g % P
-    return (x, y, z, e * h % P)
+            x, y, z = e * f, g * h, f * g
+            x, y, z = (x & M) + 19 * (x >> 255), (y & M) + 19 * (y >> 255), (z & M) + 19 * (z >> 255)
+            x, y, z = (x & M) + 19 * (x >> 255), (y & M) + 19 * (y >> 255), (z & M) + 19 * (z >> 255)
+    return (x % P, y % P, z % P, e * h % P)
 
 
 def _ed_mul(k: int, p):
@@ -534,12 +540,42 @@ def _ed_mul(k: int, p):
     return _ed_straus(((k, p),))
 
 
+def _pow22523(z: int) -> int:
+    """z^(2^252 - 3) = z^((p-5)/8) mod p, for 0 <= z < p.
+
+    The addition chain of pow22523 in the reference code of Bernstein et
+    al., "High-speed high-security signatures" (CHES 2011): 252 squarings
+    and 11 multiplications.  Each product is folded twice, as in
+    _ed_straus, which keeps every value below 2^256, and only the result
+    is fully reduced.
+    """
+    def sq_mul(v, n, w):  # v^(2^n) * w
+        M = _M
+        for _ in range(n):
+            v *= v
+            v = (v & M) + 19 * (v >> 255)
+            v = (v & M) + 19 * (v >> 255)
+        v *= w
+        v = (v & M) + 19 * (v >> 255)
+        return (v & M) + 19 * (v >> 255)
+
+    # zN is z^(2^N - 1); z5 is z^(2*11 + 9)
+    z9 = sq_mul(z, 3, z)
+    z5 = sq_mul(sq_mul(z, 1, z9), 1, z9)
+    z10 = sq_mul(z5, 5, z5)
+    z20 = sq_mul(z10, 10, z10)
+    z50 = sq_mul(sq_mul(z20, 20, z20), 10, z10)
+    z100 = sq_mul(z50, 50, z50)
+    z250 = sq_mul(sq_mul(z100, 100, z100), 50, z50)
+    return sq_mul(z250, 2, z) % _P
+
+
 def _sqrt_ratio(u: int, v: int):
     """A square root of u/v mod p (v nonzero), or None when u/v is not a square.
 
     One exponentiation and no inversion (RFC 8032, section 5.1.3).
     """
-    x = u * pow(v, 3, _P) % _P * pow(u * pow(v, 7, _P) % _P, (_P - 5) // 8, _P) % _P
+    x = u * pow(v, 3, _P) % _P * _pow22523(u * pow(v, 7, _P) % _P) % _P
     vx2 = v * x * x % _P
     if vx2 == u % _P:
         return x

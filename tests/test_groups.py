@@ -113,6 +113,13 @@ class TestScalarField:
         with pytest.raises(ZeroDivisionError):
             backend.scalar(0).inverse()
 
+    def test_equal_scalars_hash_equal(self):
+        # a Scalar equals only a Scalar of its field, never an int, so
+        # equality and hash agree
+        a, b = Scalar(3, 11), Scalar(14, 11)
+        assert a == b and hash(a) == hash(b)
+        assert a != 3 and a != 14 and a != Scalar(3, 13)
+
     def test_mixed_field_rejected(self, toy, ed25519):
         with pytest.raises(ValueError):
             toy.scalar(1) + ed25519.scalar(1)
@@ -308,8 +315,9 @@ def affine(point: GroupElement) -> tuple[int, int]:
 
 
 def in_subgroup_oracle(point: GroupElement) -> bool:
-    """[q]P == O by the wNAF kernel: the reference for the halving test."""
-    return point.backend._eq(groups._ed_mul(point.backend.order, point.rep), groups._ED_IDENTITY)
+    """[q]P == O by affine double-and-add: the reference for the halving test,
+    sharing no curve code with the library."""
+    return affine_mul(point.backend.order, affine(point)) == (0, 1)
 
 
 class TestEd25519PointCode:
@@ -380,6 +388,14 @@ class TestEd25519PointCode:
                 assert root is None
             else:
                 assert b * root * root % FIELD_P == a
+
+    def test_pow22523_matches_modexp(self):
+        rng = SeededRng("point-code-pow22523")
+        square, non_square = 4, 2  # 2 is a non-square since p = 5 mod 8
+        values = [0, 1, 2, FIELD_P - 2, FIELD_P - 1, (FIELD_P - 1) // 2, square, non_square]
+        values += [rng.randbelow(FIELD_P) for _ in range(200)]
+        for z in values:
+            assert groups._pow22523(z) == pow(z, (FIELD_P - 5) // 8, FIELD_P)
 
     def test_literal_constants_satisfy_their_equations(self, ed25519):
         p, a = FIELD_P, groups._MONT_A
