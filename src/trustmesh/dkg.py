@@ -47,6 +47,16 @@ from .signing import Signature, schnorr_holds
 EPOCH_LIMIT = 1 << 64   # CRS epochs are encoded in 8 bytes
 
 
+def check_dkg_parameters(t: int, n: int, q: int) -> None:
+    """A key generation's rule: 2 <= t <= n, and n < q so that the ids 1..n are distinct mod q."""
+    if t < 2:
+        raise ValueError("threshold must be >= 2 (a degree t-1 sharing needs t >= 2)")
+    if t > n:
+        raise ValueError(f"threshold {t} exceeds participant count {n}")
+    if n >= q:
+        raise ValueError("participant ids must be distinct modulo the group order")
+
+
 def make_crs(domain_id: str, epoch: int = 0) -> bytes:
     """Run-scoped common reference string from a domain label and epoch."""
     return hash_bytes("trustmesh/crs", [domain_id.encode("utf-8"), epoch.to_bytes(8, "big")])[:32]
@@ -116,14 +126,9 @@ class Participant:
     transcript: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.t < 2:
-            raise ValueError("threshold must be >= 2 (a degree t-1 sharing needs t >= 2)")
-        if self.t > self.n:
-            raise ValueError(f"threshold {self.t} exceeds participant count {self.n}")
+        check_dkg_parameters(self.t, self.n, self.backend.order)
         if not 1 <= self.id <= self.n:
             raise ValueError(f"participant id must be in 1..{self.n}")
-        if self.n >= self.backend.order:
-            raise ValueError("participant ids must be distinct modulo the group order")
 
     def _require_phase(self, expected: Phase, action: str) -> None:
         if self.phase is not expected:
@@ -339,6 +344,7 @@ def combine_signing_shares(participants, coalition) -> Scalar:
 
 def run_round1(backend: GroupBackend, t: int, n: int, rng, crs: bytes) -> list[Participant]:
     """Round 1 across an in-process network: every node deals, then checks every proof."""
+    check_dkg_parameters(t, n, backend.order)
     participants = [Participant(i, t, n, crs, backend) for i in range(1, n + 1)]
     broadcasts = {p.id: dkg_round1(p, rng.fork(f"dkg/{p.id}")) for p in participants}
     for p in participants:

@@ -70,11 +70,6 @@ class Scalar:
     def __neg__(self):
         return Scalar((-self.value) % self.q, self.q)
 
-    def inverse(self) -> "Scalar":
-        if self.value == 0:
-            raise ZeroDivisionError("no inverse for 0")
-        return Scalar(pow(self.value, -1, self.q), self.q)
-
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self.value == other.value and self.q == other.q
@@ -113,7 +108,8 @@ class GroupElement:
 
     def mul(self, k) -> "GroupElement":
         """Scalar multiplication k*P (k a Scalar or int)."""
-        return GroupElement(self.backend, self.backend._mul(self.backend._reduce(k), self.rep))
+        backend = self.backend
+        return GroupElement(backend, backend._multi_mul(((backend._reduce(k), self.rep),)))
 
     __rmul__ = mul
 
@@ -228,15 +224,10 @@ class GroupBackend:
     def _neg(self, a):
         raise NotImplementedError
 
-    def _mul(self, k: int, a):
-        raise NotImplementedError
-
     def _multi_mul(self, terms):
-        """Sum of k*a over (k, a) terms; the generic loop, one _mul per term."""
-        acc = self._identity
-        for k, a in terms:
-            acc = self._add(acc, self._mul(k, a))
-        return acc
+        """Sum of k*a over (k, a) terms, each 0 <= k < order; every scalar
+        multiplication, one term or many, comes here."""
+        raise NotImplementedError
 
     def _eq(self, a, b) -> bool:
         raise NotImplementedError
@@ -279,8 +270,11 @@ class ToyGroup(GroupBackend):
     def _neg(self, a):
         return pow(a, -1, self.modulus)
 
-    def _mul(self, k, a):
-        return pow(a, k % self.order, self.modulus)
+    def _multi_mul(self, terms):
+        acc = self._identity
+        for k, a in terms:
+            acc = acc * pow(a, k, self.modulus) % self.modulus
+        return acc
 
     def _eq(self, a, b):
         return a == b
@@ -317,10 +311,12 @@ _MONT_A = 486662
 _SQRT_MINUS_A2 = 6853475219497561581579357271197624642482790079785650197046958215289687604742
 
 _WNAF_WIDTH = 5  # odd digits up to +-15: a table of 8 points per term
+_SMALL_SCALAR = 1 << 16  # below this a term takes +-1 digits instead
 
 
 def _ed_add(p1, p2):
-    # the products fold as in _ed_straus; the coordinates returned are reduced
+    # complete, so _ed_add(p, p) is 2P; the products fold as in _ed_straus
+    # and the coordinates returned are reduced
     x1, y1, z1, t1 = p1
     x2, y2, z2, t2 = p2
     a = (y1 - x1) * (y2 - x2)
@@ -340,42 +336,32 @@ def _ed_add(p1, p2):
     return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
 
 
-def _ed_double(p):
-    # the products fold as in _ed_straus; the coordinates returned are reduced
-    x1, y1, z1, _ = p
-    s = x1 + y1
-    a = x1 * x1
-    a = (a & _M) + 19 * (a >> 255)
-    b = y1 * y1
-    b = (b & _M) + 19 * (b >> 255)
-    c = z1 * z1 * 2
-    c = (c & _M) + 19 * (c >> 255)
-    h = a + b
-    e = h - s * s
-    e = (e & _M) + 19 * (e >> 255)
-    g = a - b
-    f = c + g
-    return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
-
-
 _ED_IDENTITY = (0, 1, 1, 0)
 
 
 def _wnaf(k: int) -> list[tuple[int, int]]:
-    """Width-5 NAF of k > 0 as (bit position, odd digit in [-15, 15]) pairs."""
+    """Width-w NAF of k > 0 as (bit position, odd digit) pairs.
+
+    Digits lie in [-(2^(w-1) - 1), 2^(w-1) - 1], so a term's table holds
+    the odd multiples of its point up to 2^(w-1) - 1.  w is 5 (digits up to
+    +-15, 8 table points) for k >= 2^16 and 2 below, where the digits are
+    +-1 and the table is the point itself: for a share id, building 8
+    points would cost more than the additions they save.
+    """
+    width = _WNAF_WIDTH if k >= _SMALL_SCALAR else 2
     digits = []
     pos = 0
     while k:
         zeros = (k & -k).bit_length() - 1
         k >>= zeros
         pos += zeros
-        d = k & 31
-        if d > 16:
-            d -= 32
+        d = k & ((1 << width) - 1)
+        if d > 1 << (width - 1):
+            d -= 1 << width
         digits.append((pos, d))
-        # k - d is a multiple of 32: the next four digits are zero
-        k = (k - d) >> _WNAF_WIDTH
-        pos += _WNAF_WIDTH
+        # k - d is a multiple of 2^width: the next width - 1 digits are zero
+        k = (k - d) >> width
+        pos += width
     return digits
 
 
@@ -393,7 +379,7 @@ def _ed_cached_multiples(p, top: int) -> dict:
     for j in range(1, top + 1, 2):
         if j > 1:
             if two_p is None:
-                two_p = _ed_double(p)
+                two_p = _ed_add(p, p)
             q = _ed_add(q, two_p)
         ypx, ymx, z2, t2d = table[j] = _ed_cached(q)
         table[-j] = (ymx, ypx, z2, _P - t2d)  # -(X, Y, Z, T) = (-X, Y, Z, -T)
@@ -419,7 +405,7 @@ def _ed_comb(base) -> list[list]:
         for _ in range(8):
             comb += [base] + [_ed_add(p, base) for p in comb]
             for _ in range(8):
-                base = _ed_double(base)
+                base = _ed_add(base, base)
         combs.append([_ed_cached(p) for p in comb])
     return combs
 
@@ -443,13 +429,15 @@ def _ed_straus(terms, extra=()) -> tuple:
 
     Every term shares one doubling chain (Straus, as Moller's "Algorithms
     for multi-exponentiation" interleaves wNAF digits), so a sum of m
-    253-bit terms costs about 253 doublings and 43*m additions.  An extra
-    point E is a cached point added at bit position j of the chain, with
-    j doublings after it: comb entries sit at j = 0..7, so a sum of fixed
-    bases alone costs at most 7 doublings, and single points at j = 0.
-    The additions use cached points (Hisil et al., "Twisted Edwards Curves
-    Revisited").  T is formed only before an addition: the loop carries E
-    and H of the last step, whose product is T, and doublings never use it.
+    253-bit terms costs about 253 doublings and 43*m additions.  A term
+    below 2^16, such as a share id, takes +-1 digits and no table (_wnaf),
+    about one addition per three bits.  An extra point E is a cached point
+    added at bit position j of the chain, with j doublings after it: comb
+    entries sit at j = 0..7, so a sum of fixed bases alone costs at most 7
+    doublings.  The additions use cached points (Hisil et al., "Twisted
+    Edwards Curves Revisited").  T is formed only before an addition: the
+    loop carries E and H of the last step, whose product is T, and
+    doublings never use it.
 
     Reduction is lazy.  A fold, v = (v & M) + 19*(v >> 255) with
     M = 2^255 - 1, keeps v's residue mod P but not its size; ``>>`` floors,
@@ -463,8 +451,9 @@ def _ed_straus(terms, extra=()) -> tuple:
     2^570.  Two folds take any |v| < 2^570 into (-2^70, 2^255 + 2^70), so
     x, y and z are again below 2^256 and nothing grows from one step to
     the next.  A folded value can still be at or above P, or below 0, so
-    every coordinate the function returns is reduced with % P.  _ed_add
-    and _ed_double fold their products the same way.
+    every coordinate the function returns is reduced with % P.  _ed_add,
+    which builds the wNAF tables and the combs, folds its products the same
+    way.
     """
     adds: dict[int, list] = {}
     for pos, p in extra:
@@ -522,22 +511,6 @@ def _ed_straus(terms, extra=()) -> tuple:
             x, y, z = (x & M) + 19 * (x >> 255), (y & M) + 19 * (y >> 255), (z & M) + 19 * (z >> 255)
             x, y, z = (x & M) + 19 * (x >> 255), (y & M) + 19 * (y >> 255), (z & M) + 19 * (z >> 255)
     return (x % P, y % P, z % P, e * h % P)
-
-
-def _ed_mul(k: int, p):
-    """k*P for an arbitrary point P."""
-    if 0 < k < 1 << 16:
-        # small exponents such as share ids: plain double-and-add beats
-        # paying for the wNAF table
-        acc = None
-        while k:
-            if k & 1:
-                acc = p if acc is None else _ed_add(acc, p)
-            k >>= 1
-            if k:
-                p = _ed_double(p)
-        return acc
-    return _ed_straus(((k, p),))
 
 
 def _pow22523(z: int) -> int:
@@ -678,7 +651,7 @@ class Ed25519Group(GroupBackend):
             except ValueError:
                 counter += 1
                 continue
-            cleared = _ed_mul(8, candidate)
+            cleared = _ed_straus(((8, candidate),))
             if not self._eq(cleared, _ED_IDENTITY):
                 return cleared
             counter += 1
@@ -706,9 +679,6 @@ class Ed25519Group(GroupBackend):
         if a == self._gen:
             return self._gen_combs
         return self._second_combs if a == self._second_gen else None
-
-    def _mul(self, k, a):
-        return _ed_mul(k, a) if self._fixed_combs(a) is None else self._multi_mul(((k, a),))
 
     def _multi_mul(self, terms):
         # G and H terms add comb points in the chain's last 8 bit positions,

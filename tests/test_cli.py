@@ -57,6 +57,10 @@ class TestDkgCommand:
         assert run_cli("dkg", "--t", 5, "--n", 4, "--backend", "toy") == 4
         assert run_cli("dkg", "--t", 2, "--n", 4, "--backend", "nope") == 4
 
+    def test_no_participants_exit_config(self, capsys):
+        assert run_cli("dkg", "--t", 2, "--n", 0) == 4
+        assert "configuration error: threshold 2 exceeds participant count 0" in capsys.readouterr().err
+
     def test_unseeded_runs_draw_fresh_keys(self, tmp_path):
         # the toy group has 11 elements, too few to tell keys apart
         keys = []
@@ -306,6 +310,10 @@ class TestBenchCommand:
 
     def test_bad_n_list_is_config_error(self):
         assert run_cli("bench", "--n-list", "4,banana") == 4
+
+    def test_no_participants_is_config_error(self, capsys):
+        assert run_cli("bench", "--n-list", "0") == 4
+        assert "configuration error: " in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -405,6 +405,11 @@ class TestStateMachine:
         with pytest.raises(ValueError):
             Participant(0, 2, 4, crs, backend)
 
+    def test_no_participants_is_refused(self, backend, rng):
+        # no Participant is built for n = 0, so run_round1 checks the rule itself
+        with pytest.raises(ValueError, match="threshold 2 exceeds participant count 0"):
+            dkg_mod.run_dkg(backend, 2, 0, rng)
+
     def test_toy_id_space_limit(self, toy):
         with pytest.raises(ValueError):
             Participant(1, 2, 11, make_crs("big"), toy)
