@@ -4,8 +4,8 @@ Each signer holds its own partial response from the start.  Each round a
 node forwards its transcript to a logarithmic fan-out of random peers;
 receivers check every contribution against the session context, so forged
 partials never spread.  The node's PartialVerifier holds the session
-(package, key shares, group key) and is the one store of the partials the
-node holds: it checks an incoming transcript with one call (its new
+(the package, which derives the binding values and R, the key shares and
+the group key) and is the one store of the partials the node holds: it checks an incoming transcript with one call (its new
 contributions in one random-weight sum on ed25519, member by member when
 that sum fails) and keeps each partial it accepts, so a contribution seen
 again, or aggregated later, costs no group work.  A node's transcript is a

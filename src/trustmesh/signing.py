@@ -161,6 +161,16 @@ class SigningPackage:
         """The session's context hash, derived once, on first use."""
         return hash_bytes("sign-context", [self.message, self.commitment_bytes()])[:32]
 
+    @cached_property
+    def betas(self) -> dict[int, Scalar]:
+        """The session's binding values, derived once, on first use."""
+        return binding_values(self.commitments[0][1].backend, self)
+
+    @cached_property
+    def R(self) -> GroupElement:
+        """The session's group commitment, derived once, on first use."""
+        return bound_commitments(self.commitments[0][1].backend, self, self.betas)
+
 
 def binding_values(backend: GroupBackend, package: SigningPackage) -> dict[int, Scalar]:
     """Per-signer binding value tying the response to message and commitments."""
@@ -198,6 +208,8 @@ class Signer:
 
     def round1(self, rng, count: int = 1) -> NonceCommitmentList:
         """Generate ``count`` fresh single-use nonce pairs; publish commitments."""
+        if count < 1:
+            raise ValueError(f"nonce count must be at least 1, got {count}")
         g = self.key.backend.generator()
         fresh = []
         for _ in range(count):
@@ -218,16 +230,8 @@ class Signer:
                 return nonce
         raise NonceReuseError("package references an unknown nonce pair")
 
-    def round2_partial(
-        self, package: SigningPackage, verifier: Optional["PartialVerifier"] = None
-    ) -> Scalar:
-        """Compute this signer's bound partial response and burn the nonce pair.
-
-        A node that already built this session's PartialVerifier passes it as
-        ``verifier``, and its binding values and challenge are reused; one
-        built for another package or group key is rejected.  Without it the
-        signer builds its own, deriving the session itself.
-        """
+    def round2_partial(self, package: SigningPackage) -> Scalar:
+        """Compute this signer's bound partial response and burn the nonce pair."""
         key = self.key
         if key.id not in package.coalition:
             raise ValueError(f"signer {key.id} is not in the coalition {package.coalition}")
@@ -236,9 +240,9 @@ class Signer:
                 f"coalition of {len(package.coalition)} is below the threshold {key.t}"
             )
         nonce = self._find_nonce(package.pair(key.id))
-        verifier = _session_verifier(verifier, package, key.pk_shares, key.group_pk)
+        c = challenge_scalar(key.backend, package.R, key.group_pk, package.message)
         lam = lagrange_coefficient(key.id, package.coalition, key.backend.scalar(0))
-        z = nonce.a + nonce.b * verifier.betas[key.id] + lam * key.sk_share * verifier.challenge
+        z = nonce.a + nonce.b * package.betas[key.id] + lam * key.sk_share * c
         nonce.scrub()
         return z
 
@@ -254,8 +258,8 @@ _PARTIAL_BATCH_TAG = "trustmesh/partial-batch"
 class PartialVerifier:
     """One node's signing session: the one holder of its package and keys.
 
-    Building it derives the session once: the binding values beta_m, the
-    group commitment R and the challenge c.  A partial z_m is valid iff
+    Building it derives the challenge c; the binding values beta_m and the
+    group commitment R come from the package.  A partial z_m is valid iff
     z_m*G == A_m + beta_m*B_m + (c*lambda_m)*pk_m.  ``verify`` hands these
     equations to ``groups.failed_equations`` in one call: on ed25519 two or
     more partials are tested as one random-weight sum (Bellare, Garay and
@@ -277,9 +281,7 @@ class PartialVerifier:
         self.package = package
         self.pk_shares = pk_shares
         self.group_pk = group_pk
-        self.betas = binding_values(backend, package)
-        self.R = bound_commitments(backend, package, self.betas)
-        self.challenge = challenge_scalar(backend, self.R, group_pk, package.message)
+        self.challenge = challenge_scalar(backend, package.R, group_pk, package.message)
         self.accepted: dict[int, Scalar] = {}
 
     def verify(self, partials: Mapping[int, Scalar]) -> list[int]:
@@ -299,7 +301,7 @@ class PartialVerifier:
         for m, z in pending.items():
             a, b = self.package.pair(m)
             c_lam = self.challenge * lagrange_coefficient(m, coalition, zero)
-            equations[m] = (z, [(1, a), (self.betas[m], b), (c_lam, self.pk_shares[m])])
+            equations[m] = (z, [(1, a), (self.package.betas[m], b), (c_lam, self.pk_shares[m])])
         # weights from the session's context hash, the group key and each (member, z)
         failed = failed_equations(self.backend, equations, lambda: batch_weights(
             _PARTIAL_BATCH_TAG,
@@ -308,20 +310,6 @@ class PartialVerifier:
         ))
         self.accepted.update((m, z) for m, z in pending.items() if m not in failed)
         return sorted(rejected + failed)
-
-
-def _session_verifier(
-    verifier: Optional[PartialVerifier],
-    package: SigningPackage,
-    pk_shares: Mapping[int, GroupElement],
-    group_pk: GroupElement,
-) -> PartialVerifier:
-    """A new verifier for this session, or ``verifier`` once it is checked to be one."""
-    if verifier is None:
-        return PartialVerifier(package, pk_shares, group_pk)
-    if verifier.package != package or verifier.group_pk != group_pk:
-        raise ValueError("verifier was built for another signing package or group key")
-    return verifier
 
 
 def aggregate(
@@ -340,20 +328,24 @@ def aggregate(
     missing = sorted(set(package.coalition) - set(partials))
     if missing:
         raise ValueError(f"incomplete session: missing partials from {missing}")
-    verifier = _session_verifier(verifier, package, pk_shares, group_pk)
+    if verifier is None:
+        verifier = PartialVerifier(package, pk_shares, group_pk)
+    elif verifier.package != package or verifier.group_pk != group_pk:
+        raise ValueError("verifier was built for another signing package or group key")
     faulty = verifier.verify({member: partials[member] for member in package.coalition})
     if faulty:
         raise ProtocolAbort("partial verification failed for ", faulty)
     backend = group_pk.backend
     z = backend.scalar(sum(partials[m].value for m in package.coalition))
-    return Signature(verifier.R, z)
+    return Signature(package.R, z)
 
 
 class NonceIntake:
     """One node's round-1 intake: the coalition's nonce lists, one at a time.
 
     Lists may arrive in any order.  The first list from each coalition member
-    counts; repeats and lists from outside the coalition are dropped.
+    counts; repeats, lists from outside the coalition, empty lists and lists
+    owned by someone other than their sender are dropped.
     ``receive`` returns the SigningPackage, built from each member's first
     pair, once every coalition list is in.  ``signer`` is the node's own
     Signer when the node is a coalition member.
@@ -367,7 +359,8 @@ class NonceIntake:
         self.package: Optional[SigningPackage] = None
 
     def receive(self, sender: int, nonces: NonceCommitmentList) -> Optional[SigningPackage]:
-        if self.package is not None or sender not in self.coalition or sender in self.lists:
+        if (self.package is not None or sender not in self.coalition or sender in self.lists
+                or nonces.owner != sender or not nonces.pairs):
             return None
         self.lists[sender] = nonces
         if len(self.lists) < len(self.coalition):
@@ -395,6 +388,5 @@ def run_session(keys: Mapping[int, KeyShare], message: bytes, rng) -> Signature:
     for i, s in signers.items():
         intake.receive(i, s.round1(rng.fork(f"nonce/{i}/{message_tag}")))
     key = next(iter(keys.values()))
-    verifier = PartialVerifier(intake.package, key.pk_shares, key.group_pk)
-    partials = {i: s.round2_partial(intake.package, verifier) for i, s in signers.items()}
-    return aggregate(intake.package, partials, key.pk_shares, key.group_pk, verifier=verifier)
+    partials = {i: s.round2_partial(intake.package) for i, s in signers.items()}
+    return aggregate(intake.package, partials, key.pk_shares, key.group_pk)

@@ -574,16 +574,15 @@ class DkgSignEngine(_DomainEngine):
             return
         self.mark("gossip_start", tick)
         p = self.participants[node]
-        verifier = signing_mod.PartialVerifier(package, p.peer_pk_shares, p.group_pk)
         gnode = gossip_mod.GossipNode(
             node_id=self.local[node],
             peers=tuple(self.local[m] for m in self.members if m != node),
-            verifier=verifier,
+            verifier=signing_mod.PartialVerifier(package, p.peer_pk_shares, p.group_pk),
             c=self.sim.config.gossip.c,
             broadcast_prob_num=self.sim.config.gossip.broadcast_prob_num,
         )
         if intake.signer is not None:
-            gnode.seed_own_partial(intake.signer.round2_partial(package, verifier))
+            gnode.seed_own_partial(intake.signer.round2_partial(package))
         self.gnodes[node] = gnode
 
     def _observe(self, node: int, transcript) -> None:

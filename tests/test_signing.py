@@ -105,6 +105,12 @@ class TestRound1:
         nl = signers[1].round1(rng, count=3)
         assert len(nl.pairs) == 3
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_is_refused(self, toy, rng, count):
+        _, signers = make_signers(toy)
+        with pytest.raises(ValueError, match="at least 1"):
+            signers[1].round1(rng, count=count)
+
     def test_pairs_never_repeat_under_seeded_rng(self, backend, rng):
         _, signers = make_signers(backend)
         nl1 = signers[1].round1(rng)
@@ -439,6 +445,34 @@ class TestRunSession:
         assert verify(keys[1].group_pk, b"once", sig)
 
 
+class TestPackageSession:
+    """The package derives the binding values and R once, for every role that holds it."""
+
+    def test_one_package_derives_the_session_once(self, backend, monkeypatch):
+        keys, _ = make_signers(backend, t=3, n=5, seed=9)
+        coalition = (1, 2, 4)
+        # twin signers draw the same nonce pair, so each pair can answer once per package
+        twins = {i: [Signer(keys[i]) for _ in range(2)] for i in coalition}
+        lists = {i: [s.round1(SeededRng(4).fork(f"n{i}")) for s in twins[i]] for i in coalition}
+        pairs = {i: lists[i][0].pairs[0] for i in coalition}
+        calls = []
+        for name in ("binding_values", "bound_commitments"):
+            original = getattr(signing_mod, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(signing_mod, name, counting)
+        shared = SigningPackage.build(b"shared", pairs)
+        partials = {i: twins[i][0].round2_partial(shared) for i in coalition}
+        sig = aggregate(shared, partials, keys[5].pk_shares, keys[5].group_pk)
+        assert sorted(calls) == ["binding_values", "bound_commitments"]
+        assert verify(keys[5].group_pk, b"shared", sig)
+        separate = {i: twins[i][1].round2_partial(SigningPackage.build(b"shared", pairs))
+                    for i in coalition}
+        assert separate == partials
+
+
 class TestIntake:
     """One node's nonce-list intake, fed one list at a time."""
 
@@ -474,6 +508,17 @@ class TestIntake:
         assert package.coalition == (1, 2, 4)
         assert intake.receive(4, later[4]) is None          # complete: nothing more counts
         assert intake.package is package
+
+    def test_empty_and_misowned_lists_are_dropped(self, toy):
+        lists = self.lists(toy)
+        intake = NonceIntake(b"m", (1, 2))
+        assert intake.receive(1, lists[1]) is None
+        assert intake.receive(2, signing_mod.NonceCommitmentList(2, ())) is None
+        assert intake.receive(2, lists[1]) is None          # member 1's list, sent by 2
+        assert intake.missing() == [2]
+        package = intake.receive(2, lists[2])
+        assert package.pair(1) == lists[1].pairs[0]
+        assert package.pair(2) == lists[2].pairs[0]
 
     def test_missing_shrinks_to_empty(self, toy):
         lists = self.lists(toy)
@@ -565,42 +610,6 @@ class TestPartialVerifierChecksOnce:
         verifier, partials = self.session(backend)
         assert verifier.verify({2: partials[3]}) == [2]
         assert verifier.verify({9: partials[3]}) == [9]
-
-
-class TestRound2WithVerifier:
-    """A signer given its node's verifier reuses the session and computes the same partial."""
-
-    def setup_session(self, backend, message=b"reuse"):
-        keys, _ = make_signers(backend, t=2, n=4, seed=11)
-        # two signers drawing the same nonce pair, so each can answer once
-        twins = [Signer(keys[3]) for _ in range(2)]
-        lists = [s.round1(SeededRng(5).fork("n3")) for s in twins]
-        other = Signer(keys[1]).round1(SeededRng(5).fork("n1"))
-        package = SigningPackage.build(message, {1: other.pairs[0], 3: lists[0].pairs[0]})
-        return keys, twins, package
-
-    def test_same_partial_as_without_a_verifier(self, backend):
-        keys, (plain, reusing), package = self.setup_session(backend)
-        verifier = PartialVerifier(package, keys[3].pk_shares, keys[3].group_pk)
-        z = reusing.round2_partial(package, verifier)
-        assert z == plain.round2_partial(package)
-        assert verifier.verify({3: z}) == []
-
-    def test_verifier_for_another_package_is_rejected(self, backend):
-        keys, (signer, _), package = self.setup_session(backend)
-        other = SigningPackage.build(b"another message", {m: package.pair(m) for m in package.coalition})
-        verifier = PartialVerifier(other, keys[3].pk_shares, keys[3].group_pk)
-        with pytest.raises(ValueError, match="another signing package"):
-            signer.round2_partial(package, verifier)
-        # the nonce pair was not burned by the refused call
-        signer.round2_partial(package)
-
-    def test_verifier_for_another_group_key_is_rejected(self, ed25519):
-        _, (signer, _), package = self.setup_session(ed25519)
-        other_keys, _ = make_signers(ed25519, t=2, n=4, seed=12)
-        verifier = PartialVerifier(package, other_keys[3].pk_shares, other_keys[3].group_pk)
-        with pytest.raises(ValueError, match="group key"):
-            signer.round2_partial(package, verifier)
 
 
 # a 3-of-5 session signed by (1, 2, 3): tamper(partials) -> the members verify rejects

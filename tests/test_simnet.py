@@ -15,7 +15,7 @@ from trustmesh.groups import get_backend
 from trustmesh.polynomials import interpolate_at
 from trustmesh.rng import SeededRng
 from trustmesh.sharing import SharePacket
-from trustmesh.signing import PartialVerifier, Signature, Signer, verify
+from trustmesh.signing import PartialVerifier, Signature, verify
 from trustmesh.simnet import (
     AdversarySpec,
     DelaySpec,
@@ -674,22 +674,14 @@ class TestVerifierBuilds:
         assert sorted(map(id, built)) == sorted(id(g.verifier) for g in gnodes.values())
 
     @pytest.mark.parametrize("backend", ["toy", "ed25519"])
-    def test_each_node_derives_the_challenge_once(self, backend, monkeypatch):
-        calls, in_partial = [], []
-        challenge = signing_mod.challenge_scalar
-        round2_partial = Signer.round2_partial
+    def test_each_node_derives_the_session_once(self, backend, monkeypatch):
+        derived = []
+        bound_commitments = signing_mod.bound_commitments
 
-        def counting_challenge(*args):
-            calls.append(args)
-            return challenge(*args)
-
-        def counting_partial(self, *args):
-            before = len(calls)
-            z = round2_partial(self, *args)
-            in_partial.append(len(calls) - before)
-            return z
-        monkeypatch.setattr(signing_mod, "challenge_scalar", counting_challenge)
-        monkeypatch.setattr(Signer, "round2_partial", counting_partial)
+        def counting(backend_, package, betas):
+            derived.append(package)
+            return bound_commitments(backend_, package, betas)
+        monkeypatch.setattr(signing_mod, "bound_commitments", counting)
         config = SimConfig(
             seed=7, nodes=5, backend=backend,
             domains=(dkg_domain(members=(1, 2, 3, 4, 5), t=3),),
@@ -699,10 +691,8 @@ class TestVerifierBuilds:
         engine = sim.engines["d"]
         signers = [n for n, intake in engine.intakes.items() if intake.signer is not None]
         assert report.domain("d")["ok"] and len(signers) >= 3
-        # each signer reuses its node's verifier: no challenge of its own
-        assert in_partial == [0] * len(signers)
-        # one per node's verifier, and one for the engine's final signature check
-        assert len(calls) == len(engine.gnodes) + 1
+        # one R per node's package, shared by its verifier and, on a signer, its partial
+        assert sorted(map(id, derived)) == sorted(id(g.verifier.package) for g in engine.gnodes.values())
 
 
 class TestScenarioShapes:
