@@ -152,6 +152,8 @@ def _cmd_sign(args) -> int:
     for path in args.share:
         try:
             packet = SharePacket.from_bytes(Path(path).read_bytes(), backend)
+            if packet.blinding is not None:
+                raise ValueError("a key share file holds an id and one scalar, not a blinding")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load share file {path}: {exc}")
         expected = pk_shares.get(packet.id)

@@ -19,7 +19,7 @@ class ProtocolAbort(TrustmeshError):
 
 
 class NonceReuseError(TrustmeshError):
-    """A single-use nonce pair was requested twice."""
+    """A signing package named a nonce pair that is used, replaced or unknown."""
 
 
 class ConfigError(TrustmeshError):

@@ -38,9 +38,6 @@ class SeededRng:
     def randbelow(self, n: int) -> int:
         return self._rand.randrange(n)
 
-    def randint(self, a: int, b: int) -> int:
-        return self._rand.randint(a, b)
-
     def sample(self, population, k: int):
         return self._rand.sample(population, k)
 

@@ -1,6 +1,6 @@
 """Two-round binding threshold Schnorr signing over DKG outputs.
 
-Round 1 publishes per-signer lists of single-use nonce commitment pairs.
+Round 1 publishes one single-use nonce commitment pair per signer.
 Round 2 binds every partial response to the exact message and commitment set
 through per-signer binding values, so responses from different sessions can
 never be mixed into a valid signature.  Any participant can aggregate:
@@ -106,27 +106,24 @@ class KeyShare:
 
 @dataclass(frozen=True, slots=True)
 class NonceCommitmentList:
-    """Published view of a signer's nonce pairs: commitment points only."""
+    """Published view of a signer's one nonce pair: commitment points only."""
 
     owner: int
-    pairs: tuple[tuple[GroupElement, GroupElement], ...]
+    pair: tuple[GroupElement, GroupElement]
 
     def to_bytes(self) -> bytes:
-        return id_bytes(self.owner) + b"".join(a.encode() + b.encode() for a, b in self.pairs)
+        return id_bytes(self.owner) + self.pair[0].encode() + self.pair[1].encode()
 
 
 @dataclass
 class _Nonce:
     a: Optional[Scalar]
     b: Optional[Scalar]
-    A: GroupElement
-    B: GroupElement
-    consumed: bool = False
+    pair: tuple[GroupElement, GroupElement]
 
     def scrub(self) -> None:
         self.a = None
         self.b = None
-        self.consumed = True
 
 
 @dataclass(frozen=True)
@@ -200,35 +197,20 @@ def bound_commitments(
 
 
 class Signer:
-    """Per-node signing state: owns the key share and the nonce pool."""
+    """Per-node signing state: owns the key share and at most one unused nonce pair."""
 
     def __init__(self, key: KeyShare):
         self.key = key
-        self._pool: list[_Nonce] = []
+        self._nonce: Optional[_Nonce] = None
 
-    def round1(self, rng, count: int = 1) -> NonceCommitmentList:
-        """Generate ``count`` fresh single-use nonce pairs; publish commitments."""
-        if count < 1:
-            raise ValueError(f"nonce count must be at least 1, got {count}")
-        g = self.key.backend.generator()
-        fresh = []
-        for _ in range(count):
-            a = self.key.backend.random_nonzero_scalar(rng)
-            b = self.key.backend.random_nonzero_scalar(rng)
-            fresh.append(_Nonce(a=a, b=b, A=a * g, B=b * g))
-        self._pool.extend(fresh)
-        return NonceCommitmentList(self.key.id, tuple((n.A, n.B) for n in fresh))
-
-    def _find_nonce(self, pair: tuple[GroupElement, GroupElement]) -> _Nonce:
-        a_pub, b_pub = pair
-        for nonce in self._pool:
-            if nonce.A == a_pub and nonce.B == b_pub:
-                if nonce.consumed:
-                    raise NonceReuseError(
-                        "nonce pair already consumed; reuse would leak the key share"
-                    )
-                return nonce
-        raise NonceReuseError("package references an unknown nonce pair")
+    def round1(self, rng) -> NonceCommitmentList:
+        """Draw a single-use nonce pair, replacing any unused one; publish its commitments."""
+        backend = self.key.backend
+        a = backend.random_nonzero_scalar(rng)
+        b = backend.random_nonzero_scalar(rng)
+        g = backend.generator()
+        self._nonce = _Nonce(a=a, b=b, pair=(a * g, b * g))
+        return NonceCommitmentList(self.key.id, self._nonce.pair)
 
     def round2_partial(self, package: SigningPackage) -> Scalar:
         """Compute this signer's bound partial response and burn the nonce pair."""
@@ -239,11 +221,15 @@ class Signer:
             raise ValueError(
                 f"coalition of {len(package.coalition)} is below the threshold {key.t}"
             )
-        nonce = self._find_nonce(package.pair(key.id))
+        nonce = self._nonce
+        if nonce is None or nonce.pair != package.pair(key.id):
+            raise NonceReuseError("package names a used, replaced or unknown nonce pair; "
+                                  "reuse would leak the key share")
         c = challenge_scalar(key.backend, package.R, key.group_pk, package.message)
         lam = lagrange_coefficient(key.id, package.coalition, key.backend.scalar(0))
         z = nonce.a + nonce.b * package.betas[key.id] + lam * key.sk_share * c
         nonce.scrub()
+        self._nonce = None
         return z
 
 
@@ -341,37 +327,34 @@ def aggregate(
 
 
 class NonceIntake:
-    """One node's round-1 intake: the coalition's nonce lists, one at a time.
+    """One node's round-1 intake: the coalition's nonce pairs, one at a time.
 
-    Lists may arrive in any order.  The first list from each coalition member
-    counts; repeats, lists from outside the coalition, empty lists and lists
-    owned by someone other than their sender are dropped.
-    ``receive`` returns the SigningPackage, built from each member's first
-    pair, once every coalition list is in.  ``signer`` is the node's own
-    Signer when the node is a coalition member.
+    Pairs may arrive in any order.  The first pair from each coalition member
+    counts; repeats, pairs from outside the coalition and pairs owned by
+    someone other than their sender are dropped.  ``receive`` returns the
+    SigningPackage once every coalition member's pair is in.
     """
 
     def __init__(self, message: bytes, coalition: Iterable[int]):
         self.message = message
         self.coalition = tuple(sorted(coalition))
-        self.signer: Optional[Signer] = None
         self.lists: dict[int, NonceCommitmentList] = {}
         self.package: Optional[SigningPackage] = None
 
     def receive(self, sender: int, nonces: NonceCommitmentList) -> Optional[SigningPackage]:
         if (self.package is not None or sender not in self.coalition or sender in self.lists
-                or nonces.owner != sender or not nonces.pairs):
+                or nonces.owner != sender):
             return None
         self.lists[sender] = nonces
         if len(self.lists) < len(self.coalition):
             return None
         self.package = SigningPackage.build(
-            self.message, {m: self.lists[m].pairs[0] for m in self.coalition}
+            self.message, {m: self.lists[m].pair for m in self.coalition}
         )
         return self.package
 
     def missing(self) -> list[int]:
-        """Coalition members whose nonce list has not arrived yet."""
+        """Coalition members whose nonce pair has not arrived yet."""
         return [m for m in self.coalition if m not in self.lists]
 
 

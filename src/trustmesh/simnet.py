@@ -62,7 +62,7 @@ class DelaySpec:
     def draw(self, rng) -> int:
         if self.model == "fixed":
             return self.ticks
-        return rng.randint(self.lo, self.hi)
+        return self.lo + rng.randbelow(self.hi - self.lo + 1)
 
 
 @dataclass(frozen=True)
@@ -404,9 +404,9 @@ class _DomainEngine:
 class DkgSignEngine(_DomainEngine):
     """Key generation, a two-round signing session, then gossip aggregation.
 
-    Protocol state lives in each node's ``dkg.Participant``,
-    ``signing.NonceIntake`` and ``gossip.GossipNode``; the engine routes
-    messages between them and applies the adversaries' share mutations.
+    Protocol state lives in each node's ``dkg.Participant``, ``signing.NonceIntake``,
+    ``signing.Signer`` (in ``signers``, coalition members only) and ``gossip.GossipNode``;
+    the engine routes messages between them and applies the adversaries' share mutations.
     """
 
     def __init__(self, sim, spec):
@@ -414,6 +414,7 @@ class DkgSignEngine(_DomainEngine):
         self.crs = dkg_mod.make_crs(spec.domain_id, epoch=sim.config.seed)
         self.participants: dict[int, dkg_mod.Participant] = {}
         self.shadows = {}      # equivocators' second dealing
+        self.signers: dict[int, signing_mod.Signer] = {}
         self.gnodes: dict[int, gossip_mod.GossipNode] = {}
         self.aborted: dict[int, str] = {}   # node -> abort reason in global ids
         self.sign_start: Optional[int] = None
@@ -541,10 +542,9 @@ class DkgSignEngine(_DomainEngine):
     def on_tick(self, node: int, tick: int) -> None:
         if tick == self.sign_start and node in self.coalition:
             self.mark("sign_start", tick)
-            intake = self.intakes[node]
             key = signing_mod.KeyShare.from_participant(self.participants[node])
-            intake.signer = signing_mod.Signer(key)
-            nonces = intake.signer.round1(self.rng("proto", node).fork("nonce"))
+            self.signers[node] = signer = signing_mod.Signer(key)
+            nonces = signer.round1(self.rng("proto", node).fork("nonce"))
             self.broadcast(tick, node, "nonce-list", nonces, nonces.to_bytes())
             self._take_nonces(node, node, nonces, tick)
             return
@@ -581,8 +581,8 @@ class DkgSignEngine(_DomainEngine):
             c=self.sim.config.gossip.c,
             broadcast_prob_num=self.sim.config.gossip.broadcast_prob_num,
         )
-        if intake.signer is not None:
-            gnode.seed_own_partial(intake.signer.round2_partial(package))
+        if node in self.signers:
+            gnode.seed_own_partial(self.signers[node].round2_partial(package))
         self.gnodes[node] = gnode
 
     def _observe(self, node: int, transcript) -> None:

@@ -61,7 +61,7 @@ def criterion(name, budget_s):
 def toy_session(keys, signers, coalition, message, seed):
     rng = SeededRng(seed)
     lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
-    package = SigningPackage.build(message, {i: lists[i].pairs[0] for i in coalition})
+    package = SigningPackage.build(message, {i: lists[i].pair for i in coalition})
     partials = {i: signers[i].round2_partial(package) for i in coalition}
     return package, partials
 

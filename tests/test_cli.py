@@ -170,9 +170,9 @@ class TestSignVerifyCommands:
         seen = []
         round1 = Signer.round1
 
-        def recording_round1(signer, rng, count=1):
-            nonces = round1(signer, rng, count)
-            seen.extend(a.encode() + b.encode() for a, b in nonces.pairs)
+        def recording_round1(signer, rng):
+            nonces = round1(signer, rng)
+            seen.append(nonces.pair[0].encode() + nonces.pair[1].encode())
             return nonces
 
         monkeypatch.setattr(Signer, "round1", recording_round1)
@@ -283,6 +283,40 @@ class TestSignVerifyCommands:
         assert f"group file {group}: the verification shares of coalition members [1, 4]" in err
         assert published == []
 
+    @pytest.mark.parametrize("keys_fixture", ["keydir", "edkeys"], ids=["toy", "ed25519"])
+    def test_share_file_with_a_blinding_scalar_refused(self, keys_fixture, request, tmp_path,
+                                                       capsys, published):
+        # dkg writes id || scalar; the Pedersen length (one more scalar) is no key share
+        keys = request.getfixturevalue(keys_fixture)
+        padded = tmp_path / "share_1.bin"
+        data = (keys / "share_1.bin").read_bytes()
+        padded.write_bytes(data + bytes(len(data) - 4))
+        capsys.readouterr()
+        assert run_cli("sign", "--group", keys / "group.json",
+                       "--share", padded, "--share", keys / "share_3.bin",
+                       "--coalition", "1,3", "--message", "m", "--seed", 2) == 4
+        assert f"cannot load share file {padded}: " in capsys.readouterr().err
+        assert published == []
+
+    def test_truncated_share_file_refused(self, edkeys, tmp_path, capsys, published):
+        cut = tmp_path / "share_1.bin"
+        cut.write_bytes((edkeys / "share_1.bin").read_bytes()[:-1])
+        capsys.readouterr()
+        assert run_cli("sign", "--group", edkeys / "group.json",
+                       "--share", cut, "--share", edkeys / "share_3.bin",
+                       "--coalition", "1,3", "--message", "m", "--seed", 2) == 4
+        assert f"cannot load share file {cut}: " in capsys.readouterr().err
+        assert published == []
+
+    @pytest.mark.parametrize("text", ["not hex at all", "ab" * 63], ids=["non-hex", "short"])
+    def test_unparsable_signature_file(self, edkeys, tmp_path, capsys, text):
+        sig = tmp_path / "sig.txt"
+        sig.write_text(text + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--group", edkeys / "group.json",
+                       "--message", "m", "--signature", sig) == 3
+        assert "cannot parse signature: " in capsys.readouterr().err
+
     def test_ed25519_round_trip(self, tmp_path):
         out = tmp_path / "ed"
         assert run_cli("dkg", "--t", 2, "--n", 3, "--backend", "ed25519",
@@ -310,6 +344,10 @@ class TestBenchCommand:
 
     def test_bad_n_list_is_config_error(self):
         assert run_cli("bench", "--n-list", "4,banana") == 4
+
+    def test_zero_repetitions_is_config_error(self, capsys):
+        assert run_cli("bench", "--n-list", "4", "--repetitions", 0, "--backend", "toy") == 4
+        assert "repetitions must be >= 1" in capsys.readouterr().err
 
     def test_no_participants_is_config_error(self, capsys):
         assert run_cli("bench", "--n-list", "0") == 4

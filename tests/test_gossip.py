@@ -26,7 +26,7 @@ def session(toy):
     rng = SeededRng(32)
     coalition = (1, 2)
     lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
-    package = SigningPackage.build(b"gossip", {i: lists[i].pairs[0] for i in coalition})
+    package = SigningPackage.build(b"gossip", {i: lists[i].pair for i in coalition})
     partials = {i: signers[i].round2_partial(package) for i in coalition}
     return keys, package, partials
 
@@ -191,7 +191,7 @@ class TestSessionFromVerifier:
         signers = {i: Signer(keys[i]) for i in (1, 2, 3)}
         rng = SeededRng(42)
         lists = {i: s.round1(rng.fork(str(i))) for i, s in signers.items()}
-        package = SigningPackage.build(b"owner", {i: lists[i].pairs[0] for i in signers})
+        package = SigningPackage.build(b"owner", {i: lists[i].pair for i in signers})
         partials = {i: s.round2_partial(package) for i, s in signers.items()}
         return keys, package, partials
 
@@ -301,7 +301,7 @@ class TestBlame:
         signers = {i: Signer(keys[i]) for i in (1, 2, 3)}
         rng = SeededRng(62)
         lists = {i: s.round1(rng.fork(str(i))) for i, s in signers.items()}
-        package = SigningPackage.build(b"blame", {i: lists[i].pairs[0] for i in signers})
+        package = SigningPackage.build(b"blame", {i: lists[i].pair for i in signers})
         partials = {i: s.round2_partial(package) for i, s in signers.items()}
         return keys, package, partials
 

@@ -39,7 +39,7 @@ def make_signers(backend, t=2, n=4, seed=0):
 def run_session(backend, keys, signers, coalition, message, seed=1):
     rng = SeededRng(seed)
     lists = {i: signers[i].round1(rng.fork(f"n{i}")) for i in coalition}
-    package = SigningPackage.build(message, {i: lists[i].pairs[0] for i in coalition})
+    package = SigningPackage.build(message, {i: lists[i].pair for i in coalition})
     partials = {i: signers[i].round2_partial(package) for i in coalition}
     any_key = keys[coalition[0]]
     sig = aggregate(package, partials, any_key.pk_shares, any_key.group_pk)
@@ -95,27 +95,17 @@ class TestRound1:
         _, signers = make_signers(backend)
         nl = signers[1].round1(rng)
         assert nl.owner == 1
-        assert len(nl.pairs) == 1
+        assert len(nl.pair) == 2
+        assert len(nl.to_bytes()) == 4 + 2 * backend.element_bytes
         # each commitment survives the wire decoder, the one validity gate
-        for point in nl.pairs[0]:
+        for point in nl.pair:
             assert backend.decode_element(point.encode()) == point
-
-    def test_nonce_batch(self, backend, rng):
-        _, signers = make_signers(backend)
-        nl = signers[1].round1(rng, count=3)
-        assert len(nl.pairs) == 3
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_count_below_one_is_refused(self, toy, rng, count):
-        _, signers = make_signers(toy)
-        with pytest.raises(ValueError, match="at least 1"):
-            signers[1].round1(rng, count=count)
 
     def test_pairs_never_repeat_under_seeded_rng(self, backend, rng):
         _, signers = make_signers(backend)
         nl1 = signers[1].round1(rng)
         nl2 = signers[1].round1(rng)
-        assert nl1.pairs[0] != nl2.pairs[0]
+        assert nl1.pair != nl2.pair
 
 
 class TestRound2:
@@ -124,7 +114,7 @@ class TestRound2:
         coalition = (1, 2, 3, 4)
         rng = SeededRng(9)
         lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
-        package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in coalition})
+        package = SigningPackage.build(b"m", {i: lists[i].pair for i in coalition})
         R = bound_commitments(toy, package, binding_values(toy, package))
         c = challenge_scalar(toy, R, keys[1].group_pk, b"m")
         # every participant recomputes the identical group commitment and
@@ -146,10 +136,20 @@ class TestRound2:
         coalition = (1, 2)
         rng = SeededRng(2)
         lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
-        package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in coalition})
+        package = SigningPackage.build(b"m", {i: lists[i].pair for i in coalition})
         signers[1].round2_partial(package)
         with pytest.raises(NonceReuseError):
             signers[1].round2_partial(package)
+
+    def test_replaced_pair_is_refused(self, backend, rng):
+        # a second round 1 replaces the unused pair: only the latest can sign
+        keys, signers = make_signers(backend)
+        first = {i: signers[i].round1(rng.fork(f"first{i}")) for i in (1, 2)}
+        signers[1].round1(rng.fork("again"))
+        package = SigningPackage.build(b"m", {i: first[i].pair for i in (1, 2)})
+        with pytest.raises(NonceReuseError):
+            signers[1].round2_partial(package)
+        assert signers[2].round2_partial(package) is not None
 
     def test_unknown_pair_rejected(self, backend, rng):
         keys, signers = make_signers(backend)
@@ -162,24 +162,24 @@ class TestRound2:
     def test_absent_from_coalition_rejected(self, backend, rng):
         keys, signers = make_signers(backend)
         lists = {i: signers[i].round1(rng.fork(str(i))) for i in (2, 3)}
-        package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in (2, 3)})
+        package = SigningPackage.build(b"m", {i: lists[i].pair for i in (2, 3)})
         with pytest.raises(ValueError):
             signers[1].round2_partial(package)
 
     def test_undersized_coalition_rejected(self, backend, rng):
         keys, signers = make_signers(backend, t=3, n=4)
         lists = {1: signers[1].round1(rng)}
-        package = SigningPackage.build(b"m", {1: lists[1].pairs[0]})
+        package = SigningPackage.build(b"m", {1: lists[1].pair})
         with pytest.raises(ValueError, match="threshold"):
             signers[1].round2_partial(package)
 
     def test_consumed_nonces_are_scrubbed(self, backend, rng):
         keys, signers = make_signers(backend)
         lists = {i: signers[i].round1(rng.fork(str(i))) for i in (1, 2)}
-        package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in (1, 2)})
+        package = SigningPackage.build(b"m", {i: lists[i].pair for i in (1, 2)})
+        entry = signers[1]._nonce
         signers[1].round2_partial(package)
-        entry = signers[1]._pool[0]
-        assert entry.consumed
+        assert signers[1]._nonce is None
         assert entry.a is None and entry.b is None
 
 
@@ -189,7 +189,7 @@ class TestAggregate:
         coalition = (1, 2, 3)
         rng = SeededRng(3)
         lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
-        package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in coalition})
+        package = SigningPackage.build(b"m", {i: lists[i].pair for i in coalition})
         partials = {i: signers[i].round2_partial(package) for i in coalition}
         partials[2] = partials[2] + 1
         with pytest.raises(ProtocolAbort) as exc:
@@ -202,7 +202,7 @@ class TestAggregate:
         coalition = (1, 2, 3)
         rng = SeededRng(4)
         lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
-        package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in coalition})
+        package = SigningPackage.build(b"m", {i: lists[i].pair for i in coalition})
         partials = {i: signers[i].round2_partial(package) for i in coalition}
         encodings = set()
         for order in itertools.permutations(coalition):
@@ -215,7 +215,7 @@ class TestAggregate:
         keys, signers = make_signers(backend)
         coalition = (1, 2)
         lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
-        package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in coalition})
+        package = SigningPackage.build(b"m", {i: lists[i].pair for i in coalition})
         partials = {1: signers[1].round2_partial(package)}
         with pytest.raises(ValueError, match="missing partials"):
             aggregate(package, partials, keys[1].pk_shares, keys[1].group_pk)
@@ -225,7 +225,7 @@ class TestAggregate:
         coalition = (1, 3)
         rng = SeededRng(5)
         lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
-        package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in coalition})
+        package = SigningPackage.build(b"m", {i: lists[i].pair for i in coalition})
         partials = {i: signers[i].round2_partial(package) for i in coalition}
         verifier = PartialVerifier(package, keys[1].pk_shares, keys[1].group_pk)
         for member in coalition:
@@ -307,7 +307,7 @@ class TestEd25519SessionEquivalence:
             signers = {i: Signer(keys[i]) for i in coalition}
             rng = SeededRng(culprit)
             lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
-            package = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in coalition})
+            package = SigningPackage.build(b"m", {i: lists[i].pair for i in coalition})
             partials = {i: signers[i].round2_partial(package) for i in coalition}
             partials[culprit] = partials[culprit] + 1
             with pytest.raises(ProtocolAbort) as exc:
@@ -322,11 +322,13 @@ class TestBinding:
         coalition = (1, 2)
         rng = SeededRng(6)
         lists_a = {i: signers[i].round1(rng.fork(f"a{i}")) for i in coalition}
-        lists_b = {i: signers[i].round1(rng.fork(f"b{i}")) for i in coalition}
-        pkg_a = SigningPackage.build(b"message-a", {i: lists_a[i].pairs[0] for i in coalition})
-        pkg_b = SigningPackage.build(b"message-b", {i: lists_b[i].pairs[0] for i in coalition})
+        # each member's second signer holds its pair for message b
+        signers_b = {i: Signer(keys[i]) for i in coalition}
+        lists_b = {i: signers_b[i].round1(rng.fork(f"b{i}")) for i in coalition}
+        pkg_a = SigningPackage.build(b"message-a", {i: lists_a[i].pair for i in coalition})
+        pkg_b = SigningPackage.build(b"message-b", {i: lists_b[i].pair for i in coalition})
         partial_a1 = signers[1].round2_partial(pkg_a)
-        partial_b = {i: signers[i].round2_partial(pkg_b) for i in coalition}
+        partial_b = {i: signers_b[i].round2_partial(pkg_b) for i in coalition}
         mixed = dict(partial_b)
         mixed[1] = partial_a1
         with pytest.raises(ProtocolAbort):
@@ -335,9 +337,12 @@ class TestBinding:
     def test_changing_commitment_set_changes_binding_values(self, toy):
         keys, signers = make_signers(toy, 2, 4, seed=13)
         rng = SeededRng(7)
-        lists = {i: signers[i].round1(rng.fork(str(i)), count=2) for i in (1, 2)}
-        pkg1 = SigningPackage.build(b"m", {i: lists[i].pairs[0] for i in (1, 2)})
-        pkg2 = SigningPackage.build(b"m", {i: lists[i].pairs[1] for i in (1, 2)})
+        # one stream per member, read twice: the draws of the old two-pair batch
+        streams = {i: rng.fork(str(i)) for i in (1, 2)}
+        first = {i: signers[i].round1(streams[i]) for i in (1, 2)}
+        second = {i: signers[i].round1(streams[i]) for i in (1, 2)}
+        pkg1 = SigningPackage.build(b"m", {i: first[i].pair for i in (1, 2)})
+        pkg2 = SigningPackage.build(b"m", {i: second[i].pair for i in (1, 2)})
         assert binding_values(toy, pkg1) != binding_values(toy, pkg2) or (
             bound_commitments(toy, pkg1, binding_values(toy, pkg1))
             != bound_commitments(toy, pkg2, binding_values(toy, pkg2))
@@ -367,9 +372,9 @@ class TestSinglePartyEquivalence:
         )
         signer = Signer(key)
         nl = signer.round1(rng)
-        package = SigningPackage.build(b"solo", {1: nl.pairs[0]})
+        package = SigningPackage.build(b"solo", {1: nl.pair})
         beta = binding_values(backend, package)[1]
-        nonce_entry = signer._pool[0]
+        nonce_entry = signer._nonce
         effective = nonce_entry.a + nonce_entry.b * beta
         z = signer.round2_partial(package)
         sig = aggregate(package, {1: z}, key.pk_shares, key.group_pk)
@@ -416,9 +421,9 @@ class TestRunSession:
         published = []
         round1 = Signer.round1
 
-        def recording_round1(signer, rng, count=1):
-            nonces = round1(signer, rng, count)
-            published.extend(a.encode() + b.encode() for a, b in nonces.pairs)
+        def recording_round1(signer, rng):
+            nonces = round1(signer, rng)
+            published.append(nonces.pair[0].encode() + nonces.pair[1].encode())
             return nonces
 
         monkeypatch.setattr(Signer, "round1", recording_round1)
@@ -454,7 +459,7 @@ class TestPackageSession:
         # twin signers draw the same nonce pair, so each pair can answer once per package
         twins = {i: [Signer(keys[i]) for _ in range(2)] for i in coalition}
         lists = {i: [s.round1(SeededRng(4).fork(f"n{i}")) for s in twins[i]] for i in coalition}
-        pairs = {i: lists[i][0].pairs[0] for i in coalition}
+        pairs = {i: lists[i][0].pair for i in coalition}
         calls = []
         for name in ("binding_values", "bound_commitments"):
             original = getattr(signing_mod, name)
@@ -484,7 +489,7 @@ class TestIntake:
     def test_any_order_gives_the_built_package(self, backend):
         lists = self.lists(backend)
         coalition = (1, 2, 4)
-        expected = SigningPackage.build(b"intake", {i: lists[i].pairs[0] for i in coalition})
+        expected = SigningPackage.build(b"intake", {i: lists[i].pair for i in coalition})
         for order in itertools.permutations(coalition):
             intake = NonceIntake(b"intake", coalition)
             returned = [intake.receive(i, lists[i]) for i in order]
@@ -504,7 +509,7 @@ class TestIntake:
         assert intake.missing() == [2, 4]
         assert intake.receive(2, lists[2]) is None
         package = intake.receive(4, lists[4])
-        assert package.pair(1) == lists[1].pairs[0]
+        assert package.pair(1) == lists[1].pair
         assert package.coalition == (1, 2, 4)
         assert intake.receive(4, later[4]) is None          # complete: nothing more counts
         assert intake.package is package
@@ -513,12 +518,11 @@ class TestIntake:
         lists = self.lists(toy)
         intake = NonceIntake(b"m", (1, 2))
         assert intake.receive(1, lists[1]) is None
-        assert intake.receive(2, signing_mod.NonceCommitmentList(2, ())) is None
         assert intake.receive(2, lists[1]) is None          # member 1's list, sent by 2
         assert intake.missing() == [2]
         package = intake.receive(2, lists[2])
-        assert package.pair(1) == lists[1].pairs[0]
-        assert package.pair(2) == lists[2].pairs[0]
+        assert package.pair(1) == lists[1].pair
+        assert package.pair(2) == lists[2].pair
 
     def test_missing_shrinks_to_empty(self, toy):
         lists = self.lists(toy)
