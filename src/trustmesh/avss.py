@@ -114,9 +114,6 @@ class AvssDeal:
         """The node's main secret share f(recipient, 0)."""
         return self.a.evaluate(0)
 
-    def share_blinding(self) -> Scalar:
-        return self.a_prime.evaluate(0)
-
 
 def check_deal_parameters(t: int, n: int, q: int) -> None:
     """A dealing's rule: 1 <= t <= n, and n < q so that the node ids 1..n are distinct mod q."""
@@ -209,7 +206,6 @@ class NodeRecovery:
 
     node: int
     commitment: CommitmentMatrix
-    t: int
     deal: Optional[AvssDeal] = None
     flagged: set[int] = field(default_factory=set)
     points: dict[int, PointExchange] = field(default_factory=dict)
@@ -225,10 +221,10 @@ class NodeRecovery:
 
     def accept_deal(self, deal: AvssDeal) -> bool:
         """Keep the dealer's deal; False unless its row and column polynomials open C."""
-        polys = (deal.a, deal.a_prime, deal.b, deal.b_prime)
-        if deal.recipient != self.node or any(len(p.coefficients) != self.t for p in polys):
-            return False
         c = self.commitment
+        polys = (deal.a, deal.a_prime, deal.b, deal.b_prime)
+        if deal.recipient != self.node or any(len(p.coefficients) != len(c.entries) for p in polys):
+            return False
         backend = c.entries[0][0].backend
         if commit_polynomial_pair(backend, deal.a, deal.a_prime) != c.row_commitment(self.node):
             return False
@@ -242,8 +238,8 @@ class NodeRecovery:
 
         A point for another node is dropped unflagged, as the network may have
         misrouted it; an invalid point flags its sender, also after completion;
-        a repeated sender is dropped; the first t valid senders' points are
-        interpolated into the node's deal.
+        a repeated sender is dropped; the first t valid senders' points, t the
+        side of the commitment matrix, are interpolated into the node's deal.
         """
         if msg.recipient != self.node:
             return False
@@ -253,7 +249,7 @@ class NodeRecovery:
         if self.complete or msg.sender in self.points:
             return False
         self.points[msg.sender] = msg
-        if len(self.points) < self.t:
+        if len(self.points) < len(self.commitment.entries):
             return False
         # row points rebuild a and a', column points b and b'
         polys = [interpolate_polynomial([(s, getattr(m, name)) for s, m in self.points.items()])
@@ -263,20 +259,17 @@ class NodeRecovery:
 
 
 def avss_exchange_and_interpolate(
-    commitment: CommitmentMatrix,
-    deals: Mapping[int, AvssDeal],
-    t: int,
-    n: int,
+    commitment: CommitmentMatrix, deals: Mapping[int, AvssDeal], n: int
 ) -> dict[int, NodeRecovery]:
     """One full overlap-point exchange among nodes 1..n.
 
     ``deals`` holds whatever the dealer managed to deliver; every node that
     accepts its deal sends its overlap points, and nodes without a deal
-    reconstruct from t commitment-consistent points.  Nodes with fewer
-    than t valid points stay incomplete (no failure: the exchange can be
-    rerun once more deals or points arrive).
+    reconstruct from t commitment-consistent points, t being the side of the
+    commitment matrix.  Nodes with fewer than t valid points stay incomplete
+    (no failure: the exchange can be rerun once more deals or points arrive).
     """
-    results = {j: NodeRecovery(j, commitment, t) for j in range(1, n + 1)}
+    results = {j: NodeRecovery(j, commitment) for j in range(1, n + 1)}
     senders = [deal for j, deal in deals.items() if results[j].accept_deal(deal)]
     for deal in senders:
         for msg in exchange_messages(deal, range(1, n + 1)):

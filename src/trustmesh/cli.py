@@ -152,8 +152,6 @@ def _cmd_sign(args) -> int:
     for path in args.share:
         try:
             packet = SharePacket.from_bytes(Path(path).read_bytes(), backend)
-            if packet.blinding is not None:
-                raise ValueError("a key share file holds an id and one scalar, not a blinding")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load share file {path}: {exc}")
         expected = pk_shares.get(packet.id)
@@ -170,10 +168,8 @@ def _cmd_sign(args) -> int:
                            f"coalition members {coalition}")
 
     keys = {
-        i: signing_mod.KeyShare(
-            backend=backend, id=i, t=t,
-            sk_share=shares[i], group_pk=group_pk, pk_shares=pk_shares,
-        )
+        i: signing_mod.KeyShare(id=i, t=t, sk_share=shares[i], group_pk=group_pk,
+                                pk_shares=pk_shares)
         for i in coalition
     }
     sig = signing_mod.run_session(keys, args.message.encode("utf-8"), _rng(args.seed))

@@ -62,27 +62,21 @@ def make_crs(domain_id: str, epoch: int = 0) -> bytes:
     return hash_bytes("trustmesh/crs", [domain_id.encode("utf-8"), epoch.to_bytes(8, "big")])[:32]
 
 
-def _pok_challenge(
-    backend: GroupBackend, sender: int, crs: bytes, public_secret: GroupElement, nonce_commitment: GroupElement
-) -> Scalar:
-    return hash_to_scalar(
-        backend, "H", [id_bytes(sender), crs, public_secret.encode(), nonce_commitment.encode()]
-    )
+def _pok_challenge(sender: int, crs: bytes, public_secret: GroupElement, R: GroupElement) -> Scalar:
+    parts = [id_bytes(sender), crs, public_secret.encode(), R.encode()]
+    return hash_to_scalar(public_secret.backend, "H", parts)
 
 
-def pok_prove(
-    backend: GroupBackend, sender: int, crs: bytes, secret: Scalar, public_secret: GroupElement, rng
-) -> Signature:
+def pok_prove(sender: int, crs: bytes, secret: Scalar, public_secret: GroupElement, rng) -> Signature:
     """Prove ``secret`` (public value secret*G) by the signature (k*G, k + secret*c)."""
+    backend = public_secret.backend
     k = backend.random_scalar(rng)
     R = k * backend.generator()
-    return Signature(R, k + secret * _pok_challenge(backend, sender, crs, public_secret, R))
+    return Signature(R, k + secret * _pok_challenge(sender, crs, public_secret, R))
 
 
-def pok_verify(
-    backend: GroupBackend, sender: int, crs: bytes, public_secret: GroupElement, proof: Signature
-) -> bool:
-    challenge = _pok_challenge(backend, sender, crs, public_secret, proof.R)
+def pok_verify(sender: int, crs: bytes, public_secret: GroupElement, proof: Signature) -> bool:
+    challenge = _pok_challenge(sender, crs, public_secret, proof.R)
     return schnorr_holds(proof, challenge, public_secret)
 
 
@@ -118,7 +112,6 @@ class Participant:
     own_polynomial: Optional[Polynomial] = None
     received_broadcasts: dict[int, Round1Broadcast] = field(default_factory=dict)
     pending_shares: dict[int, Scalar] = field(default_factory=dict)
-    self_share: Optional[Scalar] = None
     sk_share: Optional[Scalar] = None
     pk_share: Optional[GroupElement] = None
     group_pk: Optional[GroupElement] = None
@@ -156,18 +149,15 @@ def dkg_round1(state: Participant, rng) -> Round1Broadcast:
     secret = state.backend.random_scalar(rng)
     state.own_polynomial = random_polynomial(secret, state.t - 1, rng)
     commitment = commit_polynomial(state.backend, state.own_polynomial)
-    proof = pok_prove(state.backend, state.id, state.crs, secret, commitment.entries[0], rng)
+    proof = pok_prove(state.id, state.crs, secret, commitment.entries[0], rng)
     broadcast = Round1Broadcast(state.id, commitment, proof)
     state.received_broadcasts[state.id] = broadcast
-    state.self_share = state.own_polynomial.evaluate(state.id)
     state.phase = Phase.ROUND1_DONE
     state._record(1, broadcast.to_bytes(state.backend))
     return broadcast
 
 
-def dkg_verify_round1(
-    broadcasts: Mapping[int, Round1Broadcast], crs: bytes, backend: GroupBackend, t: int
-) -> list[int]:
+def dkg_verify_round1(broadcasts: Mapping[int, Round1Broadcast], crs: bytes, t: int) -> list[int]:
     """Verify every broadcast's proof; return the (possibly empty) faulty set."""
     faulty = []
     for sender, bc in broadcasts.items():
@@ -177,7 +167,7 @@ def dkg_verify_round1(
         if len(bc.commitment) != t:
             faulty.append(sender)
             continue
-        if not pok_verify(backend, sender, crs, bc.commitment.entries[0], bc.proof):
+        if not pok_verify(sender, crs, bc.commitment.entries[0], bc.proof):
             faulty.append(sender)
     return sorted(faulty)
 
@@ -191,13 +181,13 @@ def dkg_accept_round1(state: Participant, broadcasts: Mapping[int, Round1Broadca
     if missing:
         state._abort("missing round-1 broadcasts from ", missing)
     peers = {sender: bc for sender, bc in state.received_broadcasts.items() if sender != state.id}
-    faulty = dkg_verify_round1(peers, state.crs, state.backend, state.t)
+    faulty = dkg_verify_round1(peers, state.crs, state.t)
     if faulty:
         state._abort("invalid proof of knowledge from ", faulty)
 
 
 def dkg_round2_send(state: Participant) -> list[tuple[int, Scalar]]:
-    """Evaluate the own polynomial for every peer; the self share is retained."""
+    """Evaluate the own polynomial for every peer."""
     state._require_phase(Phase.ROUND1_DONE, "send round 2 shares")
     return [
         (peer, state.own_polynomial.evaluate(peer))
@@ -259,7 +249,7 @@ def dkg_round2_finalize(state: Participant, shares: Mapping[int, Scalar]) -> Non
     if faulty:
         state._abort("share verification failed for ", faulty)
 
-    all_shares = {**pending, state.id: state.self_share}
+    all_shares = {**pending, state.id: state.own_polynomial.evaluate(state.id)}
     sk = backend.scalar(sum(v.value for v in all_shares.values()))
     state.sk_share = sk
 

@@ -36,18 +36,10 @@ class SharePacket:
 
     @classmethod
     def from_bytes(cls, data: bytes, backend: GroupBackend) -> "SharePacket":
-        sb = backend.scalar_bytes
-        if len(data) == 4 + sb:
-            blinding = None
-        elif len(data) == 4 + 2 * sb:
-            blinding = backend.decode_scalar(data[4 + sb:])
-        else:
-            raise ValueError(f"share packet must be {4 + sb} or {4 + 2 * sb} bytes")
-        return cls(
-            id=int.from_bytes(data[:4], "big"),
-            value=backend.decode_scalar(data[4:4 + sb]),
-            blinding=blinding,
-        )
+        """Decode id || value; a blinded share is encoded but never decoded."""
+        if len(data) != 4 + backend.scalar_bytes:
+            raise ValueError(f"share packet must be {4 + backend.scalar_bytes} bytes")
+        return cls(int.from_bytes(data[:4], "big"), backend.decode_scalar(data[4:]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,8 +40,8 @@ class Signature:
         return cls(backend.decode_element(data[:eb]), backend.decode_scalar(data[eb:]))
 
 
-def challenge_scalar(backend: GroupBackend, R: GroupElement, pk: GroupElement, message: bytes) -> Scalar:
-    return hash_to_scalar(backend, "H2", [R.encode(), pk.encode(), message])
+def challenge_scalar(R: GroupElement, pk: GroupElement, message: bytes) -> Scalar:
+    return hash_to_scalar(pk.backend, "H2", [R.encode(), pk.encode(), message])
 
 
 def schnorr_holds(sig: Signature, challenge: Scalar, pk: GroupElement) -> bool:
@@ -51,14 +51,14 @@ def schnorr_holds(sig: Signature, challenge: Scalar, pk: GroupElement) -> bool:
 
 def verify(pk: GroupElement, message: bytes, sig: Signature) -> bool:
     """Accept iff z*G = R + H2(R || pk || m)*pk."""
-    return schnorr_holds(sig, challenge_scalar(pk.backend, sig.R, pk, message), pk)
+    return schnorr_holds(sig, challenge_scalar(sig.R, pk, message), pk)
 
 
 def sign_with_nonce(sk: Scalar, message: bytes, nonce: Scalar, backend: GroupBackend) -> Signature:
     """Schnorr signature with a caller-supplied nonce (single-party path)."""
     g = backend.generator()
     R = nonce * g
-    c = challenge_scalar(backend, R, sk * g, message)
+    c = challenge_scalar(R, sk * g, message)
     return Signature(R, nonce + sk * c)
 
 
@@ -78,7 +78,6 @@ def single_party_sign(sk: Scalar, message: bytes, rng, backend: GroupBackend) ->
 class KeyShare:
     """A participant's slice of a thresholded key, as produced by the DKG."""
 
-    backend: GroupBackend
     id: int
     t: int
     sk_share: Scalar
@@ -90,7 +89,6 @@ class KeyShare:
         if participant.sk_share is None:
             raise ValueError("participant has not finished key generation")
         return cls(
-            backend=participant.backend,
             id=participant.id,
             t=participant.t,
             sk_share=participant.sk_share,
@@ -161,16 +159,17 @@ class SigningPackage:
     @cached_property
     def betas(self) -> dict[int, Scalar]:
         """The session's binding values, derived once, on first use."""
-        return binding_values(self.commitments[0][1].backend, self)
+        return binding_values(self)
 
     @cached_property
     def R(self) -> GroupElement:
         """The session's group commitment, derived once, on first use."""
-        return bound_commitments(self.commitments[0][1].backend, self, self.betas)
+        return bound_commitments(self, self.betas)
 
 
-def binding_values(backend: GroupBackend, package: SigningPackage) -> dict[int, Scalar]:
+def binding_values(package: SigningPackage) -> dict[int, Scalar]:
     """Per-signer binding value tying the response to message and commitments."""
+    backend = package.commitments[0][1].backend
     pairs_bytes = package.commitment_bytes()
     return {
         member: hash_to_scalar(backend, "H1", [id_bytes(member), package.message, pairs_bytes])
@@ -178,14 +177,13 @@ def binding_values(backend: GroupBackend, package: SigningPackage) -> dict[int, 
     }
 
 
-def bound_commitments(
-    backend: GroupBackend, package: SigningPackage, betas: Mapping[int, Scalar]
-) -> GroupElement:
+def bound_commitments(package: SigningPackage, betas: Mapping[int, Scalar]) -> GroupElement:
     """Group commitment R = sum(A_i) + sum(beta_i*B_i) under binding values ``betas``.
 
     The beta_i*B_i terms share one multi-scalar mul.
     """
     commitments = package.commitments
+    backend = commitments[0][1].backend
     return backend.element_sum(a for _, a, _ in commitments) + backend.multi_mul(
         [betas[member] for member, _, _ in commitments], [b for _, _, b in commitments]
     )
@@ -205,7 +203,7 @@ class Signer:
 
     def round1(self, rng) -> NonceCommitmentList:
         """Draw a single-use nonce pair, replacing any unused one; publish its commitments."""
-        backend = self.key.backend
+        backend = self.key.group_pk.backend
         a = backend.random_nonzero_scalar(rng)
         b = backend.random_nonzero_scalar(rng)
         g = backend.generator()
@@ -225,8 +223,8 @@ class Signer:
         if nonce is None or nonce.pair != package.pair(key.id):
             raise NonceReuseError("package names a used, replaced or unknown nonce pair; "
                                   "reuse would leak the key share")
-        c = challenge_scalar(key.backend, package.R, key.group_pk, package.message)
-        lam = lagrange_coefficient(key.id, package.coalition, key.backend.scalar(0))
+        c = challenge_scalar(package.R, key.group_pk, package.message)
+        lam = lagrange_coefficient(key.id, package.coalition, key.group_pk.backend.scalar(0))
         z = nonce.a + nonce.b * package.betas[key.id] + lam * key.sk_share * c
         nonce.scrub()
         self._nonce = None
@@ -262,12 +260,11 @@ class PartialVerifier:
         pk_shares: Mapping[int, GroupElement],
         group_pk: GroupElement,
     ):
-        backend = group_pk.backend
-        self.backend = backend
+        self.backend = group_pk.backend
         self.package = package
         self.pk_shares = pk_shares
         self.group_pk = group_pk
-        self.challenge = challenge_scalar(backend, package.R, group_pk, package.message)
+        self.challenge = challenge_scalar(package.R, group_pk, package.message)
         self.accepted: dict[int, Scalar] = {}
 
     def verify(self, partials: Mapping[int, Scalar]) -> list[int]:

@@ -76,8 +76,8 @@ class AdversarySpec:
             raise ConfigError(f"adversaries: unknown behavior {self.behavior!r}")
         if not 1 <= self.node <= nodes:
             raise ConfigError(f"adversaries: node {self.node} outside 1..{nodes}")
-        if self.behavior == "crash" and self.at_tick is None:
-            raise ConfigError("adversaries: crash needs at_tick")
+        if (self.behavior == "crash") != (self.at_tick is not None):
+            raise ConfigError("adversaries: crash needs at_tick, and no other behavior reads it")
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,16 @@ class DomainSpec:
         if self.protocol == "dkg_sign" and self.threshold < 2:
             raise ConfigError(f"{prefix}.threshold: key generation needs t >= 2")
         if self.coalition is not None:
+            if self.protocol != "dkg_sign":
+                raise ConfigError(f"{prefix}.coalition: only dkg_sign reads a coalition")
             bad = set(self.coalition) - set(self.members)
             if bad:
                 raise ConfigError(f"{prefix}.coalition: {sorted(bad)} not members")
             if len(self.coalition) < self.threshold:
                 raise ConfigError(f"{prefix}.coalition: smaller than the threshold")
         if self.deliver_to is not None:
+            if self.protocol != "avss":
+                raise ConfigError(f"{prefix}.deliver_to: only avss reads deliver_to")
             bad = set(self.deliver_to) - set(self.members)
             if bad:
                 raise ConfigError(f"{prefix}.deliver_to: {sorted(bad)} not members")
@@ -719,7 +723,7 @@ class AvssEngine(_DomainEngine):
         secret = self.backend.scalar(self.spec.secret)
         t = self.spec.threshold
         commitment, deals = avss_mod.avss_deal(secret, t, len(self.members), rng, self.backend)
-        self.nodes = {local: avss_mod.NodeRecovery(local, commitment, t) for local in self.globl}
+        self.nodes = {local: avss_mod.NodeRecovery(local, commitment) for local in self.globl}
         targets = self.members if self.spec.deliver_to is None else self.spec.deliver_to
         for deal in deals:
             recipient = self.globl[deal.recipient]

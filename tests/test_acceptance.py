@@ -175,12 +175,12 @@ def test_toy_group_oracle_equivalence(toy):
         package, partials = toy_session(keys, signers, (1, 3), b"oracle", seed=77)
         verifier = PartialVerifier(package, keys[1].pk_shares, keys[1].group_pk)
         c = verifier.challenge.value
-        betas = binding_values(toy, package)
+        betas = binding_values(package)
         per_signer = {}
         for member in (1, 3):
             a, b = package.pair(member)
             per_signer[member] = a.rep * pow(b.rep, betas[member].value, TOY_P) % TOY_P
-        R = bound_commitments(toy, package, betas)
+        R = bound_commitments(package, betas)
         if R.rep != per_signer[1] * per_signer[3] % TOY_P:
             mismatches += 1
         for member in (1, 3):
@@ -292,13 +292,13 @@ def test_avss_criterion(toy, ed25519):
             )
             for deal in deals:
                 assert avss_verify_share(
-                    commitment, deal.recipient, deal.share(), deal.share_blinding()
+                    commitment, deal.recipient, deal.share(), deal.a_prime.evaluate(0)
                 )
 
         # exhaustive tamper rejection on the toy backend
         commitment, deals = avss_deal(toy.scalar(5), 2, 4, SeededRng("avss-ex"), toy)
         for deal in deals:
-            sigma, sigma_p = deal.share(), deal.share_blinding()
+            sigma, sigma_p = deal.share(), deal.a_prime.evaluate(0)
             for forged in range(TOY_Q):
                 if forged != sigma.value:
                     assert not avss_verify_share(
@@ -313,7 +313,7 @@ def test_avss_criterion(toy, ed25519):
         t, n = 3, 5
         commitment, all_deals = avss_deal(toy.scalar(5), t, n, SeededRng("avss-crash"), toy)
         held = {d.recipient: d for d in all_deals if d.recipient <= t}
-        results = avss_exchange_and_interpolate(commitment, held, t, n)
+        results = avss_exchange_and_interpolate(commitment, held, n)
         assert all(results[j].complete for j in range(1, n + 1))
 
         # the simulator variant of the same scenario

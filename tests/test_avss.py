@@ -94,7 +94,7 @@ class TestDeal:
         assert all(d.share() == secret for d in deals)
         # the single entry opens to secret*G + r*H for some committed r
         for d in deals:
-            assert commitment.entries[0][0] == secret * g + d.share_blinding() * h
+            assert commitment.entries[0][0] == secret * g + d.a_prime.evaluate(0) * h
 
     def test_deal_cross_consistency(self, toy, rng):
         _, deals = avss_deal(toy.scalar(4), 2, 4, rng, toy)
@@ -118,13 +118,13 @@ class TestVerifyShare:
         commitment, deals = avss_deal(backend.scalar(5), 3, 5, rng, backend)
         for deal in deals:
             assert avss_verify_share(
-                commitment, deal.recipient, deal.share(), deal.share_blinding()
+                commitment, deal.recipient, deal.share(), deal.a_prime.evaluate(0)
             )
 
     def test_tampered_sigma_rejected(self, backend, rng):
         commitment, deals = avss_deal(backend.scalar(5), 3, 5, rng, backend)
         d = deals[0]
-        assert not avss_verify_share(commitment, 1, d.share() + 1, d.share_blinding())
+        assert not avss_verify_share(commitment, 1, d.share() + 1, d.a_prime.evaluate(0))
 
     def test_exhaustive_toy_coset_structure(self, toy, rng):
         # for t=2 the accepting (sigma, sigma') pairs form a coset of size q:
@@ -173,7 +173,7 @@ class TestExchange:
 
     def test_honest_exchange_reproduces_dealt_polynomials(self, toy, rng):
         commitment, held, all_deals = self._dealt(toy, 2, 4, rng, deliver_to={1, 2, 3})
-        results = avss_exchange_and_interpolate(commitment, held, 2, 4)
+        results = avss_exchange_and_interpolate(commitment, held, 4)
         assert all(r.complete for r in results.values())
         recovered = results[4].deal
         assert recovered.a.coefficients == all_deals[4].a.coefficients
@@ -193,24 +193,24 @@ class TestExchange:
             ]
 
         monkeypatch.setattr(avss_mod, "exchange_messages", corrupting)
-        results = avss_exchange_and_interpolate(commitment, held, 2, 4)
+        results = avss_exchange_and_interpolate(commitment, held, 4)
         assert results[4].complete
         assert results[4].flagged == {2}
         assert results[4].deal.a.coefficients == all_deals[4].a.coefficients
 
     def test_dealer_crash_after_t_deliveries(self, toy, rng):
         commitment, held, _ = self._dealt(toy, 2, 5, rng, deliver_to={1, 2})
-        results = avss_exchange_and_interpolate(commitment, held, 2, 5)
+        results = avss_exchange_and_interpolate(commitment, held, 5)
         assert all(results[j].complete for j in range(1, 6))
 
     def test_dealer_crash_after_t_plus_one_deliveries(self, toy, rng):
         commitment, held, _ = self._dealt(toy, 2, 4, rng, deliver_to={1, 2, 3})
-        results = avss_exchange_and_interpolate(commitment, held, 2, 4)
+        results = avss_exchange_and_interpolate(commitment, held, 4)
         assert all(results[j].complete for j in range(1, 5))
 
     def test_too_few_points_stays_incomplete(self, toy, rng):
         commitment, held, _ = self._dealt(toy, 3, 5, rng, deliver_to={1, 2})
-        results = avss_exchange_and_interpolate(commitment, held, 3, 5)
+        results = avss_exchange_and_interpolate(commitment, held, 5)
         assert not results[4].complete
         with pytest.raises(ValueError):
             results[4].share()
@@ -307,7 +307,7 @@ class TestNodeRecovery:
 
     def test_duplicate_sender_is_ignored(self, dealt):
         commitment, deals = dealt
-        node = NodeRecovery(5, commitment, self.T)
+        node = NodeRecovery(5, commitment)
         steps = [node.receive(self.point(deals, s, 5)) for s in (1, 1, 2, 2)]
         assert steps == [False] * 4 and not node.complete
         assert node.receive(self.point(deals, 3, 5))
@@ -315,7 +315,7 @@ class TestNodeRecovery:
 
     def test_invalid_point_flags_sender_even_after_completion(self, dealt):
         commitment, deals = dealt
-        node = NodeRecovery(5, commitment, self.T)
+        node = NodeRecovery(5, commitment)
         assert not node.receive(self.forged(self.point(deals, 4, 5)))
         assert node.flagged == {4}
         for s in (1, 2, 3):
@@ -330,7 +330,7 @@ class TestNodeRecovery:
         honest = deals[4]
         a = Polynomial((honest.a.coefficients[0] + 1,) + honest.a.coefficients[1:])
         bad = AvssDeal(4, commitment, a, honest.a_prime, honest.b, honest.b_prime)
-        node = NodeRecovery(4, commitment, self.T)
+        node = NodeRecovery(4, commitment)
         assert not node.accept_deal(bad)
         assert not node.complete
         assert [node.receive(self.point(deals, s, 4)) for s in (1, 2, 5)] == [False, False, True]
@@ -341,7 +341,7 @@ class TestNodeRecovery:
         # two valid points meant for node 3 would rebuild node 3's deal at node 5
         commitment, deals = avss_deal(backend.scalar(5), 2, 5, rng, backend)
         deals = {d.recipient: d for d in deals}
-        node = NodeRecovery(5, commitment, 2)
+        node = NodeRecovery(5, commitment)
         misrouted = [self.point(deals, s, 3) for s in (1, 2)]
         assert all(exchange_message_valid(commitment, m) for m in misrouted)
         assert [node.receive(m) for m in misrouted] == [False, False]
@@ -351,7 +351,7 @@ class TestNodeRecovery:
 
     def test_first_t_distinct_valid_senders_rebuild_the_deal(self, dealt):
         commitment, deals = dealt
-        node = NodeRecovery(5, commitment, self.T)
+        node = NodeRecovery(5, commitment)
         node.receive(self.forged(self.point(deals, 1, 5)))
         for s in (2, 2, 3, 4):
             node.receive(self.point(deals, s, 5))
@@ -376,17 +376,17 @@ class TestDealAcceptance:
         honest = deals[0]
         coeffs = getattr(honest, name).coefficients
         bad = replace(honest, **{name: Polynomial((coeffs[0], coeffs[1] + 1))})
-        assert (bad.share(), bad.share_blinding()) == (honest.share(), honest.share_blinding())
-        assert not NodeRecovery(1, commitment, 2).accept_deal(bad)
+        assert (bad.share(), bad.a_prime.evaluate(0)) == (honest.share(), honest.a_prime.evaluate(0))
+        assert not NodeRecovery(1, commitment).accept_deal(bad)
         held = {d.recipient: d for d in deals}
         held[1] = bad
-        results = avss_exchange_and_interpolate(commitment, held, 2, 4)
+        results = avss_exchange_and_interpolate(commitment, held, 4)
         assert all(r.flagged == set() for r in results.values())
         assert results[1].share() == honest.share()
 
     def test_wrong_recipient_or_size_rejected_without_raising(self, toy, rng):
         commitment, deals = avss_deal(toy.scalar(5), 2, 4, rng, toy)
-        node = NodeRecovery(1, commitment, 2)
+        node = NodeRecovery(1, commitment)
         mine = deals[0]
         short = Polynomial(mine.a.coefficients[:1])
         padded = Polynomial(mine.b.coefficients + (toy.scalar(0),))
@@ -399,7 +399,7 @@ class TestDealAcceptance:
 
     def test_accepted_deal_is_kept_as_is(self, backend, rng):
         commitment, deals = avss_deal(backend.scalar(5), 3, 4, rng, backend)
-        node = NodeRecovery(2, commitment, 3)
+        node = NodeRecovery(2, commitment)
         assert node.accept_deal(deals[1])
         assert node.deal is deals[1] and node.complete
         assert node.share() == deals[1].share()
@@ -407,11 +407,11 @@ class TestDealAcceptance:
     def test_rebuilt_deal_holds_the_dealers_polynomials(self, backend):
         rng = SeededRng(f"rebuilt-{backend.name}")
         commitment, deals = avss_deal(backend.scalar(5), 3, 5, rng, backend)
-        node = NodeRecovery(5, commitment, 3)
+        node = NodeRecovery(5, commitment)
         for sender in (1, 2, 3):
             node.receive(exchange_messages(deals[sender - 1], [5])[0])
         rebuilt = node.deal
         assert rebuilt.recipient == 5 and rebuilt.commitment == commitment
         for name in self.POLYS:
             assert getattr(rebuilt, name).coefficients == getattr(deals[4], name).coefficients
-        assert NodeRecovery(5, commitment, 3).accept_deal(rebuilt)
+        assert NodeRecovery(5, commitment).accept_deal(rebuilt)

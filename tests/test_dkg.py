@@ -48,8 +48,8 @@ class TestProofOfKnowledge:
     def test_honest_proof_verifies(self, backend, rng):
         crs = make_crs("pok")
         secret = backend.random_scalar(rng)
-        proof = pok_prove(backend, 1, crs, secret, secret * backend.generator(), rng)
-        assert pok_verify(backend, 1, crs, secret * backend.generator(), proof)
+        proof = pok_prove(1, crs, secret, secret * backend.generator(), rng)
+        assert pok_verify(1, crs, secret * backend.generator(), proof)
 
     def test_exhaustive_candidate_scan_matches_oracle(self, toy):
         # check implementation accept/reject against plain-int arithmetic for
@@ -57,7 +57,7 @@ class TestProofOfKnowledge:
         rng = SeededRng("pok-scan")
         crs = make_crs("pok-scan")
         secret = toy.scalar(4)
-        proof = pok_prove(toy, 2, crs, secret, secret * toy.generator(), rng)
+        proof = pok_prove(2, crs, secret, secret * toy.generator(), rng)
         r_rep = proof.R.rep
         for candidate_dlog in range(TOY_Q):
             candidate = toy.scalar(candidate_dlog) * toy.generator()
@@ -67,19 +67,19 @@ class TestProofOfKnowledge:
             # oracle: g^response == R * candidate^challenge  (mod 23)
             lhs = pow(TOY_G, proof.z.value, TOY_P)
             rhs = r_rep * pow(candidate.rep, challenge.value, TOY_P) % TOY_P
-            assert pok_verify(toy, 2, crs, candidate, proof) == (lhs == rhs)
-        assert pok_verify(toy, 2, crs, secret * toy.generator(), proof)
+            assert pok_verify(2, crs, candidate, proof) == (lhs == rhs)
+        assert pok_verify(2, crs, secret * toy.generator(), proof)
 
     def test_crs_binding(self, backend, rng):
         secret = backend.random_scalar(rng)
-        proof = pok_prove(backend, 1, make_crs("ctx-a"), secret, secret * backend.generator(), rng)
-        assert not pok_verify(backend, 1, make_crs("ctx-b"), secret * backend.generator(), proof)
+        proof = pok_prove(1, make_crs("ctx-a"), secret, secret * backend.generator(), rng)
+        assert not pok_verify(1, make_crs("ctx-b"), secret * backend.generator(), proof)
 
     def test_sender_binding(self, backend, rng):
         secret = backend.random_scalar(rng)
         crs = make_crs("sender")
-        proof = pok_prove(backend, 1, crs, secret, secret * backend.generator(), rng)
-        assert not pok_verify(backend, 2, crs, secret * backend.generator(), proof)
+        proof = pok_prove(1, crs, secret, secret * backend.generator(), rng)
+        assert not pok_verify(2, crs, secret * backend.generator(), proof)
 
     def test_round1_proof_is_a_signature_on_the_wire(self, backend, rng):
         p = fresh(backend)[1]
@@ -89,16 +89,16 @@ class TestProofOfKnowledge:
         assert bc.to_bytes(backend).endswith(data)
         decoded = Signature.from_bytes(data, backend)
         assert decoded == bc.proof
-        assert pok_verify(backend, 2, p.crs, public, decoded)
-        assert not pok_verify(backend, 2, p.crs, public, Signature(decoded.R, decoded.z + 1))
-        assert not pok_verify(backend, 3, p.crs, public, decoded)
+        assert pok_verify(2, p.crs, public, decoded)
+        assert not pok_verify(2, p.crs, public, Signature(decoded.R, decoded.z + 1))
+        assert not pok_verify(3, p.crs, public, decoded)
 
 
 class TestRound1:
     def test_broadcast_verifies(self, backend, rng):
         p = fresh(backend)[0]
         bc = dkg_round1(p, rng)
-        assert dkg_verify_round1({1: bc}, p.crs, backend, p.t) == []
+        assert dkg_verify_round1({1: bc}, p.crs, p.t) == []
 
     def test_same_seed_identical_bytes(self, backend):
         crs = make_crs("det")
@@ -128,7 +128,7 @@ class TestRound1:
             bad.sender, bad.commitment,
             Signature(bad.proof.R, bad.proof.z + 1),
         )
-        assert dkg_verify_round1(bcs, parts[0].crs, backend, 2) == [3]
+        assert dkg_verify_round1(bcs, parts[0].crs, 2) == [3]
         with pytest.raises(ProtocolAbort) as exc:
             dkg_accept_round1(parts[0], {i: bc for i, bc in bcs.items() if i != 1})
         assert exc.value.faulty_ids == (3,)
@@ -159,7 +159,7 @@ class TestRound1:
         crs_a, crs_b = make_crs("a"), make_crs("b")
         p_a = Participant(1, 2, 4, crs_a, backend)
         bc = dkg_round1(p_a, rng)
-        assert dkg_verify_round1({1: bc}, crs_b, backend, 2) == [1]
+        assert dkg_verify_round1({1: bc}, crs_b, 2) == [1]
 
     def test_missing_broadcast_aborts_with_missing_ids(self, backend, rng):
         parts = fresh(backend)
@@ -726,7 +726,7 @@ class TestNoSelfChecks:
         bcs = {p.id: dkg_round1(p, rng.fork(str(p.id))) for p in parts}
         checked = counting(monkeypatch, "pok_verify")
         dkg_accept_round1(parts[1], bcs)
-        assert sorted(args[1] for args in checked) == [1, 3, 4]
+        assert sorted(args[0] for args in checked) == [1, 3, 4]
         assert parts[1].received_broadcasts[2] is bcs[2]
         assert set(parts[1].received_broadcasts) == {1, 2, 3, 4}
 
@@ -736,8 +736,8 @@ class TestNoSelfChecks:
         evaluated = evaluations(monkeypatch)
         dkg_round2_finalize(receiver, inbound_for(receiver, outbound))
         assert checked_dealers(receiver, evaluated) == [1, 2, 3]
-        assert receiver.sk_share == sum(
-            (v for v in inbound_for(receiver, outbound).values()), receiver.self_share)
+        own = receiver.own_polynomial.evaluate(receiver.id)
+        assert receiver.sk_share == sum((v for v in inbound_for(receiver, outbound).values()), own)
 
 
 class TestVerificationShares:

@@ -142,7 +142,7 @@ class TestTermination:
         for node in nodes.values():
             observe_broadcast(node, full)
             assert node.finalized is not None
-            signatures.add(node.finalized.to_bytes(keys[1].backend))
+            signatures.add(node.finalized.to_bytes(keys[1].group_pk.backend))
         assert len(signatures) == 1
         sig = nodes[1].finalized
         assert verify(keys[1].group_pk, b"gossip", sig)
@@ -161,7 +161,7 @@ class TestTermination:
             node = make_node(keys, package, 2)
             observe_broadcast(node, first)
             observe_broadcast(node, second)
-            signatures.add(node.finalized.to_bytes(keys[1].backend))
+            signatures.add(node.finalized.to_bytes(keys[1].group_pk.backend))
         assert len(signatures) == 1
         assert verify(keys[1].group_pk, b"gossip", node.finalized)
 

@@ -795,7 +795,7 @@ class TestWireDecoders:
             "decode_scalar": (backend.decode_scalar, backend.encode_scalar, k),
             "decode_element": (backend.decode_element, GroupElement.encode, points[0]),
             "SharePacket": (lambda data: SharePacket.from_bytes(data, backend),
-                            lambda packet: packet.to_bytes(backend), SharePacket(3, k, k + 1)),
+                            lambda packet: packet.to_bytes(backend), SharePacket(3, k)),
             "CommitmentVector": (lambda data: CommitmentVector.from_bytes(data, backend),
                                  CommitmentVector.to_bytes, CommitmentVector(points)),
             "Signature": (lambda data: Signature.from_bytes(data, backend),

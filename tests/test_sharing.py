@@ -248,10 +248,12 @@ class TestPedersen:
 class TestSerialization:
     def test_share_packet_round_trip(self, backend):
         rng = SeededRng(f"wire-{backend.name}")
-        for blinding in (None, backend.random_scalar(rng)):
-            packet = SharePacket(7, backend.random_scalar(rng), blinding)
-            data = packet.to_bytes(backend)
-            assert SharePacket.from_bytes(data, backend) == packet
+        packet = SharePacket(7, backend.random_scalar(rng))
+        assert SharePacket.from_bytes(packet.to_bytes(backend), backend) == packet
+        # the Pedersen layout, id || value || blinding, is written but never decoded
+        blinded = SharePacket(7, backend.random_scalar(rng), backend.random_scalar(rng))
+        with pytest.raises(ValueError, match=f"share packet must be {4 + backend.scalar_bytes} bytes"):
+            SharePacket.from_bytes(blinded.to_bytes(backend), backend)
 
     def test_wire_layout_id_prefix(self, backend):
         packet = SharePacket(1, backend.scalar(3))

@@ -65,7 +65,7 @@ class TestSingleParty:
         msg = b"oracle"
         sig = sign_with_nonce(sk, msg, r, toy)
         pk = sk * toy.generator()
-        c = challenge_scalar(toy, sig.R, pk, msg)
+        c = challenge_scalar(sig.R, pk, msg)
         lhs = pow(TOY_G, sig.z.value, TOY_P)
         rhs = sig.R.rep * pow(pk.rep, c.value, TOY_P) % TOY_P
         assert lhs == rhs
@@ -115,14 +115,14 @@ class TestRound2:
         rng = SeededRng(9)
         lists = {i: signers[i].round1(rng.fork(str(i))) for i in coalition}
         package = SigningPackage.build(b"m", {i: lists[i].pair for i in coalition})
-        R = bound_commitments(toy, package, binding_values(toy, package))
-        c = challenge_scalar(toy, R, keys[1].group_pk, b"m")
+        R = bound_commitments(package, binding_values(package))
+        c = challenge_scalar(R, keys[1].group_pk, b"m")
         # every participant recomputes the identical group commitment and
         # challenge from the shared package
         for _ in coalition:
-            R2 = bound_commitments(toy, package, binding_values(toy, package))
+            R2 = bound_commitments(package, binding_values(package))
             assert R2 == R
-            assert challenge_scalar(toy, R2, keys[1].group_pk, b"m") == c
+            assert challenge_scalar(R2, keys[1].group_pk, b"m") == c
 
     @pytest.mark.parametrize("size_offset", [0, 1])
     def test_coalitions_of_size_t_and_t_plus_one(self, toy, size_offset):
@@ -272,9 +272,9 @@ class TestEd25519SessionEquivalence:
         seen_R = []
         challenge = signing_mod.challenge_scalar
 
-        def recording_challenge(backend, R, pk, message):
+        def recording_challenge(R, pk, message):
             seen_R.append(R)
-            return challenge(backend, R, pk, message)
+            return challenge(R, pk, message)
 
         monkeypatch.setattr(signing_mod, "challenge_scalar", recording_challenge)
         zero = ed25519.scalar(0)
@@ -283,8 +283,8 @@ class TestEd25519SessionEquivalence:
             seen_R.clear()
             package, partials, sig = run_session(ed25519, keys, signers, coalition, b"eq", seed)
             verifier = PartialVerifier(package, keys[1].pk_shares, keys[1].group_pk)
-            betas = binding_values(ed25519, package)
-            R = bound_commitments(ed25519, package, betas)
+            betas = binding_values(package)
+            R = bound_commitments(package, betas)
             per_signer = {}
             for m in coalition:
                 a, b = package.pair(m)
@@ -343,9 +343,9 @@ class TestBinding:
         second = {i: signers[i].round1(streams[i]) for i in (1, 2)}
         pkg1 = SigningPackage.build(b"m", {i: first[i].pair for i in (1, 2)})
         pkg2 = SigningPackage.build(b"m", {i: second[i].pair for i in (1, 2)})
-        assert binding_values(toy, pkg1) != binding_values(toy, pkg2) or (
-            bound_commitments(toy, pkg1, binding_values(toy, pkg1))
-            != bound_commitments(toy, pkg2, binding_values(toy, pkg2))
+        assert binding_values(pkg1) != binding_values(pkg2) or (
+            bound_commitments(pkg1, binding_values(pkg1))
+            != bound_commitments(pkg2, binding_values(pkg2))
         )
 
     def test_package_requires_valid_points(self, toy):
@@ -365,7 +365,7 @@ class TestSinglePartyEquivalence:
         rng = SeededRng(14)
         sk = backend.random_scalar(rng)
         key = KeyShare(
-            backend=backend, id=1, t=1,
+            id=1, t=1,
             sk_share=sk,
             group_pk=sk * backend.generator(),
             pk_shares={1: sk * backend.generator()},
@@ -373,7 +373,7 @@ class TestSinglePartyEquivalence:
         signer = Signer(key)
         nl = signer.round1(rng)
         package = SigningPackage.build(b"solo", {1: nl.pair})
-        beta = binding_values(backend, package)[1]
+        beta = binding_values(package)[1]
         nonce_entry = signer._nonce
         effective = nonce_entry.a + nonce_entry.b * beta
         z = signer.round2_partial(package)
@@ -396,7 +396,7 @@ class TestSchnorrEquation:
         sk = backend.random_scalar(rng)
         pk = sk * backend.generator()
         sig = single_party_sign(sk, b"eq", rng, backend)
-        c = challenge_scalar(backend, sig.R, pk, b"eq")
+        c = challenge_scalar(sig.R, pk, b"eq")
         assert schnorr_holds(sig, c, pk) and verify(pk, b"eq", sig)
         assert not schnorr_holds(sig, c + 1, pk)
 
@@ -719,8 +719,8 @@ class TestBatchedPartialCheck:
         keys, package, partials = session
         pk_shares, group_pk = keys[5].pk_shares, keys[5].group_pk
         g, zero, q = backend.generator(), backend.scalar(0), backend.order
-        betas = binding_values(backend, package)
-        c = challenge_scalar(backend, bound_commitments(backend, package, betas), group_pk, b"batch")
+        betas = binding_values(package)
+        c = challenge_scalar(bound_commitments(package, betas), group_pk, b"batch")
 
         def oracle_accepts(m, z):
             if m not in package.coalition:

@@ -684,9 +684,9 @@ class TestVerifierBuilds:
         derived = []
         bound_commitments = signing_mod.bound_commitments
 
-        def counting(backend_, package, betas):
+        def counting(package, betas):
             derived.append(package)
-            return bound_commitments(backend_, package, betas)
+            return bound_commitments(package, betas)
         monkeypatch.setattr(signing_mod, "bound_commitments", counting)
         config = SimConfig(
             seed=7, nodes=5, backend=backend,
@@ -779,6 +779,11 @@ class TestScenarioShapes:
         ({"domains": []}, "domains"),
         ({"domains": [{"id": "d", "members": [1, 2], "threshold": 2},
                       {"id": "d", "members": [2, 3], "threshold": 2}]}, "domains"),
+        ({"adversaries": [{"node": 2, "behavior": "silent", "at_tick": 3}]}, "adversaries"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2, "protocol": "avss",
+                       "coalition": [1, 2]}]}, "domains[0].coalition"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2, "protocol": "pedersen_vss",
+                       "deliver_to": [1, 2]}]}, "domains[0].deliver_to"),
     ])
     def test_malformed_section_named(self, patch, section):
         with pytest.raises(ConfigError, match=f"^{re.escape(section)}:"):
@@ -836,9 +841,9 @@ class TestScenarioSchema:
         config = SimConfig(
             seed=9, nodes=6, backend="ed25519", message=b"hello",
             domains=(
-                DomainSpec("k", (1, 2, 3, 4), 3),
-                DomainSpec("a", (2, 3, 4, 5, 6), 2, protocol="avss", coalition=(2, 3),
-                           secret=7, deliver_to=(2, 4, 5)),
+                DomainSpec("k", (1, 2, 3, 4), 3, coalition=(1, 2, 4)),
+                DomainSpec("a", (2, 3, 4, 5, 6), 2, protocol="avss", secret=7,
+                           deliver_to=(2, 4, 5)),
             ),
             delay=DelaySpec(model="uniform", ticks=2, lo=2, hi=4),
             adversaries=(AdversarySpec(5, "crash", at_tick=3),),
@@ -848,9 +853,9 @@ class TestScenarioSchema:
         data = {
             "seed": 9, "nodes": 6, "backend": "ed25519", "message": "hello",
             "domains": [
-                {"id": "k", "members": [1, 2, 3, 4], "threshold": 3},
+                {"id": "k", "members": [1, 2, 3, 4], "threshold": 3, "coalition": [1, 2, 4]},
                 {"id": "a", "members": [2, 3, 4, 5, 6], "threshold": 2, "protocol": "avss",
-                 "coalition": [2, 3], "secret": 7, "deliver_to": [2, 4, 5]},
+                 "secret": 7, "deliver_to": [2, 4, 5]},
             ],
             "delay": {"model": "uniform", "ticks": 2, "lo": 2, "hi": 4},
             "adversaries": [{"node": 5, "behavior": "crash", "at_tick": 3}],
