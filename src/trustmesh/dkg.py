@@ -22,6 +22,15 @@ EUROCRYPT 1998), and dealer by dealer only when that sum fails, or on toy,
 to name the culprits.  Verification shares are stepped by forward
 differences (Knuth, TAOCP Vol. 2, 4.6.4) rather than evaluated one by one.
 
+A proof's challenge has 128 bits, not the group order's 253, so checking it
+takes a c*A whose doubling chain is half as long.  A Schnorr proof needs only
+as many challenge bits as its security level (Schnorr, J. Cryptology 1991;
+Neven, Smart and Warinschi, J. Math. Cryptology 2009): a prover who does not
+know the secret must guess c, at 2^-128 per hash query, while Ed25519's
+discrete logarithm already caps the system at about 2^126.  The random-weight
+share check accepts the same 2^-128 error.  Signing challenges stay full
+width (``signing.challenge_scalar``).
+
 Here the threshold t is the signing coalition size: each dealt polynomial has
 degree t-1 and commitment vectors carry t entries.  Any verification failure
 aborts the run naming the misbehaving dealer; there is no complaint round.
@@ -36,8 +45,7 @@ from typing import Mapping, Optional
 
 from .errors import ProtocolAbort
 from .groups import (
-    GroupBackend, GroupElement, Scalar, batch_weights, failed_equations, hash_bytes, hash_to_scalar,
-    id_bytes,
+    GroupBackend, GroupElement, Scalar, batch_weights, failed_equations, hash_bytes, id_bytes,
 )
 from .polynomials import Polynomial, interpolate_at, random_polynomial
 from .sharing import CommitmentVector, SharePacket, commit_polynomial, share_equation
@@ -63,8 +71,9 @@ def make_crs(domain_id: str, epoch: int = 0) -> bytes:
 
 
 def _pok_challenge(sender: int, crs: bytes, public_secret: GroupElement, R: GroupElement) -> Scalar:
-    parts = [id_bytes(sender), crs, public_secret.encode(), R.encode()]
-    return hash_to_scalar(public_secret.backend, "H", parts)
+    """The proof's 128-bit challenge: the first 16 bytes of the hash, read big-endian."""
+    digest = hash_bytes("H", [id_bytes(sender), crs, public_secret.encode(), R.encode()])
+    return public_secret.backend.scalar(int.from_bytes(digest[:16], "big"))
 
 
 def pok_prove(sender: int, crs: bytes, secret: Scalar, public_secret: GroupElement, rng) -> Signature:

@@ -87,7 +87,7 @@ class DomainSpec:
     threshold: int
     protocol: str = "dkg_sign"
     coalition: Optional[tuple[int, ...]] = None   # global node ids (dkg_sign)
-    secret: int = 5                               # planted secret (vss / avss)
+    secret: Optional[int] = None                  # planted secret (vss / avss; 5 if unset)
     deliver_to: Optional[tuple[int, ...]] = None  # avss: who the dealer reaches
 
     def validate(self, index: int, nodes: int, q: int) -> None:
@@ -124,8 +124,16 @@ class DomainSpec:
             bad = set(self.deliver_to) - set(self.members)
             if bad:
                 raise ConfigError(f"{prefix}.deliver_to: {sorted(bad)} not members")
-        if self.protocol in ("pedersen_vss", "avss") and not 0 <= self.secret < q:
-            raise ConfigError(f"{prefix}.secret: must be in 0..{q - 1}")
+        if self.secret is not None:
+            if self.protocol not in ("pedersen_vss", "avss"):
+                raise ConfigError(f"{prefix}.secret: only pedersen_vss and avss read a secret")
+            if not 0 <= self.secret < q:
+                raise ConfigError(f"{prefix}.secret: must be in 0..{q - 1}")
+
+    @property
+    def planted_secret(self) -> int:
+        """The secret a pedersen_vss or avss dealer shares."""
+        return 5 if self.secret is None else self.secret
 
 
 @dataclass(frozen=True)
@@ -663,7 +671,7 @@ class PedersenVssEngine(_DomainEngine):
         if not self.sim.is_live(self.dealer, 0):
             return
         rng = self.rng("proto", self.dealer)
-        secret = self.backend.scalar(self.spec.secret)
+        secret = self.backend.scalar(self.spec.planted_secret)
         commitments, shares = sharing_mod.pedersen_split(
             secret, self.spec.threshold, len(self.members), rng, self.backend
         )
@@ -720,7 +728,7 @@ class AvssEngine(_DomainEngine):
         if not self.sim.is_live(self.dealer, 0):
             return
         rng = self.rng("proto", self.dealer)
-        secret = self.backend.scalar(self.spec.secret)
+        secret = self.backend.scalar(self.spec.planted_secret)
         t = self.spec.threshold
         commitment, deals = avss_mod.avss_deal(secret, t, len(self.members), rng, self.backend)
         self.nodes = {local: avss_mod.NodeRecovery(local, commitment) for local in self.globl}
@@ -774,7 +782,7 @@ class AvssEngine(_DomainEngine):
         self.mark("done", tick)
         sample = self._completed()[:self.spec.threshold]
         secret = avss_mod.avss_recover_secret([(i, self.nodes[i].share()) for i in sample])
-        if secret == self.backend.scalar(self.spec.secret):
+        if secret == self.backend.scalar(self.spec.planted_secret):
             self.verdicts.append("all nodes completed; recovered secret matches")
             self.finish(failed=False)
         else:

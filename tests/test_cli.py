@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file artifacts, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import stat
@@ -45,6 +46,32 @@ class TestDkgCommand:
         assert (out1 / "group.json").read_bytes() == (out2 / "group.json").read_bytes()
         for i in range(1, 5):
             assert (out1 / f"share_{i}.bin").read_bytes() == (out2 / f"share_{i}.bin").read_bytes()
+
+    # sha256 of group.json and share_1..3.bin for `dkg --t 2 --n 3 --seed 1`.
+    # A proof of knowledge's challenge reaches only transcript.jsonl, so a
+    # change to the challenge rule must leave these files as they are.
+    KEY_FILES = {
+        "toy": (
+            "7dfcd243e1a7f923f46499b2908e2bd507fb77e84e8ab5c07ce85fc8c6128ea4",
+            "f9ae747330aee555c8e4ec58277f20e9368ce09e0896d998c4505a3da2e9abe6",
+            "af3ae59d520be75d96babc9eba4f648008bc0e3f66f473dad5b23e33c2d14cd9",
+            "598cd1428ca03f178cc23c367994cd739eb3e029f63b3e7079e4df62717f2dd0",
+        ),
+        "ed25519": (
+            "34514f4b2cae4c899de3c0b3a2232a30eb4f251540456bdd6aa8feb41b728361",
+            "7e59495b08ec37b1364f0be235ca99fc6f54293ffeb82cd1e6942df00148fe0b",
+            "01a17a9502de4df791c072cedcb84a54daa66d482291466f6ce3efcff75232ff",
+            "5ec9fdacdc400ae16c88ff3124324f884f5133a99fbe7ee815358140fe2aab9a",
+        ),
+    }
+
+    @pytest.mark.parametrize("backend", sorted(KEY_FILES))
+    def test_seeded_key_files_are_pinned(self, backend, tmp_path):
+        assert run_cli("dkg", "--t", 2, "--n", 3, "--backend", backend,
+                       "--seed", 1, "--out", tmp_path) == 0
+        names = ["group.json", "share_1.bin", "share_2.bin", "share_3.bin"]
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names)
+        assert digests == self.KEY_FILES[backend]
 
     def test_share_file_matches_group_pk_share(self, keydir):
         toy = get_backend("toy")

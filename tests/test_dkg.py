@@ -1,5 +1,6 @@
 """Distributed key generation: proofs of knowledge, share checks, key derivation."""
 
+import hashlib
 import json
 import random
 
@@ -44,6 +45,15 @@ def full_run(backend, t=2, n=4, seed=0):
     return run_dkg(backend, t, n, SeededRng(seed))
 
 
+def pok_challenge_oracle(sender, crs, public_bytes, r_bytes):
+    """A proof's challenge from hashlib alone: the first 16 bytes of SHA-512
+    over the tag "H" and the length-prefixed parts, read big-endian."""
+    h = hashlib.sha512(b"H")
+    for part in (sender.to_bytes(4, "big"), crs, public_bytes, r_bytes):
+        h.update(len(part).to_bytes(8, "big") + part)
+    return int.from_bytes(h.digest()[:16], "big")
+
+
 class TestProofOfKnowledge:
     def test_honest_proof_verifies(self, backend, rng):
         crs = make_crs("pok")
@@ -61,14 +71,22 @@ class TestProofOfKnowledge:
         r_rep = proof.R.rep
         for candidate_dlog in range(TOY_Q):
             candidate = toy.scalar(candidate_dlog) * toy.generator()
-            challenge = hash_to_scalar(
-                toy, "H", [id_bytes(2), crs, candidate.encode(), proof.R.encode()]
-            )
+            challenge = pok_challenge_oracle(2, crs, candidate.encode(), proof.R.encode())
             # oracle: g^response == R * candidate^challenge  (mod 23)
             lhs = pow(TOY_G, proof.z.value, TOY_P)
-            rhs = r_rep * pow(candidate.rep, challenge.value, TOY_P) % TOY_P
+            rhs = r_rep * pow(candidate.rep, challenge, TOY_P) % TOY_P
             assert pok_verify(2, crs, candidate, proof) == (lhs == rhs)
         assert pok_verify(2, crs, secret * toy.generator(), proof)
+
+    def test_challenge_is_128_bits_of_the_hash(self, ed25519, rng):
+        crs = make_crs("width")
+        g = ed25519.generator()
+        for sender in (1, 2, 255):
+            A = ed25519.random_scalar(rng) * g
+            R = ed25519.random_scalar(rng) * g
+            challenge = dkg_mod._pok_challenge(sender, crs, A, R)
+            assert challenge.value == pok_challenge_oracle(sender, crs, A.encode(), R.encode())
+            assert challenge.value < 2**128
 
     def test_crs_binding(self, backend, rng):
         secret = backend.random_scalar(rng)
@@ -134,6 +152,31 @@ class TestRound1:
         assert exc.value.faulty_ids == (3,)
         assert exc.value.reason == "invalid proof of knowledge from "
         assert parts[0].phase is Phase.ABORTED
+
+    @pytest.mark.parametrize("fault", ["full-width-challenge", "made-for-another-id",
+                                       "response-plus-one"])
+    def test_forged_proof_aborts_naming_sender(self, backend, rng, fault):
+        parts = fresh(backend)
+        bcs = {p.id: dkg_round1(p, rng.fork(str(p.id))) for p in parts}
+        bad, crs = bcs[3], parts[0].crs
+        if fault == "response-plus-one":
+            proof = Signature(bad.proof.R, bad.proof.z + 1)
+        else:
+            secret, A = parts[2].own_polynomial.evaluate(0), bad.commitment.entries[0]
+            k = backend.random_scalar(rng)
+            R = k * backend.generator()
+            # the full-width rule reduces all 512 hash bits mod q, as before
+            # challenges were cut to 128 bits
+            c = (hash_to_scalar(backend, "H", [id_bytes(3), crs, A.encode(), R.encode()])
+                 if fault == "full-width-challenge" else dkg_mod._pok_challenge(4, crs, A, R))
+            # on toy two challenges agree one time in 11, and the proof would hold
+            assert c != dkg_mod._pok_challenge(3, crs, A, R)
+            proof = Signature(R, k + secret * c)
+        bcs[3] = Round1Broadcast(3, bad.commitment, proof)
+        with pytest.raises(ProtocolAbort) as exc:
+            dkg_accept_round1(parts[0], {i: bc for i, bc in bcs.items() if i != 1})
+        assert str(exc.value) == "invalid proof of knowledge from [3]"
+        assert exc.value.faulty_ids == (3,)
 
     @pytest.mark.parametrize("fault", ["filed-under-another-id", "t-1-commitments",
                                        "t+1-commitments"])

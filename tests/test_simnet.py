@@ -53,8 +53,8 @@ class TestDeterminism:
         # pins the uniform delay draws, which no bundled scenario uses
         digest = hashlib.sha256(r1.canonical_json().encode()).hexdigest()
         assert (digest, r1.trace_hash) == (
-            "9efa0e9172bc936419537ec75282a8d1d90cc7a0aa0f5f9534fa87685759e561",
-            "11e8f48b22a63eb4b86ca26fa39f5b3fe1b10dafe782f0d9548d9e654f73dc32",
+            "fcd0a0fd1780d453da99477839446a3b6178cc6a697fb8b755ccb1f52715accc",
+            "86ff403c09f639e319c2b6ca24ae555ad465ad6482df48fbaa5b3e8ac3a5f888",
         )
 
     def test_different_seeds_differ(self):
@@ -74,8 +74,8 @@ class TestDeterminism:
 # change to either makes archived replays stale, so it must be deliberate.
 GOLDEN = {
     "three-domains": (
-        "f310eff48250778842f6e03791f3f7abdf1d02cabcc42386960ebf33258d16db",
-        "11db87a42687eb8cb81c2cc6ec8c44ec4d0572cfa7bbe6da9c2e5b14cde16c25",
+        "ef37a3fd3be458ada86ba80c14c9d54c5cf9a35e952dedc02e8c69fe19d5b945",
+        "17babee6ef9f9d6f6336bcc3f8a15257a895e91d66e0f8b5276857595885678d",
     ),
     "corrupt-dealer": (
         "65c230dbef0ac05f9eadb25a1bbf3b14d272de33cb6f3f68a2ac256ee363ad0f",
@@ -88,8 +88,8 @@ GOLDEN = {
     # the benchmark's 14-node ed25519 scenario at its own seed 0: pins the
     # simulator on the curve, not only on the toy group
     "sim-mesh": (
-        "49c3eb207f5deab5e37392e401ded301b62d9b4cafd603f21b1f8aa3e38c0e80",
-        "07b1cce41650b1f385ad6ad264a51b568518e3efd4c44d6df1ace1e095dcb00b",
+        "6c978f07378bef76eb81dd56ab24c41778719fe1f123159c9fffd7b5561b9a93",
+        "f8fdf5baa5bb33bb6c787e91f68e7c5c4c4f5961aa6fa560d1e69a0147daec95",
     ),
 }
 SCENARIO_FILES = {"sim-mesh": Path(__file__).resolve().parents[1] / "perfbench" / "sim_mesh.json"}
@@ -784,6 +784,8 @@ class TestScenarioShapes:
                        "coalition": [1, 2]}]}, "domains[0].coalition"),
         ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2, "protocol": "pedersen_vss",
                        "deliver_to": [1, 2]}]}, "domains[0].deliver_to"),
+        ({"domains": [{"id": "d", "members": [1, 2, 3], "threshold": 2, "secret": 9}]},
+         "domains[0].secret"),
     ])
     def test_malformed_section_named(self, patch, section):
         with pytest.raises(ConfigError, match=f"^{re.escape(section)}:"):
