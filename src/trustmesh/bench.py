@@ -2,11 +2,11 @@
 
 Measures computation only (no simulated network delays): round 1 is broadcast
 generation plus every node verifying its peers' proofs, round 2 is share
-distribution plus every node's share check (one batch on ed25519, dealer by
-dealer on toy) and key derivation, and the signing column is a full t-sized
-coalition session over the fresh key.  Each row reports medians over a
-configurable number of repetitions after one warm-up run; absolute numbers
-are hardware-specific, the growth shape is the interesting output.
+distribution, every node checking each peer's share on its own, and key
+derivation, and the signing column is a full t-sized coalition session over
+the fresh key.  Each row reports medians over a configurable number of
+repetitions after one warm-up run; absolute numbers are hardware-specific,
+the growth shape is the interesting output.
 """
 
 from __future__ import annotations

@@ -120,12 +120,20 @@ def _load_group(path: str):
     try:
         data = json.loads(Path(path).read_text())
         backend = get_backend(data["backend"])
+        for key in ("t", "n"):   # JSON integers: not 2.9, "2" or true
+            if type(data[key]) is not int:
+                raise ValueError(f"{key!r} must be an integer, got {json.dumps(data[key])}")
+        t, n = data["t"], data["n"]
+        try:
+            dkg_mod.check_dkg_parameters(t, n, backend.order)
+        except ValueError as exc:
+            raise ValueError(f"'t' and 'n': {exc}")
         group_pk = backend.decode_element(bytes.fromhex(data["group_pk"]))
         pk_shares = {
             int(i): backend.decode_element(bytes.fromhex(hexval))
             for i, hexval in data["pk_shares"].items()
         }
-        return backend, int(data["t"]), int(data["n"]), group_pk, pk_shares
+        return backend, t, n, group_pk, pk_shares
     except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"cannot load group file {path}: {exc}")
 
@@ -249,6 +257,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_avss_demo(args) -> int:
     backend = get_backend(args.backend)
     avss_mod.check_deal_parameters(args.t, args.n, backend.order)
+    if not 0 <= args.secret < backend.order:
+        raise ConfigError(f"--secret: must be in 0..{backend.order - 1}")
     rng = SeededRng(args.seed)
     secret = backend.scalar(args.secret)
     print(f"Secret={args.secret}, threshold={args.t}, nodes={args.n}")

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import GroupBackend, GroupElement, Scalar, failed_equations, id_bytes
+from .groups import GroupBackend, GroupElement, Scalar, id_bytes
 from .polynomials import Polynomial, interpolate_at, random_polynomial
 
 
@@ -157,18 +157,15 @@ def feldman_split(secret: Scalar, t: int, n: int, rng, backend: GroupBackend):
     return commit_polynomial(backend, poly), shares_from_polynomial(poly, n)
 
 
-def share_equation(share: SharePacket, commitments: CommitmentVector) -> tuple:
-    """The one share check, value*G == C(id) (less blinding*H for a blinded
-    share), in the (s, terms) form that groups.failed_equations takes."""
-    terms = [(1, commitments.share_commitment(share.id))]
-    if share.blinding is not None:
-        terms.append((-share.blinding, commitments.backend.second_generator()))
-    return share.value, terms
-
-
 def _share_holds(share: SharePacket, commitments: CommitmentVector) -> bool:
-    # a single equation is tested alone, so it draws no weights
-    return not failed_equations(commitments.backend, {share.id: share_equation(share, commitments)}, dict)
+    """The one share check: value*G, plus blinding*H for a blinded share, == C(id)."""
+    backend = commitments.backend
+    if share.blinding is None:
+        dealt = share.value * backend.generator()
+    else:
+        dealt = backend.multi_mul([share.value, share.blinding],
+                                  [backend.generator(), backend.second_generator()])
+    return dealt == commitments.share_commitment(share.id)
 
 
 def feldman_verify(share: SharePacket, commitments: CommitmentVector) -> bool:

@@ -457,6 +457,18 @@ class TestAvssDemoCommand:
         assert run_cli("avss-demo", "--backend", "ed25519", "--seed", 4) == 0
         assert "Verified share: true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("secret", [11, -1])
+    def test_secret_outside_the_field_is_refused(self, secret, capsys):
+        # the toy group's order is 11: reducing would deal 0 or 10 under another name
+        assert run_cli("avss-demo", "--backend", "toy", "--secret", secret) == 4
+        assert "configuration error: --secret: must be in 0..10" in capsys.readouterr().err
+
+    def test_largest_secret_is_dealt_as_given(self, capsys):
+        assert run_cli("avss-demo", "--backend", "toy", "--secret", 10) == 0
+        out = capsys.readouterr().out
+        assert "Secret=10, threshold=3, nodes=5" in out
+        assert out.split("Row: ")[1].split()[0] == "10"
+
 
 class TestSeedRange:
     @pytest.mark.parametrize("args", [
@@ -536,11 +548,18 @@ class TestMalformedInputFiles:
         assert run_cli("simulate", "--scenario", scenario) == 4
         assert "configuration error: scenario:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mangle", [
-        lambda group: dict(group, pk_shares=[]),
-        lambda group: [group],
-    ], ids=["pk-shares-list", "top-level-list"])
-    def test_malformed_group_file(self, keydir, tmp_path, mangle):
+    @pytest.mark.parametrize("mangle, named", [
+        (lambda group: dict(group, pk_shares=[]), ""),
+        (lambda group: [group], ""),
+        (lambda group: dict(group, t=2.9), "'t' must be an integer, got 2.9"),
+        (lambda group: dict(group, t="2"), "'t' must be an integer, got \"2\""),
+        (lambda group: dict(group, t=True), "'t' must be an integer, got true"),
+        (lambda group: dict(group, n=4.0), "'n' must be an integer, got 4.0"),
+        (lambda group: dict(group, t=1), "'t' and 'n': threshold must be >= 2"),
+        (lambda group: dict(group, t=5), "'t' and 'n': threshold 5 exceeds participant count 4"),
+    ], ids=["pk-shares-list", "top-level-list", "t-float", "t-string", "t-bool", "n-float",
+            "t-below-2", "t-above-n"])
+    def test_malformed_group_file(self, keydir, tmp_path, capsys, mangle, named):
         group = json.loads((keydir / "group.json").read_text())
         bad = tmp_path / "group.json"
         bad.write_text(json.dumps(mangle(group)))
@@ -551,4 +570,5 @@ class TestMalformedInputFiles:
         assert run_cli("sign", "--group", bad,
                        "--share", keydir / "share_1.bin", "--share", keydir / "share_2.bin",
                        "--coalition", "1,2", "--message", "m", "--seed", 2) == 4
+        assert f"cannot load group file {bad}: {named}" in capsys.readouterr().err
         assert run_cli("verify", "--group", bad, "--message", "m", "--signature", sig) == 4

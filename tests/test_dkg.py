@@ -28,7 +28,7 @@ from trustmesh.dkg import (
     transcript_jsonl,
 )
 from trustmesh.errors import ProtocolAbort
-from trustmesh.groups import batch_weights, hash_to_scalar, id_bytes
+from trustmesh.groups import hash_to_scalar, id_bytes
 from trustmesh.rng import SeededRng
 from trustmesh.sharing import CommitmentVector
 from trustmesh.signing import Signature
@@ -512,41 +512,6 @@ def evaluations(monkeypatch):
     return calls
 
 
-def check_sums(monkeypatch, backend):
-    """Record (G's scalar, term count) for each multi_mul dkg.failed_equations makes."""
-    calls, checking = [], []
-    multi_mul, failed_equations = backend.multi_mul, dkg_mod.failed_equations
-    g = backend.generator()
-
-    def recording_mul(scalars, elements):
-        if checking:
-            assert elements[0].rep is g.rep
-            calls.append((backend.scalar(scalars[0]), len(elements)))
-        return multi_mul(scalars, elements)
-
-    def recording_check(*args):
-        checking.append(True)
-        try:
-            return failed_equations(*args)
-        finally:
-            checking.pop()
-    monkeypatch.setattr(backend, "multi_mul", recording_mul)
-    monkeypatch.setattr(dkg_mod, "failed_equations", recording_check)
-    return calls
-
-
-def recorded_weights(monkeypatch):
-    """Record (arguments, weights) for each dkg.batch_weights call."""
-    calls = []
-    original = dkg_mod.batch_weights
-
-    def wrapper(*args):
-        calls.append((args, original(*args)))
-        return calls[-1][1]
-    monkeypatch.setattr(dkg_mod, "batch_weights", wrapper)
-    return calls
-
-
 def checked_dealers(receiver, evaluated):
     """The dealers whose round-1 commitment was evaluated, at the receiver's id."""
     by_commitment = {id(bc.commitment): s for s, bc in receiver.received_broadcasts.items()}
@@ -555,12 +520,14 @@ def checked_dealers(receiver, evaluated):
     return sorted(by_commitment[id(vector)] for vector, _ in dealt)
 
 
-class TestBatchedShareCheck:
-    def test_offsets_that_cancel_are_blamed_on_both_dealers(self, ed25519):
-        parts, outbound = dealt_and_accepted(ed25519)
+class TestShareCheck:
+    """Round 2 checks each peer's share on its own, with no random-weight batch."""
+
+    def test_offsets_that_cancel_are_blamed_on_both_dealers(self, backend):
+        parts, outbound = dealt_and_accepted(backend)
         receiver = parts[0]
         inbound = inbound_for(receiver, outbound)
-        delta = ed25519.scalar(12345)
+        delta = backend.scalar(12345)
         inbound[2] = inbound[2] + delta
         inbound[4] = inbound[4] - delta
         with pytest.raises(ProtocolAbort) as exc:
@@ -568,8 +535,8 @@ class TestBatchedShareCheck:
         assert exc.value.faulty_ids == (2, 4)
         assert str(exc.value) == "share verification failed for [2, 4]"
 
-    def test_one_corrupt_dealer_is_named_alone(self, ed25519):
-        parts, outbound = dealt_and_accepted(ed25519)
+    def test_one_corrupt_dealer_is_named_alone(self, backend):
+        parts, outbound = dealt_and_accepted(backend)
         receiver = parts[2]
         inbound = inbound_for(receiver, outbound)
         inbound[5] = inbound[5] + 1
@@ -579,14 +546,20 @@ class TestBatchedShareCheck:
         assert str(exc.value) == "share verification failed for [5]"
         assert receiver.phase is Phase.ABORTED
 
-    def test_honest_shares_pass_the_batch_without_per_dealer_checks(self, ed25519, monkeypatch):
-        parts, outbound = dealt_and_accepted(ed25519)
-        sums = check_sums(monkeypatch, ed25519)
+    def test_an_honest_run_evaluates_each_peer_commitment_once(self, backend, monkeypatch):
+        parts, outbound = dealt_and_accepted(backend)
+        evaluated = evaluations(monkeypatch)
         for p in parts:
+            evaluated.clear()
             dkg_round2_finalize(p, inbound_for(p, outbound))
-        # one sum per node, the batch: G plus the four peer commitments
-        assert [n for _, n in sums] == [5] * len(parts)
+            assert checked_dealers(p, evaluated) == [i for i in range(1, 6) if i != p.id]
         assert len({p.group_pk.encode() for p in parts}) == 1
+        assert not hasattr(dkg_mod, "batch_weights")
+
+
+class TestBatchedShareCheck:
+    """A failed round 2 checks each peer dealer once; the class keeps the name
+    it had when the checks were first tried as one random-weight batch."""
 
     def test_a_failed_batch_checks_each_peer_dealer_once(self, ed25519, monkeypatch):
         parts, outbound = dealt_and_accepted(ed25519)
@@ -594,64 +567,28 @@ class TestBatchedShareCheck:
         inbound = inbound_for(receiver, outbound)
         inbound[3] = inbound[3] + 1
         evaluated = evaluations(monkeypatch)
-        sums = check_sums(monkeypatch, ed25519)
-        with pytest.raises(ProtocolAbort):
+        checks = counting(monkeypatch, "feldman_verify")
+        with pytest.raises(ProtocolAbort) as exc:
             dkg_round2_finalize(receiver, inbound)
         assert checked_dealers(receiver, evaluated) == [2, 3, 4, 5]
-        # the batch, then -value*G + C_j(id) for each peer dealer
-        assert [n for _, n in sums] == [5, 2, 2, 2, 2]
-        assert sorted((-k).value for k, _ in sums[1:]) == sorted(v.value for v in inbound.values())
+        # value*G == C_j(id) for each peer dealer, each on the share it sent
+        assert [share.id for share, _ in checks] == [receiver.id] * 4
+        assert sorted(share.value.value for share, _ in checks) == sorted(v.value for v in inbound.values())
+        assert exc.value.faulty_ids == (3,)
 
     def test_a_failed_check_evaluates_each_commitment_once(self, backend, monkeypatch):
         parts, outbound = dealt_and_accepted(backend, t=3, n=6)
         receiver = parts[0]
         inbound = inbound_for(receiver, outbound)
         inbound[4] = inbound[4] + 1
-        weights = counting(monkeypatch, "batch_weights")
         evaluated = evaluations(monkeypatch)
         with pytest.raises(ProtocolAbort) as exc:
             dkg_round2_finalize(receiver, inbound)
-        # ed25519 batches first; toy, where a weight can vanish, never does
-        assert len(weights) == (backend.name == "ed25519")
         assert len(evaluated) == 5
         assert checked_dealers(receiver, evaluated) == [2, 3, 4, 5, 6]
+        assert not hasattr(dkg_mod, "batch_weights")
         assert exc.value.faulty_ids == (4,)
         assert str(exc.value) == "share verification failed for [4]"
-
-    def test_toy_checks_dealer_by_dealer(self, toy, monkeypatch):
-        # a weight can vanish mod 11, so the toy group never batches
-        parts, outbound = dealt_and_accepted(toy, t=2, n=4)
-        weights = counting(monkeypatch, "batch_weights")
-        sums = check_sums(monkeypatch, toy)
-        inbound = inbound_for(parts[0], outbound)
-        dkg_round2_finalize(parts[0], inbound)
-        assert weights == []
-        assert [n for _, n in sums] == [2, 2, 2]
-        assert sorted((-k).value for k, _ in sums) == sorted(v.value for v in inbound.values())
-
-    def test_weights_are_a_pure_function_of_the_inputs(self, ed25519, monkeypatch):
-        calls = recorded_weights(monkeypatch)
-
-        def weights(tamper=dict):
-            # node 1 of a fresh run of the same seeded dealings each time
-            parts, outbound = dealt_and_accepted(ed25519)
-            try:
-                dkg_round2_finalize(parts[0], tamper(inbound_for(parts[0], outbound)))
-            except ProtocolAbort:
-                pass
-            return calls[-1][1]
-
-        honest = weights()
-        copied = weights(lambda inbound: {s: ed25519.scalar(v.value) for s, v in reversed(inbound.items())})
-        assert copied == honest
-        assert sorted(honest) == [2, 3, 4, 5]
-        assert all(0 < w < 1 << 128 for w in honest.values())
-        assert len(set(honest.values())) == len(honest)
-        assert weights(lambda inbound: {**inbound, 3: inbound[3] + 1}) != honest
-        # the same shares and commitments checked by node 6
-        (tag, context, entries), _ = calls[0]
-        assert context == [id_bytes(1)]
-        assert batch_weights(tag, [id_bytes(6)], entries) != honest
 
 
 def dealt_and_sent(backend, t=3, n=5, seed=0):
